@@ -149,7 +149,6 @@ def _config_dict(config: SolverConfig) -> dict:
         "tau1": config.tau1,
         "tau2": config.tau2,
         "k": config.k,
-        "variant": config.variant,
         "rho0": config.rho0,
         "rho_growth": config.rho_growth,
         "tolerance": config.tolerance,
@@ -206,7 +205,6 @@ def load_model(path) -> ModelBundle:
         rho_growth=b["rho_growth"],
         tolerance=b["tolerance"],
         max_iterations=b["max_iterations"],
-        variant=b["variant"],
     )
     splines = tuple(
         SplineCoefficients(
@@ -268,9 +266,7 @@ def cmd_fit(args) -> int:
     n = y.shape[0]
     penalty = build_penalty(domain)
     t1, t2, folds, tau_report = _tuning_for(args, n, penalty, y)
-    config = SolverConfig(
-        tau1=t1, tau2=t2, k=args.k, variant=args.variant, max_iterations=args.max_iterations
-    )
+    config = SolverConfig(tau1=t1, tau2=t2, k=args.k, max_iterations=args.max_iterations)
     basis = fit(y, penalty, config)
     if args.gamma is not None:
         gamma = args.gamma
@@ -407,9 +403,7 @@ def cmd_cv(args) -> int:
     grid = restrict_grid(TuningGrid(m=args.folds), tau1=args.tau1, tau2=args.tau2)
     tau_report = cv_tau(y, penalty, args.k, grid, folds)
     t1, t2 = tau_report.selected
-    config = SolverConfig(
-        tau1=t1, tau2=t2, k=args.k, variant=args.variant, max_iterations=args.max_iterations
-    )
+    config = SolverConfig(tau1=t1, tau2=t2, k=args.k, max_iterations=args.max_iterations)
     basis = fit(y, penalty, config)
     gamma_report = cv_gamma(y, basis, grid, folds)
     doc = {
@@ -478,12 +472,6 @@ def _add_fit_flags(sub):
     sub.add_argument("--tau2", type=float, default=None, help="sparseness weight (else CV)")
     sub.add_argument("--folds", type=int, default=5, help="cross-validation folds")
     sub.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
-    sub.add_argument(
-        "--variant",
-        choices=["closed-form", "lasso-inner"],
-        default="closed-form",
-        help="update scheme for the basis solver",
-    )
     sub.add_argument(
         "--max-iterations", type=int, default=1000, help="solver iteration cap"
     )

@@ -6,10 +6,10 @@ Minimizes, over p x K matrices Phi with orthonormal columns,
                            + tau2 * sum_jk |phi_jk|
 
 by an augmented-Lagrangian splitting with an increasing penalty parameter
-rho.  Two variants are provided: the default three-block scheme whose every
-update is in closed form, and a two-block scheme whose Phi update solves K
-small lasso problems by coordinate descent.  Both return the exactly
-orthonormal block as the estimate.
+rho.  Every update of the three-block scheme is in closed form: a shifted
+solve against the spectral factorization of Y'Y - tau1*omega, a polar factor
+for orthonormality and a soft threshold for sparsity.  The exactly
+orthonormal block is returned as the estimate.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ __all__ = [
     "precompute_quadratic",
     "admm_step",
     "fit",
-    "fit_lasso_variant",
 ]
-
-VARIANTS = ("closed-form", "lasso-inner")
 
 
 class RhoTooSmallError(ValueError):
@@ -66,7 +63,6 @@ class SolverConfig:
     rho_growth: float = 1.5
     tolerance: float = 1e-6
     max_iterations: int = 1000
-    variant: str = "closed-form"
 
     def __post_init__(self):
         if self.tau1 < 0 or self.tau2 < 0:
@@ -84,8 +80,6 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ class QuadraticTerm:
 
     (tau1*omega + rho*I - Y'Y)^{-1} x = vectors diag(1/(rho - values)) vectors' x,
     valid whenever rho exceeds values[-1].  lam_max_yty is the largest
-    eigenvalue of Y'Y, used by the rho0 = "auto" rule.
+    eigenvalue of Y'Y, ||Y||_2^2, used by the rho0 = "auto" rule.
     """
 
     vectors: np.ndarray
@@ -191,23 +185,17 @@ def precompute_quadratic(y, penalty: PenaltyOperator, tau1: float) -> QuadraticT
     b = yty - tau1 * penalty.omega
     b = 0.5 * (b + b.T)
     values, vectors = np.linalg.eigh(b)
-    if tau1 == 0.0:
-        lam_max = float(values[-1])
-    else:
-        lam_max = float(np.linalg.eigvalsh(yty)[-1])
+    # the n x p thin SVD is far cheaper than a p x p eigensolve when n < p
+    lam_max = float(np.max(np.linalg.svd(y, compute_uv=False), initial=0.0) ** 2)
     return QuadraticTerm(vectors=vectors, values=values, lam_max_yty=lam_max)
 
 
-def initial_phi(y, penalty: PenaltyOperator, tau1: float, k: int) -> np.ndarray:
-    """Leading k eigenvectors of Y'Y - tau1*omega, the no-sparsity warm start."""
-    y = _check_data(y, penalty)
-    n, p = y.shape
-    if not 1 <= k <= min(n, p):
-        raise ValueError(f"k must be in [1, min(n, p)] = [1, {min(n, p)}], got {k}")
-    a = y.T @ y - tau1 * penalty.omega
-    a = 0.5 * (a + a.T)
-    _, vec = np.linalg.eigh(a)
-    return _fix_signs(vec[:, ::-1][:, :k])
+def initial_phi(quad: QuadraticTerm, k: int) -> np.ndarray:
+    """Leading k eigenvectors of Y'Y - tau1*omega from quad, the no-sparsity warm start."""
+    p = quad.vectors.shape[0]
+    if not 1 <= k <= p:
+        raise ValueError(f"k must be in [1, p] = [1, {p}], got {k}")
+    return _fix_signs(quad.vectors[:, ::-1][:, :k])
 
 
 def admm_step(
@@ -260,9 +248,8 @@ def _check_warm(warm_start, p: int, k: int) -> np.ndarray:
 
 
 def _finish(y, penalty, config, q, converged: bool, iterations: int) -> EigenBasis:
-    n = y.shape[0]
-    s = y.T @ y / n
-    variances = np.einsum("ik,ij,jk->k", q, s, q)
+    yq = y @ q
+    variances = np.einsum("ij,ij->j", yq, yq) / y.shape[0]
     order = np.argsort(-variances, kind="stable")
     q = _fix_signs(q[:, order])
     variances = variances[order]
@@ -287,15 +274,13 @@ def fit(
     warm_start=None,
     quad: QuadraticTerm | None = None,
 ) -> EigenBasis:
-    """Estimate the regularized eigenbasis; dispatches on config.variant.
+    """Estimate the regularized eigenbasis by iterating admm_step.
 
     Non-convergence within max_iterations is reported through the returned
     converged flag, never as an exception.  quad is a performance hook: pass
     the result of precompute_quadratic(y, penalty, config.tau1) when fitting
     the same data repeatedly (as the tuning sweeps do).
     """
-    if config.variant == "lasso-inner":
-        return fit_lasso_variant(y, penalty, config, warm_start, quad)
     y = _check_data(y, penalty)
     n, p = y.shape
     k = config.k
@@ -305,9 +290,7 @@ def fit(
         quad = precompute_quadratic(y, penalty, config.tau1)
     rho0 = _initial_rho(config, quad)
     rho_cap = 1e12 * rho0
-    q0 = _check_warm(warm_start, p, k) if warm_start is not None else initial_phi(
-        y, penalty, config.tau1, k
-    )
+    q0 = _check_warm(warm_start, p, k) if warm_start is not None else initial_phi(quad, k)
     zeros = np.zeros((p, k))
     state = AdmmState(
         phi=q0, q=q0, r=q0.copy(), gamma1=zeros, gamma2=zeros.copy(), rho=rho0
@@ -329,82 +312,3 @@ def fit(
         state = replace(state, rho=min(state.rho * config.rho_growth, rho_cap))
     return _finish(y, penalty, config, state.q, converged, iterations)
 
-
-def _lasso_cd(x, z, start, tau2, col_sq, tol=1e-8, max_sweeps=500):
-    # minimize ||z - x w||^2 + tau2 * ||w||_1 by cyclic coordinate descent
-    w = start.copy()
-    resid = z - x @ w
-    half = 0.5 * tau2
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(w.shape[0]):
-            old = w[j]
-            if old != 0.0:
-                resid += x[:, j] * old
-            m = float(x[:, j] @ resid)
-            new = math.copysign(max(abs(m) - half, 0.0), m) / col_sq[j]
-            w[j] = new
-            if new != 0.0:
-                resid -= x[:, j] * new
-            delta = max(delta, abs(new - old))
-        if delta <= tol:
-            break
-    return w
-
-
-def fit_lasso_variant(
-    y,
-    penalty: PenaltyOperator,
-    config: SolverConfig,
-    warm_start=None,
-    quad: QuadraticTerm | None = None,
-) -> EigenBasis:
-    """Two-block variant: the Phi update solves K lasso problems.
-
-    With X = (tau1*omega - Y'Y + rho*I/2)^{1/2} and z_k the k-th column of
-    X^{-1}(rho*Q - Gamma)/2, each column solves
-
-        min_w ||z_k - X w||^2 + tau2 * ||w||_1
-
-    by coordinate descent (inner tolerance 1e-8), then Q is the polar factor
-    of Phi + Gamma/rho and Gamma accumulates rho*(Phi - Q).  Agrees with the
-    closed-form variant on the recovered subspace.
-    """
-    y = _check_data(y, penalty)
-    n, p = y.shape
-    k = config.k
-    if k > min(n, p):
-        raise ValueError(f"k = {k} exceeds min(n, p) = {min(n, p)}")
-    if quad is None:
-        quad = precompute_quadratic(y, penalty, config.tau1)
-    rho0 = _initial_rho(config, quad)
-    rho_cap = 1e12 * rho0
-    q = _check_warm(warm_start, p, k) if warm_start is not None else initial_phi(
-        y, penalty, config.tau1, k
-    )
-    phi = q.copy()
-    gamma = np.zeros((p, k))
-    rho = rho0
-    scale = 1.0 / math.sqrt(p)
-    vec = quad.vectors
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        if 0.5 * rho <= quad.beta_max:
-            raise RhoTooSmallError(rho, 2.0 * quad.beta_max)
-        root = np.sqrt(0.5 * rho - quad.values)
-        x = (vec * root) @ vec.T
-        z = (vec / root) @ (vec.T @ (0.5 * (rho * q - gamma)))
-        col_sq = np.einsum("ij,ij->j", x, x)
-        new_phi = np.empty_like(phi)
-        for c in range(k):
-            new_phi[:, c] = _lasso_cd(x, z[:, c], phi[:, c], config.tau2, col_sq)
-        new_q = _polar(new_phi + gamma / rho)
-        gamma = gamma + rho * (new_phi - new_q)
-        crit = scale * max(_fro(new_phi - phi), _fro(new_phi - new_q))
-        phi, q = new_phi, new_q
-        if crit <= config.tolerance:
-            converged = True
-            break
-        rho = min(rho * config.rho_growth, rho_cap)
-    return _finish(y, penalty, config, q, converged, iterations)

@@ -6,9 +6,11 @@ of the spline interpolating it.  That energy is a quadratic form
     v' omega v  =  roughness of the spline through (s_i, v_i),
 
 where ``omega`` is the upper-left p x p block of the inverse of the bordered
-kernel system assembled in :func:`build_penalty`.  Downstream code works with
-``omega`` directly and only touches spline coefficients when a component has
-to be evaluated off the observation sites.
+kernel system [[g, e], [e', 0]].  :func:`build_penalty` computes it in
+null-space form from a QR factorization of the affine design ``e`` and never
+assembles the bordered matrix.  Downstream code works with ``omega`` directly
+and only touches spline coefficients when a component has to be evaluated
+off the observation sites.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 __all__ = [
     "ConditioningError",
@@ -32,10 +34,11 @@ __all__ = [
 
 
 class ConditioningError(ValueError):
-    """The bordered interpolation system is numerically singular.
+    """The interpolation system is numerically singular.
 
     ``pair`` holds the indices of the closest (or coincident) pair of sites,
-    which is the usual culprit.
+    which is the usual culprit; it is None when the sites are collinear
+    (d = 2) or coplanar (d = 3).
     """
 
     def __init__(self, message: str, pair: tuple[int, int] | None = None):
@@ -102,8 +105,8 @@ class PenaltyOperator:
         Kernel Gram matrix g(||s_i - s_j||).
     e : ndarray, shape (p, d + 1)
         Affine design, row i equal to (1, s_i').
-    bordered_factor : tuple
-        LU factorization of [[g, e], [e', 0]] reused by
+    affine_qr : tuple
+        Reduced QR factorization ``(q1, r1)`` of ``e``, reused by
         :func:`solve_coefficients`.
     """
 
@@ -111,7 +114,7 @@ class PenaltyOperator:
     omega: np.ndarray
     g: np.ndarray
     e: np.ndarray
-    bordered_factor: tuple
+    affine_qr: tuple
 
 
 @dataclass(frozen=True)
@@ -168,12 +171,14 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
     orthonormal basis of the complement of col(e), omega equals
     q2 (q2' g q2)^{-1} q2', which annihilates affine fields to machine
     precision.  The result is symmetrized, and its spectrum clipped at zero
-    only if roundoff pushed an eigenvalue below -1e-10.
+    only if roundoff pushed an eigenvalue below -1e-10.  The reduced factor
+    (q1, r1) of the same QR is kept for :func:`solve_coefficients`.
 
     Raises
     ------
     ConditioningError
-        If two sites coincide or the interpolation system is singular.
+        If two sites coincide, the sites are collinear (d = 2) or coplanar
+        (d = 3), or the interpolation system is singular.
     """
     loc = domain.locations
     p, d = loc.shape
@@ -188,17 +193,20 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
 
     g = kernel(dist, d)
     e = np.hstack([np.ones((p, 1)), loc])
-    m = np.zeros((p + d + 1, p + d + 1))
-    m[:p, :p] = g
-    m[:p, p:] = e
-    m[p:, :p] = e.T
-
-    q_full, _ = np.linalg.qr(e, mode="complete")
-    q2 = q_full[:, d + 1 :]
+    q_full, r_full = np.linalg.qr(e, mode="complete")
+    r1 = r_full[: d + 1].copy()
+    # the coordinate columns' diagonal ratio is free of offset and units; below
+    # 1e-8 the affine part of an interpolant keeps fewer than half its digits
+    spread = np.abs(np.diag(r1)[1:])
+    if spread.min() <= 1e-8 * spread.max():
+        shape = "on a line" if d == 2 else "in a plane"
+        raise ConditioningError(
+            f"the sites lie {shape}; the affine part of the spline is not identifiable"
+        )
+    q1, q2 = q_full[:, : d + 1].copy(), q_full[:, d + 1 :]
     core = q2.T @ g @ q2
     core = 0.5 * (core + core.T)
     try:
-        factor = lu_factor(m)
         omega = q2 @ cho_solve(cho_factor(core), q2.T)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ConditioningError(
@@ -220,25 +228,31 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
         omega = (u * np.clip(w, 0.0, None)) @ u.T
         omega = 0.5 * (omega + omega.T)
 
-    for arr in (omega, g, e):
+    for arr in (omega, g, e, q1, r1):
         arr.setflags(write=False)
-    return PenaltyOperator(domain=domain, omega=omega, g=g, e=e, bordered_factor=factor)
+    return PenaltyOperator(domain=domain, omega=omega, g=g, e=e, affine_qr=(q1, r1))
 
 
 def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
-    """Interpolating spline through (s_i, values_i), via the stored factorization."""
+    """Interpolating spline through (s_i, values_i), via omega and the QR of e.
+
+    With e = q1 r1 and c = q1'v, the radial weights are a = omega (v - q1 c);
+    projecting out col(e) first leaves a at roundoff level for affine fields.
+    The affine part solves r1 b = c - q1' g a.
+    """
     p = penalty.domain.p
-    d = penalty.domain.d
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.shape != (p,):
         raise ValueError(f"values must have length p = {p}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    rhs = np.concatenate([v, np.zeros(d + 1)])
-    sol = lu_solve(penalty.bordered_factor, rhs)
-    if not np.all(np.isfinite(sol)):
+    q1, r1 = penalty.affine_qr
+    c = q1.T @ v
+    a = penalty.omega @ (v - q1 @ c)
+    b = solve_triangular(r1, c - q1.T @ (penalty.g @ a))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ConditioningError("interpolation solve produced non-finite coefficients")
-    return SplineCoefficients(a=sol[:p].copy(), b=sol[p:].copy())
+    return SplineCoefficients(a=a, b=b)
 
 
 def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.ndarray:

@@ -37,7 +37,14 @@ from spatpca.solver import (
 )
 from spatpca.tuning import default_log_grid
 
-from checks import shrinkage_objective, minimize_shrinkage_objective, principal_angle, random_orthonormal, random_psd
+from checks import (
+    fit_lasso_inner,
+    minimize_shrinkage_objective,
+    principal_angle,
+    random_orthonormal,
+    random_psd,
+    shrinkage_objective,
+)
 
 
 def test_acceptance_1_zero_penalty_reduces_to_pca():
@@ -144,14 +151,14 @@ def test_acceptance_4_solver_variants_agree():
     # of the consensus gap under fast rho growth
     for t1, t2 in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (10.0, 10.0)]:
         kw = dict(tau1=t1, tau2=t2, k=1, rho_growth=1.001, tolerance=1e-8, max_iterations=5000)
-        a = fit(y, pen, SolverConfig(variant="closed-form", **kw))
-        b = fit(y, pen, SolverConfig(variant="lasso-inner", **kw))
+        a = fit(y, pen, SolverConfig(**kw))
+        b = fit_lasso_inner(y, pen, SolverConfig(**kw))
         assert a.converged and b.converged
         worst = max(worst, principal_angle(a.phi, b.phi))
     dt = time.time() - t0
-    assert worst < 1e-3, f"variants disagree by {worst:.3e} rad"
+    assert worst < 1e-3, f"fit and the lasso-inner oracle disagree by {worst:.3e} rad"
     assert dt < 60.0
-    print(f"ACCEPTANCE 4 PASS: 5 penalty pairs, max angle {worst:.2e} rad, {dt:.1f}s")
+    print(f"ACCEPTANCE 4 PASS: 5 penalty pairs vs oracle, max angle {worst:.2e} rad, {dt:.1f}s")
 
 
 def _win_counts(records, challenger, baseline, loss_name):
@@ -216,7 +223,7 @@ def test_acceptance_6_update_law_properties(small_penalty):
     y = rng.standard_normal((25, 12))
     cfg = SolverConfig(tau1=1.0, tau2=0.7, k=2)
     quad = precompute_quadratic(y, small_penalty, cfg.tau1)
-    phi0 = initial_phi(y, small_penalty, cfg.tau1, cfg.k)
+    phi0 = initial_phi(quad, cfg.k)
     for i in range(1000):
         state = AdmmState(
             phi=phi0,

@@ -118,6 +118,7 @@ class TestFitCommand:
         text = capsys.readouterr().out
         assert "model written" in text and "(fixed)" in text
 
+        assert "variant" not in json.loads(out.read_text())["basis"]
         bundle = load_model(out)
         assert bundle.domain.p == 10
         direct = fit(y, build_penalty(bundle.domain), SolverConfig(tau1=1.0, tau2=0.0, k=1))
@@ -180,6 +181,19 @@ class TestFitCommand:
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
         capsys.readouterr()
+
+    def test_variant_flag_is_a_usage_error(self, dataset, tmp_path, capsys):
+        data, loc, _, _ = dataset
+        out = tmp_path / "model.json"
+        assert main(self._fit_args(dataset, out, extra=["--variant", "closed-form"])) == 1
+        assert "--variant" in capsys.readouterr().err
+        assert not out.exists()
+        rc = main([
+            "cv", "--data", data, "--locations", loc, "--k", "1", "--tau1", "0.0",
+            "--tau2", "0.0", "--variant", "lasso-inner", "--out", str(tmp_path / "cv.json"),
+        ])
+        assert rc == 1
+        assert "--variant" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -251,6 +265,28 @@ class TestEvalCommand:
                    "--ref", "0.0", "--out", str(tmp_path / "e.csv")])
         assert rc == 1
         assert "covariance" in capsys.readouterr().err
+
+    def test_model_with_variant_key_loads(self, fitted_model, tmp_path, capsys):
+        # model files of schema 1 used to record the solver variant after k
+        doc = json.loads(fitted_model.read_text())
+        basis = {}
+        for key, value in doc["basis"].items():
+            basis[key] = value
+            if key == "k":
+                basis["variant"] = "lasso-inner"
+        doc["basis"] = basis
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc, indent=2) + "\n")
+        bundle = load_model(old)
+        assert np.array_equal(bundle.basis.phi, load_model(fitted_model).basis.phi)
+        outputs = []
+        for model in (old, fitted_model):
+            out = tmp_path / f"eval-{model.stem}.csv"
+            assert main(["eval", "--model", str(model), "--grid=-2:2:9",
+                         "--ref", "0.0", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
     def test_wrong_schema_version(self, fitted_model, tmp_path, capsys):
         doc = json.loads(fitted_model.read_text())

@@ -10,16 +10,14 @@ from spatpca import RhoTooSmallError, SolverConfig, SpatialDomain, build_penalty
 from spatpca.solver import (
     AdmmState,
     admm_step,
-    fit_lasso_variant,
     initial_phi,
     precompute_quadratic,
     soft_threshold,
     _fro,
-    _lasso_cd,
     _polar,
 )
 
-from checks import principal_angle, smooth_rank1_data
+from checks import fit_lasso_inner, lasso_cd, principal_angle, smooth_rank1_data
 
 
 def _state_at_eigvecs(y, k, tau2_free=True):
@@ -72,7 +70,7 @@ class TestInitialPhi:
         dom = SpatialDomain(np.array([0.0, 1.0, 2.0]))
         pen = build_penalty(dom)
         y = np.diag(np.sqrt([3.0, 2.0, 1.0]))
-        phi = initial_phi(y, pen, 0.0, 2)
+        phi = initial_phi(precompute_quadratic(y, pen, 0.0), 2)
         assert np.allclose(np.abs(phi), np.eye(3)[:, :2], atol=1e-12)
         # sign convention: the dominant entry is nonnegative
         assert phi[0, 0] > 0 and phi[1, 1] > 0
@@ -80,16 +78,19 @@ class TestInitialPhi:
     def test_matches_dense_eigendecomposition(self, small_penalty):
         rng = np.random.default_rng(4)
         y = rng.standard_normal((20, 12))
-        phi = initial_phi(y, small_penalty, 5.0, 3)
+        phi = initial_phi(precompute_quadratic(y, small_penalty, 5.0), 3)
         a = y.T @ y - 5.0 * small_penalty.omega
         w, v = np.linalg.eigh(0.5 * (a + a.T))
         assert principal_angle(phi, v[:, ::-1][:, :3]) < 1e-8
         assert np.abs(phi.T @ phi - np.eye(3)).max() < 1e-12
 
     def test_rejects_bad_rank(self, small_penalty):
+        # k > n is rejected by fit (TestFit.test_data_validation)
         y = np.random.default_rng(0).standard_normal((5, 12))
-        with pytest.raises(ValueError):
-            initial_phi(y, small_penalty, 0.0, 6)
+        quad = precompute_quadratic(y, small_penalty, 0.0)
+        for k in (0, 13):
+            with pytest.raises(ValueError):
+                initial_phi(quad, k)
 
 
 class TestAdmmStep:
@@ -98,7 +99,7 @@ class TestAdmmStep:
         y = rng.standard_normal((25, 12))
         cfg = SolverConfig(tau1=1.0, tau2=0.5, k=2)
         quad = precompute_quadratic(y, small_penalty, 1.0)
-        phi0 = initial_phi(y, small_penalty, 1.0, 2)
+        phi0 = initial_phi(quad, 2)
         state = AdmmState(
             phi=phi0,
             q=phi0.copy(),
@@ -124,7 +125,7 @@ class TestAdmmStep:
         y = rng.standard_normal((25, 12))
         cfg = SolverConfig(tau1=2.0, tau2=0.0, k=1)
         quad = precompute_quadratic(y, small_penalty, 2.0)
-        phi0 = initial_phi(y, small_penalty, 2.0, 1)
+        phi0 = initial_phi(quad, 1)
         g1 = rng.standard_normal((12, 1))
         state = AdmmState(
             phi=phi0, q=phi0.copy(), r=phi0.copy(),
@@ -137,7 +138,7 @@ class TestAdmmStep:
         rng = np.random.default_rng(8)
         y = rng.standard_normal((25, 12))
         quad = precompute_quadratic(y, small_penalty, 0.0)
-        phi0 = initial_phi(y, small_penalty, 0.0, 1)
+        phi0 = initial_phi(quad, 1)
         state = AdmmState(
             phi=phi0, q=phi0.copy(), r=phi0.copy(),
             gamma1=np.zeros((12, 1)), gamma2=np.zeros((12, 1)),
@@ -158,6 +159,14 @@ class TestAdmmStep:
             tau1 * small_penalty.omega + rho * np.eye(12) - y.T @ y, rhs
         )
         assert np.abs(quad.shifted_solve(rho, rhs) - direct).max() < 1e-10
+
+    def test_lam_max_is_largest_eigenvalue_of_yty(self, small_penalty):
+        rng = np.random.default_rng(24)
+        y = rng.standard_normal((20, 12))
+        want = np.linalg.eigvalsh(y.T @ y)[-1]
+        for tau1 in (0.0, 3.0):
+            quad = precompute_quadratic(y, small_penalty, tau1)
+            assert quad.lam_max_yty == pytest.approx(want, rel=1e-12)
 
 
 class TestFit:
@@ -210,7 +219,7 @@ class TestFit:
 
         quad = precompute_quadratic(y, small_penalty, cfg.tau1)
         rho0 = 10.0 * quad.lam_max_yty
-        phi0 = initial_phi(y, small_penalty, cfg.tau1, cfg.k)
+        phi0 = initial_phi(quad, cfg.k)
         state = AdmmState(
             phi=phi0, q=phi0, r=phi0.copy(),
             gamma1=np.zeros((12, 2)), gamma2=np.zeros((12, 2)), rho=rho0,
@@ -284,7 +293,9 @@ class TestFit:
         with pytest.raises(ValueError):
             SolverConfig(rho_growth=1.0)
         with pytest.raises(ValueError):
-            SolverConfig(variant="other")
+            SolverConfig(tolerance=0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(max_iterations=0)
 
     def test_sparsity_count_trends_upward_in_tau2(self, penalty_1d, domain_1d):
         rng = np.random.default_rng(19)
@@ -306,6 +317,8 @@ class TestFit:
 
 
 class TestLassoVariant:
+    """fit against the two-block lasso-inner oracle, and the oracle's lasso."""
+
     def test_toy_lasso_matches_analytic_solution(self):
         # orthonormal design: minimizer of ||z - I w||^2 + tau ||w||_1
         # is the soft threshold of z at tau / 2
@@ -313,7 +326,7 @@ class TestLassoVariant:
         z = np.array([1.3, -0.4])
         col_sq = np.array([1.0, 1.0])
         for tau in (0.0, 0.5, 1.0, 3.0):
-            got = _lasso_cd(x, z, np.zeros(2), tau, col_sq)
+            got = lasso_cd(x, z, np.zeros(2), tau, col_sq)
             expected = soft_threshold(z, tau / 2.0)
             assert np.allclose(got, expected, atol=1e-12)
 
@@ -323,7 +336,7 @@ class TestLassoVariant:
         z = rng.standard_normal(10)
         tau = 1.5
         col_sq = np.einsum("ij,ij->j", x, x)
-        w = _lasso_cd(x, z, np.zeros(6), tau, col_sq)
+        w = lasso_cd(x, z, np.zeros(6), tau, col_sq)
         grad = 2.0 * x.T @ (x @ w - z)
         for j in range(6):
             if w[j] != 0.0:
@@ -336,7 +349,7 @@ class TestLassoVariant:
         y = rng.standard_normal((30, 12))
         for tau1 in (0.0, 4.0):
             b1 = fit(y, small_penalty, SolverConfig(tau1=tau1, tau2=0.0, k=2))
-            b2 = fit(y, small_penalty, SolverConfig(tau1=tau1, tau2=0.0, k=2, variant="lasso-inner"))
+            b2 = fit_lasso_inner(y, small_penalty, SolverConfig(tau1=tau1, tau2=0.0, k=2))
             assert principal_angle(b1.phi, b2.phi) < 1e-6
 
     def test_agrees_with_closed_form_under_patient_schedule(self, penalty_1d, domain_1d):
@@ -344,8 +357,8 @@ class TestLassoVariant:
         y, _ = smooth_rank1_data(rng, domain_1d.locations[:, 0], 100)
         kwargs = dict(tau1=10.0, tau2=10.0, k=1, rho_growth=1.001,
                       tolerance=1e-9, max_iterations=20000)
-        b1 = fit(y, penalty_1d, SolverConfig(variant="closed-form", **kwargs))
-        b2 = fit(y, penalty_1d, SolverConfig(variant="lasso-inner", **kwargs))
+        b1 = fit(y, penalty_1d, SolverConfig(**kwargs))
+        b2 = fit_lasso_inner(y, penalty_1d, SolverConfig(**kwargs))
         assert b1.converged and b2.converged
         assert principal_angle(b1.phi, b2.phi) < 1e-5
 
@@ -354,7 +367,7 @@ class TestLassoVariant:
         y = rng.standard_normal((30, 12))
         quad = precompute_quadratic(y, small_penalty, 0.0)
         with pytest.raises(RhoTooSmallError) as err:
-            fit_lasso_variant(y, small_penalty, SolverConfig(k=1, rho0=1.5 * quad.beta_max))
+            fit_lasso_inner(y, small_penalty, SolverConfig(k=1, rho0=1.5 * quad.beta_max))
         assert err.value.min_rho == pytest.approx(2.0 * quad.beta_max)
 
 

@@ -79,6 +79,31 @@ class TestBuildPenalty:
             build_penalty(dom)
         assert err.value.pair == (1, 2)
 
+    def test_collinear_or_coplanar_sites_rejected(self):
+        t = np.linspace(-2.0, 3.0, 8)
+        line_2d = np.column_stack([t, 0.3 * t + 0.1])
+        vertical_2d = np.column_stack([np.full(8, 1e3), t])
+        u, v = np.meshgrid(t[:4], t[:4], indexing="ij")
+        u, v = u.ravel(), v.ravel()
+        plane_3d = np.column_stack([u, v, 0.7 * u - 1.3 * v + 2.0])
+        line_3d = np.column_stack([t, 2.0 * t, -t + 1.0])
+        for loc, shape in [
+            (line_2d, "line"), (vertical_2d, "line"), (plane_3d, "plane"), (line_3d, "plane"),
+        ]:
+            with pytest.raises(ConditioningError, match=shape) as err:
+                build_penalty(SpatialDomain(loc))
+            assert err.value.pair is None
+
+    def test_grids_build(self):
+        # the affine-rank check must not reject regular or offset grids
+        axis = np.linspace(-1.0, 1.0, 3)
+        grid_3d = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        axis = np.linspace(0.0, 1.0, 20)
+        grid_2d = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        for loc in (grid_3d, grid_2d + 1e4):
+            pen = build_penalty(SpatialDomain(loc))
+            assert np.abs(pen.omega @ pen.e).max() < 1e-8 * max(1.0, np.abs(pen.e).max())
+
     def test_omega_symmetric_psd(self, penalty_1d):
         omega = penalty_1d.omega
         assert np.abs(omega - omega.T).max() == 0.0
