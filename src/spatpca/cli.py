@@ -165,7 +165,10 @@ def model_to_dict(domain, basis, covariance=None, provenance=None, command="fit"
             **_config_dict(basis.config),
             "phi": basis.phi.tolist(),
             "sample_variances": basis.sample_variances.tolist(),
-            "splines": [{"a": c.a.tolist(), "b": c.b.tolist()} for c in basis.splines],
+            "splines": [
+                {"a": a, "b": b}
+                for a, b in zip(basis.splines.a.T.tolist(), basis.splines.b.T.tolist())
+            ],
             "converged": basis.converged,
             "iterations": basis.iterations,
         },
@@ -206,11 +209,10 @@ def load_model(path) -> ModelBundle:
         tolerance=b["tolerance"],
         max_iterations=b["max_iterations"],
     )
-    splines = tuple(
-        SplineCoefficients(
-            a=np.asarray(c["a"], dtype=float), b=np.asarray(c["b"], dtype=float)
-        )
-        for c in b["splines"]
+    # one {"a", "b"} entry per column on file, one p x K object in memory
+    splines = SplineCoefficients(
+        a=np.asarray([c["a"] for c in b["splines"]], dtype=float).T,
+        b=np.asarray([c["b"] for c in b["splines"]], dtype=float).T,
     )
     basis = EigenBasis(
         phi=np.asarray(b["phi"], dtype=float),
@@ -350,9 +352,7 @@ def cmd_eval(args) -> int:
         raise ValueError("eval needs either --query or --grid")
 
     k = bundle.basis.phi.shape[1]
-    psi = np.column_stack(
-        [evaluate(c, bundle.domain, pts) for c in bundle.basis.splines]
-    )
+    psi = evaluate(bundle.basis.splines, bundle.domain, pts)
     header = [f"x{j + 1}" for j in range(d)] + [f"phi_{j + 1}" for j in range(k)]
     columns = [pts[:, j] for j in range(d)] + [psi[:, j] for j in range(k)]
     if bundle.covariance is not None:
@@ -365,9 +365,7 @@ def cmd_eval(args) -> int:
         ref = np.array([float(v) for v in args.ref.split(",")])
         if ref.shape != (d,):
             raise ValueError(f"--ref needs {d} comma-separated coordinates")
-        psi_ref = np.array(
-            [evaluate(c, bundle.domain, ref[None, :])[0] for c in bundle.basis.splines]
-        )
+        psi_ref = evaluate(bundle.basis.splines, bundle.domain, ref[None, :])[0]
         lam = bundle.covariance.lam
         cov = 0.5 * (psi @ (lam @ psi_ref) + (psi @ lam.T) @ psi_ref)
         header.append("cov_ref")

@@ -52,8 +52,11 @@ class SampleCovariance:
         if np.abs(s - s.T).max() > tol:
             raise ValueError("sample covariance must be symmetric")
         s = 0.5 * (s + s.T)
-        if np.linalg.eigvalsh(s)[0] < -tol:
-            raise ValueError("sample covariance must be positive semidefinite")
+        try:
+            # s + tol I is positive definite iff every eigenvalue of s exceeds -tol
+            np.linalg.cholesky(s + tol * np.eye(s.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError("sample covariance must be positive semidefinite") from None
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
@@ -180,8 +183,7 @@ def _basis_at(model: CovarianceModel, penalty: PenaltyOperator, point) -> np.nda
     pt = np.atleast_1d(np.asarray(point, dtype=float))
     if pt.shape != (d,):
         raise ValueError(f"point must have {d} coordinates, got shape {pt.shape}")
-    query = pt[None, :]
-    return np.array([evaluate(c, penalty.domain, query)[0] for c in model.basis.splines])
+    return evaluate(model.basis.splines, penalty.domain, pt[None, :])[0]
 
 
 def covariance_at(model: CovarianceModel, penalty: PenaltyOperator, s_point, s_star) -> float:
@@ -206,29 +208,22 @@ def predict(model: CovarianceModel, penalty: PenaltyOperator, y, query) -> np.nd
 
     yhat_i(s0) = psi(s0)' Lambda Phi' (Phi Lambda Phi' + sigma2 I)^{-1} y_i.
 
-    When sigma2 == 0 the bracketed matrix is rank deficient and its
-    Moore-Penrose pseudoinverse is used instead, which reduces to projecting
-    y_i onto the range of Lambda in basis coordinates.
+    Phi is orthonormal, so Lambda Phi' (Phi Lambda Phi' + sigma2 I)^{-1} equals
+    Vhat diag(w) Vhat' Phi' with w_k = lambda*_k / (lambda*_k + sigma2): the
+    prediction costs K x K work after Phi'y, and no p x p matrix is formed.
+    Components with lambda*_k at roundoff level get w_k = 0, which for
+    sigma2 == 0 is the Moore-Penrose pseudoinverse (projection of y_i onto the
+    range of Lambda in basis coordinates).
 
     Returns an n x q matrix, one row per observation.
     """
     y = np.asarray(y, dtype=float)
     phi = model.basis.phi
-    p, k = phi.shape
-    if y.ndim != 2 or y.shape[1] != p:
-        raise ValueError(f"data must be n x {p}, got {y.shape}")
-    q = np.asarray(query, dtype=float)
-    if q.ndim == 1:
-        q = q[:, None] if penalty.domain.d == 1 else q[None, :]
-    psi = np.column_stack([evaluate(c, penalty.domain, q) for c in model.basis.splines])
-
-    if model.sigma2 > 0.0:
-        c = phi @ model.lam @ phi.T + model.sigma2 * np.eye(p)
-        x = np.linalg.solve(c, y.T)
-        return (psi @ (model.lam @ (phi.T @ x))).T
-
-    w, u = np.linalg.eigh(model.lam)
-    cutoff = 1e-12 * max(1.0, float(w.max(initial=0.0)))
-    keep = w > cutoff
-    range_proj = (u[:, keep]) @ (u[:, keep]).T
-    return (psi @ (range_proj @ (phi.T @ y.T))).T
+    if y.ndim != 2 or y.shape[1] != phi.shape[0]:
+        raise ValueError(f"data must be n x {phi.shape[0]}, got {y.shape}")
+    psi = evaluate(model.basis.splines, penalty.domain, query)
+    lam_star = model.lambda_star
+    keep = lam_star > 1e-12 * max(1.0, float(lam_star.max(initial=0.0)))
+    w = np.zeros_like(lam_star)
+    w[keep] = lam_star[keep] / (lam_star[keep] + model.sigma2)
+    return (psi @ ((model.vhat * w) @ (model.vhat.T @ (phi.T @ y.T)))).T

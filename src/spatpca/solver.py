@@ -103,11 +103,12 @@ class EigenBasis:
     """Fitted basis: orthonormal columns ordered by explained sample variance.
 
     sample_variances[k] = phi_k' S phi_k with S = Y'Y/n, nonincreasing.
-    splines interpolate the columns for evaluation off the nodes.
+    splines interpolates all K columns for evaluation off the nodes: its ``a``
+    is p x K and its ``b`` is (d + 1) x K, column k belonging to phi_k.
     """
 
     phi: np.ndarray
-    splines: tuple[SplineCoefficients, ...]
+    splines: SplineCoefficients
     sample_variances: np.ndarray
     config: SolverConfig
     converged: bool
@@ -253,13 +254,11 @@ def _finish(y, penalty, config, q, converged: bool, iterations: int) -> EigenBas
     order = np.argsort(-variances, kind="stable")
     q = _fix_signs(q[:, order])
     variances = variances[order]
-    splines = tuple(solve_coefficients(penalty, q[:, c]) for c in range(q.shape[1]))
-    q = q.copy()
     q.setflags(write=False)
     variances.setflags(write=False)
     return EigenBasis(
         phi=q,
-        splines=splines,
+        splines=solve_coefficients(penalty, q),
         sample_variances=variances,
         config=config,
         converged=converged,

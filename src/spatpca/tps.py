@@ -119,7 +119,10 @@ class PenaltyOperator:
 
 @dataclass(frozen=True)
 class SplineCoefficients:
-    """Radial weights ``a`` (length p, with e'a = 0) and affine part ``b``."""
+    """Radial weights ``a`` (p x K, e'a = 0) and affine part ``b`` ((d + 1) x K).
+
+    Column k is the k-th of K interpolants; for a single field both are vectors.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -238,12 +241,13 @@ def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
 
     With e = q1 r1 and c = q1'v, the radial weights are a = omega (v - q1 c);
     projecting out col(e) first leaves a at roundoff level for affine fields.
-    The affine part solves r1 b = c - q1' g a.
+    The affine part solves r1 b = c - q1' g a.  ``values`` is a length-p
+    vector or a p x K matrix of K fields, all solved at once.
     """
     p = penalty.domain.p
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.shape != (p,):
-        raise ValueError(f"values must have length p = {p}, got {v.shape[0]}")
+    v = np.asarray(values, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != p:
+        raise ValueError(f"values must have p = {p} rows, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
     q1, r1 = penalty.affine_qr
@@ -256,7 +260,7 @@ def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
 
 
 def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.ndarray:
-    """Evaluate the spline at query points.
+    """Evaluate the spline, or all K splines of ``coeffs`` at once, at query points.
 
     phi(s) = sum_i a_i g(||s - s_i||) + b_0 + b_{1:}' s
 
@@ -268,7 +272,7 @@ def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.nda
 
     Returns
     -------
-    ndarray, shape (q,)
+    ndarray, shape (q,) for a single spline, (q, K) for K of them
     """
     q = np.asarray(query, dtype=float)
     if q.ndim == 1:

@@ -222,7 +222,7 @@ class TestEvalCommand:
         bundle = load_model(fitted_model)
         pen = build_penalty(bundle.domain)
         pts = np.linspace(-2.0, 2.0, 9)
-        psi = evaluate(bundle.basis.splines[0], bundle.domain, pts[:, None])
+        psi = evaluate(bundle.basis.splines, bundle.domain, pts[:, None])[:, 0]
         for i, row in enumerate(rows[1:]):
             assert float(row[0]) == pts[i]
             assert float(row[1]) == pytest.approx(psi[i], abs=1e-12)

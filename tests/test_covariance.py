@@ -9,6 +9,7 @@ from spatpca import (
     SolverConfig,
     covariance_at,
     estimate_parameters,
+    evaluate,
     fit,
     predict,
     rotated_eigenfunctions,
@@ -49,6 +50,20 @@ class TestSampleCovariance:
             SampleCovariance(np.array([[1.0, 2.0], [2.0, 1.0]]), n=5)  # eig -1
         with pytest.raises(ValueError):
             SampleCovariance(np.eye(2), n=0)
+
+    def test_psd_check_boundary(self):
+        # the check tolerates eigenvalues down to -tol and no further
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+
+        def rotated(smallest):
+            s = (u * np.array([4.0, 3.0, 2.0, 1.0, 0.5, smallest])) @ u.T
+            return 0.5 * (s + s.T)
+
+        tol = 1e-10 * max(1.0, float(np.abs(rotated(0.0)).max()))
+        SampleCovariance(rotated(-0.5 * tol), n=10)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            SampleCovariance(rotated(-2.0 * tol), n=10)
 
     def test_matrix_is_read_only(self):
         sc = SampleCovariance(np.eye(3), n=4)
@@ -194,6 +209,19 @@ class TestPredict:
         got = predict(model, penalty_1d_module, y, domain_1d_module.locations)
         assert got.shape == y.shape
         assert np.abs(got - expected).max() < 1e-6 * max(1.0, np.abs(expected).max())
+
+    def test_matches_direct_formula_off_nodes(self, fitted, penalty_1d_module, domain_1d_module):
+        y, basis, _, model = fitted
+        assert model.sigma2 > 0.0
+        query = np.linspace(-4.9, 4.9, 37)
+        assert np.abs(query[:, None] - domain_1d_module.locations[:, 0]).min() > 1e-3
+        p = basis.phi.shape[0]
+        c = basis.phi @ model.lam @ basis.phi.T + model.sigma2 * np.eye(p)
+        psi = evaluate(basis.splines, domain_1d_module, query)
+        expected = (psi @ model.lam @ basis.phi.T @ np.linalg.solve(c, y.T)).T
+        got = predict(model, penalty_1d_module, y, query)
+        assert got.shape == (y.shape[0], query.size)
+        assert np.abs(got - expected).max() < 1e-10 * max(1.0, np.abs(expected).max())
 
     def test_zero_noise_branch_projects(self, fitted, penalty_1d_module, domain_1d_module):
         y, basis, _, model = fitted

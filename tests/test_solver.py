@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatpca import RhoTooSmallError, SolverConfig, SpatialDomain, build_penalty, fit
+import spatpca.solver
+from spatpca import RhoTooSmallError, SolverConfig, SpatialDomain, build_penalty, evaluate, fit
 from spatpca.solver import (
     AdmmState,
     admm_step,
@@ -197,7 +198,9 @@ class TestFit:
         for c in range(k):
             lead = int(np.argmax(np.abs(basis.phi[:, c])))
             assert basis.phi[lead, c] >= 0
-        assert len(basis.splines) == k
+        assert basis.splines.a.shape == (domain_1d.p, k) and basis.splines.b.shape == (2, k)
+        at_nodes = evaluate(basis.splines, domain_1d, domain_1d.locations)
+        assert np.abs(at_nodes - basis.phi).max() < 1e-8
         with pytest.raises(ValueError):
             basis.phi[0, 0] = 1.0
 
@@ -208,6 +211,20 @@ class TestFit:
         s = y.T @ y / 30
         expected = np.array([basis.phi[:, c] @ s @ basis.phi[:, c] for c in range(2)])
         assert np.allclose(basis.sample_variances, expected, rtol=1e-12)
+
+    def test_splines_solved_in_one_call(self, small_penalty, monkeypatch):
+        calls = []
+        original = spatpca.solver.solve_coefficients
+
+        def counting(penalty, values):
+            calls.append(np.shape(values))
+            return original(penalty, values)
+
+        monkeypatch.setattr(spatpca.solver, "solve_coefficients", counting)
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal((30, small_penalty.domain.p))
+        fit(y, small_penalty, SolverConfig(tau1=1.0, tau2=0.5, k=3))
+        assert calls == [(small_penalty.domain.p, 3)]
 
     def test_stopping_quantity_below_tolerance_when_converged(self, small_penalty):
         # replay the iteration and confirm the reported stop was genuine

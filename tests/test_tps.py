@@ -12,7 +12,7 @@ from spatpca import (
     evaluate,
     solve_coefficients,
 )
-from spatpca.tps import kernel
+from spatpca.tps import SplineCoefficients, kernel
 
 from checks import natural_spline_energy
 
@@ -185,6 +185,38 @@ class TestInterpolation:
         bad[3] = np.inf
         with pytest.raises(ValueError):
             solve_coefficients(penalty_1d, bad)
+        p = penalty_1d.domain.p
+        with pytest.raises(ValueError):
+            solve_coefficients(penalty_1d, np.ones((p + 1, 2)))
+        with pytest.raises(ValueError):
+            solve_coefficients(penalty_1d, np.ones((p, 2, 2)))
+        bad = np.ones((p, 3))
+        bad[7, 2] = np.nan
+        with pytest.raises(ValueError):
+            solve_coefficients(penalty_1d, bad)
+
+    def test_batched_matches_column_by_column(self, penalty_1d, penalty_2d):
+        # for rough fields the kernel sum cancels terms far larger than its
+        # value, so evaluations are compared relative to the terms' magnitudes
+        rng = np.random.default_rng(4)
+        for pen in (penalty_1d, penalty_2d):
+            dom = pen.domain
+            v = rng.standard_normal((dom.p, 3))
+            batched = solve_coefficients(pen, v)
+            assert batched.a.shape == (dom.p, 3) and batched.b.shape == (dom.d + 1, 3)
+            query = rng.uniform(-3.0, 3.0, size=(40, dom.d))
+            values = evaluate(batched, dom, query)
+            assert values.shape == (40, 3)
+            dist = np.linalg.norm(query[:, None, :] - dom.locations[None, :, :], axis=-1)
+            kern = np.abs(kernel(dist, dom.d))
+            for j in range(3):
+                single = solve_coefficients(pen, v[:, j])
+                a, b = batched.a[:, j], batched.b[:, j]
+                assert np.abs(a - single.a).max() <= 1e-10 * np.abs(single.a).max()
+                assert np.abs(b - single.b).max() <= 1e-10 * np.abs(single.b).max()
+                column = evaluate(SplineCoefficients(a=a, b=b), dom, query)
+                terms = kern @ np.abs(a) + abs(b[0]) + np.abs(query) @ np.abs(b[1:])
+                assert np.all(np.abs(values[:, j] - column) <= 1e-10 * terms)
 
     def test_evaluate_rejects_bad_query(self, penalty_2d):
         coeffs = solve_coefficients(penalty_2d, np.ones(penalty_2d.domain.p))
