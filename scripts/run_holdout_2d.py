@@ -19,17 +19,8 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from spatpca import (  # noqa: E402
-    SampleCovariance,
-    SolverConfig,
-    TuningGrid,
-    build_penalty,
-    cv_gamma,
-    cv_tau,
-    estimate_parameters,
-    fit,
-    partition_folds,
-)
+from spatpca import TuningGrid, build_penalty, partition_folds, restrict_grid  # noqa: E402
+from spatpca import select_and_fit  # noqa: E402
 from spatpca._files import atomic_write_text  # noqa: E402
 from spatpca.simulate import ExperimentSpec, generate, make_domain  # noqa: E402
 from spatpca.tuning import default_log_grid  # noqa: E402
@@ -63,18 +54,14 @@ def main() -> int:
         gamma_lower_fraction=1e-3,
         m=5,
     )
+    pca_grid = restrict_grid(grid, tau1=0.0, tau2=0.0)
     n_tr = args.n // 2
 
-    def held_out_sse(y_tr, s_va, folds, tau_pinned):
-        if tau_pinned is not None:
-            t1, t2 = tau_pinned
-        else:
-            t1, t2 = cv_tau(y_tr, pen, args.k, grid, folds).selected
-        basis = fit(y_tr, pen, SolverConfig(tau1=t1, tau2=t2, k=args.k))
-        gamma = cv_gamma(y_tr, basis, grid, folds).selected
-        model = estimate_parameters(SampleCovariance.from_data(y_tr), basis, gamma)
+    def held_out_sse(y_tr, s_va, folds, tau_grid):
+        tuned = select_and_fit(y_tr, pen, args.k, tau_grid, folds)
+        basis, model = tuned.basis, tuned.model
         sigma_hat = basis.phi @ model.lam @ basis.phi.T + model.sigma2 * np.eye(p)
-        return float(np.sum((sigma_hat - s_va) ** 2)), (t1, t2, gamma)
+        return float(np.sum((sigma_hat - s_va) ** 2)), (basis.config.tau1, model.gamma)
 
     t0 = time.time()
     wins = 0
@@ -84,14 +71,14 @@ def main() -> int:
         y_tr, y_va = y[:n_tr], y[n_tr:]
         s_va = y_va.T @ y_va / y_va.shape[0]
         folds = partition_folds(n_tr, 5, rep)
-        sse_spat, sel = held_out_sse(y_tr, s_va, folds, None)
-        sse_pca, _ = held_out_sse(y_tr, s_va, folds, (0.0, 0.0))
+        sse_spat, (tau1, gamma) = held_out_sse(y_tr, s_va, folds, grid)
+        sse_pca, _ = held_out_sse(y_tr, s_va, folds, pca_grid)
         won = sse_spat < sse_pca
         wins += won
-        rows.append([rep, sse_spat, sse_pca, sel[0], sel[2], won])
+        rows.append([rep, sse_spat, sse_pca, tau1, gamma, won])
         print(
             f"rep {rep}: regularized {sse_spat:.1f} vs pca {sse_pca:.1f} "
-            f"({'win' if won else 'loss'}, tau1={sel[0]:g}, gamma={sel[2]:.3g}) "
+            f"({'win' if won else 'loss'}, tau1={tau1:g}, gamma={gamma:.3g}) "
             f"[{time.time() - t0:.0f}s]"
         )
 

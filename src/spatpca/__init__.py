@@ -32,12 +32,14 @@ from .tps import (
 from .tuning import (
     CvReport,
     FoldAssignment,
+    TunedFit,
     TuningGrid,
     cv_gamma,
     cv_tau,
     default_log_grid,
     partition_folds,
     restrict_grid,
+    select_and_fit,
 )
 
 __version__ = "0.1.0"
@@ -54,6 +56,7 @@ __all__ = [
     "SolverConfig",
     "SpatialDomain",
     "SplineCoefficients",
+    "TunedFit",
     "TuningGrid",
     "build_penalty",
     "covariance_at",
@@ -67,6 +70,7 @@ __all__ = [
     "predict",
     "restrict_grid",
     "rotated_eigenfunctions",
+    "select_and_fit",
     "solve_coefficients",
     "__version__",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import atomic_write_text
-from .covariance import CovarianceModel, SampleCovariance, estimate_parameters
+from .covariance import CovarianceModel, SampleCovariance
 from .simulate import (
     records_csv_text,
     run_experiment,
@@ -33,7 +33,7 @@ from .simulate import (
 )
 from .solver import EigenBasis, RhoTooSmallError, SolverConfig, fit
 from .tps import SpatialDomain, SplineCoefficients, build_penalty, evaluate
-from .tuning import TuningGrid, cv_gamma, cv_tau, partition_folds, restrict_grid
+from .tuning import TuningGrid, cv_gamma, cv_tau, partition_folds, restrict_grid, select_and_fit
 
 __all__ = ["IngestReport", "ingest", "save_model", "load_model", "main"]
 
@@ -250,33 +250,16 @@ def _sha256(path) -> str:
 # ----------------------------------------------------------------- commands
 
 
-def _tuning_for(args, n: int, penalty, y):
-    """Resolve (tau1, tau2), running cross-validation for any unpinned axis."""
-    folds = partition_folds(n, args.folds, args.seed)
-    report = None
-    if args.tau1 is not None and args.tau2 is not None:
-        t1, t2 = args.tau1, args.tau2
-    else:
-        grid = restrict_grid(TuningGrid(m=args.folds), tau1=args.tau1, tau2=args.tau2)
-        report = cv_tau(y, penalty, args.k, grid, folds)
-        t1, t2 = report.selected
-    return t1, t2, folds, report
-
-
 def cmd_fit(args) -> int:
     y, domain, report = ingest(args.data, args.locations, args.center, args.deseasonalize)
-    n = y.shape[0]
     penalty = build_penalty(domain)
-    t1, t2, folds, tau_report = _tuning_for(args, n, penalty, y)
-    config = SolverConfig(tau1=t1, tau2=t2, k=args.k, max_iterations=args.max_iterations)
-    basis = fit(y, penalty, config)
-    if args.gamma is not None:
-        gamma = args.gamma
-        gamma_report = None
-    else:
-        gamma_report = cv_gamma(y, basis, TuningGrid(m=args.folds), folds)
-        gamma = gamma_report.selected
-    model = estimate_parameters(SampleCovariance.from_data(y), basis, gamma)
+    folds = partition_folds(y.shape[0], args.folds, args.seed)
+    grid = restrict_grid(TuningGrid(m=args.folds), tau1=args.tau1, tau2=args.tau2)
+    tuned = select_and_fit(
+        y, penalty, args.k, grid, folds, gamma=args.gamma, max_iterations=args.max_iterations
+    )
+    basis, model = tuned.basis, tuned.model
+    tau_report, gamma_report = tuned.tau_report, tuned.gamma_report
 
     provenance = {
         "data": os.fspath(args.data),
@@ -303,12 +286,9 @@ def cmd_fit(args) -> int:
     print(f"sites: {len(report.kept_sites)} kept, {len(report.dropped_sites)} dropped")
     how_tau = "fixed" if tau_report is None else f"{args.folds}-fold CV"
     how_gamma = "fixed" if gamma_report is None else f"{args.folds}-fold CV"
-    print(f"tau1={t1!r} tau2={t2!r} ({how_tau})")
-    print(f"gamma={gamma!r} ({how_gamma})")
-    print(
-        "component variances: "
-        + ", ".join(repr(float(v)) for v in basis.sample_variances)
-    )
+    print(f"tau1={basis.config.tau1!r} tau2={basis.config.tau2!r} ({how_tau})")
+    print(f"gamma={model.gamma!r} ({how_gamma})")
+    print("component variances: " + ", ".join(repr(float(v)) for v in basis.sample_variances))
     print(f"noise variance: {model.sigma2!r}")
     print(f"retained components: {model.l_hat}")
     state = "converged" if basis.converged else "NOT converged"
@@ -354,11 +334,10 @@ def cmd_eval(args) -> int:
     k = bundle.basis.phi.shape[1]
     psi = evaluate(bundle.basis.splines, bundle.domain, pts)
     header = [f"x{j + 1}" for j in range(d)] + [f"phi_{j + 1}" for j in range(k)]
-    columns = [pts[:, j] for j in range(d)] + [psi[:, j] for j in range(k)]
+    blocks = [pts, psi]
     if bundle.covariance is not None:
-        rotated = psi @ bundle.covariance.vhat
         header += [f"phi_rot_{j + 1}" for j in range(k)]
-        columns += [rotated[:, j] for j in range(k)]
+        blocks.append(psi @ bundle.covariance.vhat)
     if args.ref is not None:
         if bundle.covariance is None:
             raise ValueError("--ref needs a model file with a covariance estimate")
@@ -367,14 +346,13 @@ def cmd_eval(args) -> int:
             raise ValueError(f"--ref needs {d} comma-separated coordinates")
         psi_ref = evaluate(bundle.basis.splines, bundle.domain, ref[None, :])[0]
         lam = bundle.covariance.lam
-        cov = 0.5 * (psi @ (lam @ psi_ref) + (psi @ lam.T) @ psi_ref)
         header.append("cov_ref")
-        columns.append(cov)
+        blocks.append(0.5 * (psi @ (lam @ psi_ref) + (psi @ lam.T) @ psi_ref))
 
-    buf = [",".join(header)]
-    for i in range(pts.shape[0]):
-        buf.append(",".join(repr(float(col[i])) for col in columns))
-    atomic_write_text(args.out, "\n".join(buf) + "\n")
+    # repr of a Python float is the shortest text that parses back exactly
+    rows = np.column_stack(blocks).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {pts.shape[0]} rows to {args.out}")
     return 0
 

@@ -103,6 +103,26 @@ def _sorted_eig_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def _shrink(d: np.ndarray, tr: float, p: int, gamma: float) -> tuple[float, int, np.ndarray]:
+    """(sigma2, l_hat, lambda*) from the nonincreasing eigenvalues d of
+    Phi' S Phi and tr(S); the rule is stated in estimate_parameters."""
+    l_hat = 0
+    sigma2 = tr / p
+    if d[0] > gamma:
+        head = 0.0
+        for ell in range(1, d.shape[0] + 1):
+            head += d[ell - 1] - gamma
+            candidate = (tr - head) / (p - ell)
+            if d[ell - 1] - gamma > candidate:
+                l_hat = ell
+                sigma2 = candidate
+    if sigma2 < 0.0:
+        # cannot happen in exact arithmetic; clamp roundoff dust
+        logger.warning("clamping tiny negative noise variance %.3e to 0", sigma2)
+        sigma2 = 0.0
+    return sigma2, l_hat, np.maximum(d - sigma2 - gamma, 0.0)
+
+
 def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) -> CovarianceModel:
     """Closed-form noise variance and component covariance for a fitted basis.
 
@@ -114,7 +134,9 @@ def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) ->
     * lambda*_k = max(d_k - sigma2 - gamma, 0), reassembled around the
       eigenvectors of Phi' S Phi.
 
-    Requires K < p so the noise variance is identifiable.
+    The rule needs only d and tr(S); tuning.cv_gamma applies the same rule
+    to each training fold in the K basis coordinates.  Requires K < p so the
+    noise variance is identifiable.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -128,24 +150,7 @@ def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) ->
     m = phi.T @ s.s @ phi
     m = 0.5 * (m + m.T)
     d, v = _sorted_eig_desc(m)
-    tr = float(np.trace(s.s))
-
-    l_hat = 0
-    sigma2 = tr / p
-    if d[0] > gamma:
-        head = 0.0
-        for ell in range(1, k + 1):
-            head += d[ell - 1] - gamma
-            candidate = (tr - head) / (p - ell)
-            if d[ell - 1] - gamma > candidate:
-                l_hat = ell
-                sigma2 = candidate
-    if sigma2 < 0.0:
-        # cannot happen in exact arithmetic; clamp roundoff dust
-        logger.warning("clamping tiny negative noise variance %.3e to 0", sigma2)
-        sigma2 = 0.0
-
-    lambda_star = np.maximum(d - sigma2 - gamma, 0.0)
+    sigma2, l_hat, lambda_star = _shrink(d, float(np.trace(s.s)), p, gamma)
     lam = (v * lambda_star) @ v.T
     lam = 0.5 * (lam + lam.T)
     for arr in (lam, v, lambda_star):

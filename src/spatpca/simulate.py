@@ -14,14 +14,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .covariance import SampleCovariance, estimate_parameters
-from .solver import SolverConfig, fit
 from .tps import SpatialDomain, build_penalty
-from .tuning import TuningGrid, cv_gamma, cv_tau, partition_folds, restrict_grid
+from .tuning import TuningGrid, partition_folds, restrict_grid, select_and_fit
 
 __all__ = [
     "METHODS",
@@ -216,8 +214,8 @@ def _method_grid(grid: TuningGrid, method: str) -> TuningGrid:
 def run_experiment(spec: ExperimentSpec) -> list[LossRecord]:
     """Run every (replicate, k, method) cell of the design.
 
-    Tuned methods select (tau1, tau2) by cross-validation on their slice of
-    the grid, refit on the full replicate, then select gamma the same way.
+    Each cell runs tuning.select_and_fit on its method's slice of the tau
+    grid: CV of (tau1, tau2), a refit on the full replicate, CV of gamma.
     A failed cell is recorded with NaN losses and the error message; the run
     continues.
     """
@@ -235,66 +233,30 @@ def run_experiment(spec: ExperimentSpec) -> list[LossRecord]:
         folds = partition_folds(spec.n, spec.folds, fold_seed)
         for k in spec.k_fit:
             for method in spec.methods:
+                cell = {"label": spec.label, "method": method, "k": k, "replicate": rep}
                 try:
-                    records.append(
-                        _run_cell(spec, penalty, y, xi, phi_true, c_true, folds, rep, k, method)
+                    tuned = select_and_fit(y, penalty, k, _method_grid(spec.grid, method), folds)
+                    basis, model = tuned.basis, tuned.model
+                    record = LossRecord(
+                        **cell,
+                        loss_phi=loss_phi(basis.phi, phi_true, xi, y),
+                        loss_cov=loss_cov(basis.phi @ model.lam @ basis.phi.T, c_true),
+                        tau1=basis.config.tau1,
+                        tau2=basis.config.tau2,
+                        gamma=model.gamma,
+                        converged=basis.converged,
                     )
                 except Exception as exc:  # noqa: BLE001, survive a bad cell
-                    records.append(
-                        LossRecord(
-                            label=spec.label,
-                            method=method,
-                            k=k,
-                            replicate=rep,
-                            loss_phi=math.nan,
-                            loss_cov=math.nan,
-                            tau1=math.nan,
-                            tau2=math.nan,
-                            gamma=math.nan,
-                            converged=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
+                    nan = math.nan
+                    record = LossRecord(
+                        **cell, loss_phi=nan, loss_cov=nan, tau1=nan, tau2=nan, gamma=nan,
+                        converged=False, error=f"{type(exc).__name__}: {exc}",
                     )
+                records.append(record)
     return records
 
 
-def _run_cell(spec, penalty, y, xi, phi_true, c_true, folds, rep, k, method) -> LossRecord:
-    sub = _method_grid(spec.grid, method)
-    if sub.tau1_values.size == 1 and sub.tau2_values.size == 1:
-        t1, t2 = float(sub.tau1_values[0]), float(sub.tau2_values[0])
-    else:
-        t1, t2 = cv_tau(y, penalty, k, sub, folds).selected
-    basis = fit(y, penalty, SolverConfig(tau1=t1, tau2=t2, k=k))
-    gamma = cv_gamma(y, basis, spec.grid, folds).selected
-    model = estimate_parameters(SampleCovariance.from_data(y), basis, gamma)
-    c_hat = basis.phi @ model.lam @ basis.phi.T
-    return LossRecord(
-        label=spec.label,
-        method=method,
-        k=k,
-        replicate=rep,
-        loss_phi=loss_phi(basis.phi, phi_true, xi, y),
-        loss_cov=loss_cov(c_hat, c_true),
-        tau1=t1,
-        tau2=t2,
-        gamma=gamma,
-        converged=basis.converged,
-    )
-
-
-_CSV_FIELDS = (
-    "label",
-    "method",
-    "k",
-    "replicate",
-    "loss_phi",
-    "loss_cov",
-    "tau1",
-    "tau2",
-    "gamma",
-    "converged",
-    "error",
-)
+_CSV_FIELDS = tuple(f.name for f in fields(LossRecord))
 
 
 def records_csv_text(records: list[LossRecord]) -> str:

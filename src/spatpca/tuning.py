@@ -3,8 +3,13 @@
 The (tau1, tau2) criterion scores held-out reconstruction error of the basis
 fitted on the training folds; the gamma criterion scores how well the fitted
 covariance built from training folds matches the held-out sample covariance.
-Sweeps warm start along increasing tau2 and reuse one spectral factorization
-per (fold, tau1) cell, which is where nearly all of the compute goes.
+Phi is orthonormal, so both scores need only the K basis coordinates Y Phi
+and a few traces: no p x p matrix is formed outside the solver.  Sweeps warm
+start along increasing tau2 and reuse one spectral factorization per
+(fold, tau1) cell, which is where nearly all of the compute goes.
+
+select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
+on all rows, gamma by CV, then the closed-form covariance step.
 """
 
 from __future__ import annotations
@@ -13,20 +18,23 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import SampleCovariance, estimate_parameters
-from .solver import SolverConfig, fit, precompute_quadratic
+from .covariance import CovarianceModel, SampleCovariance, estimate_parameters
+from .covariance import _shrink, _sorted_eig_desc
+from .solver import EigenBasis, SolverConfig, fit, precompute_quadratic
 from .tps import PenaltyOperator
 
 __all__ = [
     "FoldAssignment",
     "TuningGrid",
     "CvReport",
+    "TunedFit",
     "partition_folds",
     "default_log_grid",
     "gamma_grid",
     "cv_tau",
     "cv_gamma",
     "restrict_grid",
+    "select_and_fit",
 ]
 
 
@@ -150,12 +158,24 @@ def _check_folds(folds: FoldAssignment, n: int):
         raise ValueError(f"fold assignment covers {folds.n} rows, data has {n}")
 
 
+def _first_minimum(crit: np.ndarray) -> tuple[int, ...]:
+    """Index of the smallest non-NaN cell; ties go to the first in C order,
+    which for a tau1 x tau2 surface is the smallest (tau1, tau2) pair."""
+    flat = crit.ravel()
+    ok = np.flatnonzero(~np.isnan(flat))
+    if ok.size == 0:
+        raise ValueError("cross-validation criterion is NaN everywhere")
+    best = ok[np.argmin(flat[ok])]
+    return tuple(int(i) for i in np.unravel_index(best, crit.shape))
+
+
 def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAssignment) -> CvReport:
     """M-fold score of every (tau1, tau2) cell by held-out reconstruction error.
 
     criterion[i, j] = (1/M) sum_m ||Y_m - Y_m Phi Phi'||_F^2 with Phi fitted
-    on the other folds at (tau1_i, tau2_j).  Ties select the smallest
-    (tau1, tau2) in lexicographic order; NaN cells are skipped.
+    on the other folds at (tau1_i, tau2_j), computed as
+    ||Y_m||^2 - ||Y_m Phi||^2 since Phi is orthonormal.  Ties select the
+    smallest (tau1, tau2) in lexicographic order; NaN cells are skipped.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -166,6 +186,7 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     for m in range(1, folds.m + 1):
         mask = folds.assignment == m
         y_tr, y_va = y[~mask], y[mask]
+        va_sq = float(np.sum(y_va * y_va))
         for i, t1 in enumerate(t1s):
             quad = precompute_quadratic(y_tr, penalty, t1)
             warm = None
@@ -174,25 +195,15 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
                 basis = fit(y_tr, penalty, cfg, warm_start=warm, quad=quad)
                 warm = basis.phi
                 proj = y_va @ basis.phi
-                crit[i, j] += float(np.sum((y_va - proj @ basis.phi.T) ** 2))
+                crit[i, j] += va_sq - float(np.sum(proj * proj))
                 conv[i, j] &= basis.converged
     crit /= folds.m
 
-    best = None
-    for i in range(t1s.size):
-        for j in range(t2s.size):
-            v = crit[i, j]
-            if np.isnan(v):
-                continue
-            if best is None or v < crit[best]:
-                best = (i, j)
-    if best is None:
-        raise ValueError("cross-validation criterion is NaN everywhere")
-    selected = (float(t1s[best[0]]), float(t2s[best[1]]))
+    i, j = _first_minimum(crit)
     return CvReport(
         kind="tau",
         criterion=crit,
-        selected=selected,
+        selected=(float(t1s[i]), float(t2s[j])),
         folds=folds,
         converged=conv,
         tau1_values=t1s,
@@ -218,42 +229,51 @@ def gamma_grid(dhat1: float, count: int, lower_fraction: float | None = None) ->
     return np.concatenate([[0.0], vals])
 
 
-def cv_gamma(y, basis, grid: TuningGrid, folds: FoldAssignment) -> CvReport:
+def cv_gamma(y, basis: EigenBasis, grid: TuningGrid, folds: FoldAssignment) -> CvReport:
     """M-fold score of the shrinkage level for a basis fitted on all rows.
 
-    Each fold re-estimates (Lambda, sigma2) from the training-fold sample
-    covariance and scores ||S_m - Phi Lambda Phi' - sigma2 I||_F^2 against
-    the held-out sample covariance.  Ties select the smallest gamma.
+    Each fold re-estimates (Lambda, sigma2) from the training rows, by the
+    rule of estimate_parameters, and scores ||S_m - Phi Lambda Phi' -
+    sigma2 I||_F^2 against the held-out sample covariance S_m.  With Phi
+    orthonormal that is
+
+        ||S_m||^2 - 2 <Phi' S_m Phi, Lambda> - 2 sigma2 tr(S_m)
+                  + ||Lambda||^2 + 2 sigma2 tr(Lambda) + p sigma2^2,
+
+    so each fold needs the coordinates Y Phi of both row sets, two traces,
+    ||S_m||^2 = ||Y_m Y_m'||^2 / n_m^2 and one K x K eigendecomposition.
+    The grid ends at the leading eigenvalue of Phi' S Phi.  Ties select the
+    smallest gamma.
     """
     y = np.asarray(y, dtype=float)
     n, p = y.shape
     _check_folds(folds, n)
-    phi = basis.phi
-    s_full = SampleCovariance.from_data(y)
-    mhat = phi.T @ s_full.s @ phi
-    dhat1 = float(np.linalg.eigvalsh(0.5 * (mhat + mhat.T))[-1])
+    k = basis.phi.shape[1]
+    if k >= p:
+        raise ValueError(f"need k < p to identify the noise variance, got k = {k}, p = {p}")
+    z = y @ basis.phi
+    dhat1 = float(np.linalg.eigvalsh(z.T @ (z / n))[-1])
     gammas = gamma_grid(dhat1, grid.gamma_value_count, grid.gamma_lower_fraction)
 
     crit = np.zeros(gammas.size)
-    eye = np.eye(p)
     for m in range(1, folds.m + 1):
         mask = folds.assignment == m
-        s_tr = SampleCovariance.from_data(y[~mask])
-        s_va = SampleCovariance.from_data(y[mask]).s
+        y_tr, y_va, z_tr, z_va = y[~mask], y[mask], z[~mask], z[mask]
+        n_va = y_va.shape[0]
+        m_tr = z_tr.T @ (z_tr / z_tr.shape[0])
+        d, v = _sorted_eig_desc(0.5 * (m_tr + m_tr.T))
+        tr_tr = float(np.sum(y_tr * y_tr)) / y_tr.shape[0]
+        # diagonal of Vhat' Phi' S_m Phi Vhat: <Phi' S_m Phi, Lambda> = w . lambda*
+        w = np.sum(v * (z_va.T @ (z_va @ v)), axis=0) / n_va
+        gram = y_va @ y_va.T
+        s_va_sq, tr_va = float(np.sum(gram * gram)) / n_va**2, float(np.trace(gram)) / n_va
         for gi, g in enumerate(gammas):
-            model = estimate_parameters(s_tr, basis, float(g))
-            resid = s_va - phi @ model.lam @ phi.T - model.sigma2 * eye
-            crit[gi] += float(np.sum(resid * resid))
+            sigma2, _, lam = _shrink(d, tr_tr, p, float(g))
+            fitted_sq = float(lam @ lam) + 2.0 * sigma2 * float(lam.sum()) + p * sigma2 * sigma2
+            crit[gi] += s_va_sq - 2.0 * (float(w @ lam) + sigma2 * tr_va) + fitted_sq
     crit /= folds.m
 
-    best = None
-    for gi in range(gammas.size):
-        if np.isnan(crit[gi]):
-            continue
-        if best is None or crit[gi] < crit[best]:
-            best = gi
-    if best is None:
-        raise ValueError("cross-validation criterion is NaN everywhere")
+    (best,) = _first_minimum(crit)
     return CvReport(
         kind="gamma",
         criterion=crit,
@@ -272,3 +292,40 @@ def restrict_grid(grid: TuningGrid, tau1=None, tau2=None) -> TuningGrid:
     if tau2 is not None:
         changes["tau2_values"] = np.array([float(tau2)])
     return replace(grid, **changes) if changes else grid
+
+
+@dataclass(frozen=True)
+class TunedFit:
+    """Outcome of select_and_fit: the basis refitted on all rows, its
+    covariance model, and the CV reports (None where a pin skipped CV)."""
+
+    basis: EigenBasis
+    model: CovarianceModel
+    tau_report: CvReport | None
+    gamma_report: CvReport | None
+
+
+def select_and_fit(
+    y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAssignment,
+    gamma: float | None = None, max_iterations: int = 1000,
+) -> TunedFit:
+    """Tune and fit: (tau1, tau2) by cv_tau unless the grid has a single
+    cell, a refit on all rows, gamma by cv_gamma unless given, then
+    estimate_parameters on the full sample covariance.
+
+    Pin a penalty axis with restrict_grid.  max_iterations caps the final
+    fit only; the CV fits keep SolverConfig's default cap.
+    """
+    tau_report = None
+    if grid.tau1_values.size * grid.tau2_values.size > 1:
+        tau_report = cv_tau(y, penalty, k, grid, folds)
+        t1, t2 = tau_report.selected
+    else:
+        t1, t2 = float(grid.tau1_values[0]), float(grid.tau2_values[0])
+    basis = fit(y, penalty, SolverConfig(tau1=t1, tau2=t2, k=k, max_iterations=max_iterations))
+    gamma_report = None
+    if gamma is None:
+        gamma_report = cv_gamma(y, basis, grid, folds)
+        gamma = gamma_report.selected
+    model = estimate_parameters(SampleCovariance.from_data(y), basis, gamma)
+    return TunedFit(basis=basis, model=model, tau_report=tau_report, gamma_report=gamma_report)

@@ -230,6 +230,31 @@ class TestEvalCommand:
             want = covariance_at(bundle.covariance, pen, [pts[i]], [0.0])
             assert got_cov == pytest.approx(want, abs=1e-12)
 
+    def test_cells_parse_back_exactly(self, dataset, tmp_path, capsys):
+        data, loc, _, _ = dataset
+        model_path = tmp_path / "model2.json"
+        assert main([
+            "fit", "--data", data, "--locations", loc, "--k", "2",
+            "--tau1", "1.0", "--tau2", "0.0", "--gamma", "0.1", "--out", str(model_path),
+        ]) == 0
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--model", str(model_path), "--grid=-2:2:13",
+                     "--ref", "0.5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x1,phi_1,phi_2,phi_rot_1,phi_rot_2,cov_ref"
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+        bundle = load_model(model_path)
+        pts = np.linspace(-2.0, 2.0, 13)[:, None]
+        psi = evaluate(bundle.basis.splines, bundle.domain, pts)
+        psi_ref = evaluate(bundle.basis.splines, bundle.domain, np.array([[0.5]]))[0]
+        lam = bundle.covariance.lam
+        cov = 0.5 * (psi @ (lam @ psi_ref) + (psi @ lam.T) @ psi_ref)
+        want = np.column_stack([pts, psi, psi @ bundle.covariance.vhat, cov])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
     def test_query_file(self, fitted_model, tmp_path, capsys):
         q = _write_rows(tmp_path / "q.csv", [[-1.5], [0.25]])
         out = tmp_path / "eval.csv"

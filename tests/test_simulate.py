@@ -185,12 +185,13 @@ class TestRunExperiment:
         assert a == b
 
     def test_failed_cell_recorded_not_raised(self, monkeypatch):
-        import spatpca.simulate as sim
+        import spatpca.tuning as tuning
 
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(sim, "fit", boom)
+        # every basis fit of a cell runs inside tuning.select_and_fit
+        monkeypatch.setattr(tuning, "fit", boom)
         records = run_experiment(TINY)
         assert len(records) == 4
         for r in records:

@@ -16,8 +16,9 @@ from spatpca import (
     fit,
     partition_folds,
     restrict_grid,
+    select_and_fit,
 )
-from spatpca.tuning import gamma_grid
+from spatpca.tuning import _first_minimum, gamma_grid
 
 from checks import smooth_rank1_data
 
@@ -165,6 +166,21 @@ class TestCvTau:
         )
         assert rep.converged.shape == (3, 3)
 
+    def test_penalized_cell_matches_explicit_residual(self, cv_setup):
+        y, pen = cv_setup
+        folds = partition_folds(y.shape[0], 4, seed=3)
+        grid = TuningGrid(tau1_values=[1.0], tau2_values=[0.5], m=4)
+        rep = cv_tau(y, pen, 2, grid, folds)
+
+        expected = 0.0
+        for m in range(1, 5):
+            mask = folds.assignment == m
+            y_tr, y_va = y[~mask], y[mask]
+            phi = fit(y_tr, pen, SolverConfig(tau1=1.0, tau2=0.5, k=2)).phi
+            expected += float(np.sum((y_va - y_va @ phi @ phi.T) ** 2))
+        expected /= 4.0
+        assert rep.criterion[0, 0] == pytest.approx(expected, rel=1e-10)
+
     def test_report_serializes(self, cv_setup):
         y, pen = cv_setup
         folds = partition_folds(y.shape[0], 3, seed=2)
@@ -221,3 +237,69 @@ class TestCvGamma:
         assert d["kind"] == "gamma"
         assert isinstance(d["selected"], float)
         assert "gamma_values" in d
+
+
+class TestFirstMinimum:
+    def test_skips_nan_and_keeps_first_tie(self):
+        crit = np.array([[np.nan, 3.0, 2.0], [2.0, np.nan, 5.0]])
+        assert _first_minimum(crit) == (0, 2)
+        assert _first_minimum(np.array([np.nan, 1.0, 0.5, 0.5, np.nan])) == (2,)
+
+    def test_nan_before_infinite_cell(self):
+        assert _first_minimum(np.array([np.nan, np.inf])) == (1,)
+
+    def test_all_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN everywhere"):
+            _first_minimum(np.full((2, 3), np.nan))
+
+
+class TestSelectAndFit:
+    GRID = TuningGrid(tau1_values=[0.0, 1.0], tau2_values=[0.0, 0.5], gamma_value_count=4, m=3)
+
+    def test_matches_hand_written_sequence(self, cv_setup):
+        y, pen = cv_setup
+        folds = partition_folds(y.shape[0], 3, seed=6)
+        tuned = select_and_fit(y, pen, 2, self.GRID, folds)
+
+        tau_rep = cv_tau(y, pen, 2, self.GRID, folds)
+        t1, t2 = tau_rep.selected
+        basis = fit(y, pen, SolverConfig(tau1=t1, tau2=t2, k=2))
+        gamma_rep = cv_gamma(y, basis, self.GRID, folds)
+        model = estimate_parameters(SampleCovariance.from_data(y), basis, gamma_rep.selected)
+
+        assert np.array_equal(tuned.tau_report.criterion, tau_rep.criterion)
+        assert tuned.tau_report.selected == tau_rep.selected
+        assert np.array_equal(tuned.gamma_report.criterion, gamma_rep.criterion)
+        assert np.array_equal(tuned.basis.phi, basis.phi)
+        assert tuned.basis.config == basis.config
+        assert tuned.model.gamma == model.gamma == gamma_rep.selected
+        assert tuned.model.sigma2 == model.sigma2
+        assert np.array_equal(tuned.model.lam, model.lam)
+
+    def test_pins_skip_cross_validation(self, cv_setup, monkeypatch):
+        import spatpca.tuning as tuning
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cross-validation ran for a pinned weight")
+
+        y, pen = cv_setup
+        folds = partition_folds(y.shape[0], 3, seed=6)
+        pinned = restrict_grid(self.GRID, tau1=1.0, tau2=0.5)
+        monkeypatch.setattr(tuning, "cv_tau", forbidden)
+        tuned = select_and_fit(y, pen, 2, pinned, folds)
+        assert tuned.tau_report is None
+        assert (tuned.basis.config.tau1, tuned.basis.config.tau2) == (1.0, 0.5)
+        assert tuned.gamma_report is not None
+
+        monkeypatch.setattr(tuning, "cv_gamma", forbidden)
+        tuned = select_and_fit(y, pen, 2, pinned, folds, gamma=0.25)
+        assert tuned.gamma_report is None
+        assert tuned.model.gamma == 0.25
+
+    def test_iteration_cap_reaches_final_fit_only(self, cv_setup):
+        y, pen = cv_setup
+        folds = partition_folds(y.shape[0], 3, seed=6)
+        tuned = select_and_fit(y, pen, 1, self.GRID, folds, gamma=0.0, max_iterations=1)
+        assert tuned.tau_report.converged.all()
+        assert tuned.basis.config.max_iterations == 1
+        assert not tuned.basis.converged
