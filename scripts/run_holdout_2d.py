@@ -52,7 +52,6 @@ def main() -> int:
         tau2_values=[0.0],
         gamma_value_count=11,
         gamma_lower_fraction=1e-3,
-        m=5,
     )
     pca_grid = restrict_grid(grid, tau1=0.0, tau2=0.0)
     n_tr = args.n // 2

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,9 +31,9 @@ from .simulate import (
     spec_from_dict,
     summary_json_text,
 )
-from .solver import EigenBasis, RhoTooSmallError, SolverConfig, fit
+from .solver import EigenBasis, RhoTooSmallError, SolverConfig
 from .tps import SpatialDomain, SplineCoefficients, build_penalty, evaluate
-from .tuning import TuningGrid, cv_gamma, cv_tau, partition_folds, restrict_grid, select_and_fit
+from .tuning import TuningGrid, partition_folds, restrict_grid, select_and_fit
 
 __all__ = ["IngestReport", "ingest", "save_model", "load_model", "main"]
 
@@ -144,25 +144,13 @@ class ModelBundle:
     provenance: dict
 
 
-def _config_dict(config: SolverConfig) -> dict:
+def model_to_dict(domain, basis, covariance, provenance) -> dict:
     return {
-        "tau1": config.tau1,
-        "tau2": config.tau2,
-        "k": config.k,
-        "rho0": config.rho0,
-        "rho_growth": config.rho_growth,
-        "tolerance": config.tolerance,
-        "max_iterations": config.max_iterations,
-    }
-
-
-def model_to_dict(domain, basis, covariance=None, provenance=None, command="fit") -> dict:
-    out = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": "fit",
         "domain": {"d": domain.d, "locations": domain.locations.tolist()},
         "basis": {
-            **_config_dict(basis.config),
+            **asdict(basis.config),
             "phi": basis.phi.tolist(),
             "sample_variances": basis.sample_variances.tolist(),
             "splines": [
@@ -172,23 +160,20 @@ def model_to_dict(domain, basis, covariance=None, provenance=None, command="fit"
             "converged": basis.converged,
             "iterations": basis.iterations,
         },
-        "covariance": None,
-        "provenance": provenance or {},
-    }
-    if covariance is not None:
-        out["covariance"] = {
+        "covariance": {
             "gamma": covariance.gamma,
             "sigma2": covariance.sigma2,
             "l_hat": covariance.l_hat,
             "lambda_star": covariance.lambda_star.tolist(),
             "vhat": covariance.vhat.tolist(),
             "lambda": covariance.lam.tolist(),
-        }
-    return out
+        },
+        "provenance": provenance,
+    }
 
 
-def save_model(path, domain, basis, covariance=None, provenance=None, command="fit"):
-    doc = model_to_dict(domain, basis, covariance, provenance, command)
+def save_model(path, domain, basis, covariance, provenance):
+    doc = model_to_dict(domain, basis, covariance, provenance)
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -200,15 +185,8 @@ def load_model(path) -> ModelBundle:
         raise ValueError(f"unsupported model schema version: {version!r}")
     domain = SpatialDomain(np.asarray(doc["domain"]["locations"], dtype=float))
     b = doc["basis"]
-    config = SolverConfig(
-        tau1=b["tau1"],
-        tau2=b["tau2"],
-        k=b["k"],
-        rho0=b["rho0"],
-        rho_growth=b["rho_growth"],
-        tolerance=b["tolerance"],
-        max_iterations=b["max_iterations"],
-    )
+    # keys outside SolverConfig's fields (an old "variant") are ignored
+    config = SolverConfig(**{f.name: b[f.name] for f in fields(SolverConfig)})
     # one {"a", "b"} entry per column on file, one p x K object in memory
     splines = SplineCoefficients(
         a=np.asarray([c["a"] for c in b["splines"]], dtype=float).T,
@@ -250,14 +228,20 @@ def _sha256(path) -> str:
 # ----------------------------------------------------------------- commands
 
 
-def cmd_fit(args) -> int:
+def _tuned_fit(args, gamma):
+    """Ingest, then the tuned fit of select_and_fit under the CLI's pins."""
     y, domain, report = ingest(args.data, args.locations, args.center, args.deseasonalize)
     penalty = build_penalty(domain)
     folds = partition_folds(y.shape[0], args.folds, args.seed)
-    grid = restrict_grid(TuningGrid(m=args.folds), tau1=args.tau1, tau2=args.tau2)
+    grid = restrict_grid(TuningGrid(), tau1=args.tau1, tau2=args.tau2)
     tuned = select_and_fit(
-        y, penalty, args.k, grid, folds, gamma=args.gamma, max_iterations=args.max_iterations
+        y, penalty, args.k, grid, folds, gamma=gamma, max_iterations=args.max_iterations
     )
+    return domain, report, tuned
+
+
+def cmd_fit(args) -> int:
+    domain, report, tuned = _tuned_fit(args, args.gamma)
     basis, model = tuned.basis, tuned.model
     tau_report, gamma_report = tuned.tau_report, tuned.gamma_report
 
@@ -373,23 +357,17 @@ def cmd_scree(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    y, domain, _ = ingest(args.data, args.locations, args.center, args.deseasonalize)
-    penalty = build_penalty(domain)
-    folds = partition_folds(y.shape[0], args.folds, args.seed)
-    grid = restrict_grid(TuningGrid(m=args.folds), tau1=args.tau1, tau2=args.tau2)
-    tau_report = cv_tau(y, penalty, args.k, grid, folds)
-    t1, t2 = tau_report.selected
-    config = SolverConfig(tau1=t1, tau2=t2, k=args.k, max_iterations=args.max_iterations)
-    basis = fit(y, penalty, config)
-    gamma_report = cv_gamma(y, basis, grid, folds)
+    _, _, tuned = _tuned_fit(args, None)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "cv",
-        "tau": tau_report.to_dict(),
-        "gamma": gamma_report.to_dict(),
+        # null where both taus are pinned and no tau CV ran
+        "tau": None if tuned.tau_report is None else tuned.tau_report.to_dict(),
+        "gamma": tuned.gamma_report.to_dict(),
     }
     atomic_write_text(args.out, json.dumps(doc, indent=2) + "\n")
-    print(f"selected tau1={t1!r} tau2={t2!r} gamma={gamma_report.selected!r}")
+    config = tuned.basis.config
+    print(f"selected tau1={config.tau1!r} tau2={config.tau2!r} gamma={tuned.model.gamma!r}")
     print(f"report written to {args.out}")
     return 0
 
@@ -449,7 +427,8 @@ def _add_fit_flags(sub):
     sub.add_argument("--folds", type=int, default=5, help="cross-validation folds")
     sub.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
     sub.add_argument(
-        "--max-iterations", type=int, default=1000, help="solver iteration cap"
+        "--max-iterations", type=int, default=SolverConfig.max_iterations,
+        help="solver iteration cap",
     )
 
 

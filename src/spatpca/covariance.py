@@ -26,7 +26,6 @@ __all__ = [
     "SampleCovariance",
     "CovarianceModel",
     "estimate_parameters",
-    "objective_value",
     "covariance_at",
     "rotated_eigenfunctions",
     "predict",
@@ -164,23 +163,6 @@ def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) ->
         gamma=float(gamma),
         basis=basis,
     )
-
-
-def objective_value(s, phi, lam, sigma2: float, gamma: float) -> float:
-    """Penalized fit criterion evaluated at arbitrary feasible (lam, sigma2).
-
-    (1/2)||S - Phi Lam Phi' - sigma2 I||_F^2 + gamma * ||Phi Lam Phi'||_*.
-    Exposed so independent minimizers can be compared against
-    estimate_parameters.
-    """
-    s = np.asarray(s, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    p = s.shape[0]
-    low = phi @ lam @ phi.T
-    resid = s - low - sigma2 * np.eye(p)
-    nuclear = float(np.linalg.svd(low, compute_uv=False).sum())
-    return 0.5 * float(np.sum(resid * resid)) + gamma * nuclear
 
 
 def _basis_at(model: CovarianceModel, penalty: PenaltyOperator, point) -> np.ndarray:

@@ -310,50 +310,35 @@ _SPEC_KEYS = {
     "gamma_value_count": int,
     "gamma_lower_fraction": float,
 }
+_GRID_KEYS = ("tau1_values", "tau2_values", "gamma_value_count", "gamma_lower_fraction")
+# JSON lists become the tuples that ExperimentSpec holds, item by item
+_TUPLE_ITEMS = {"interval": float, "eigenvalues": float, "k_fit": int, "methods": str}
 
 
 def spec_from_dict(raw: dict, default_label: str = "") -> ExperimentSpec:
-    """Build an ExperimentSpec from parsed JSON, naming the offending field on error."""
+    """Build an ExperimentSpec from parsed JSON, naming the offending field on error.
+
+    Absent fields take the defaults of ExperimentSpec and TuningGrid.
+    """
     if not isinstance(raw, dict):
         raise ValueError("experiment spec must be a JSON object")
     unknown = sorted(set(raw) - set(_SPEC_KEYS))
     if unknown:
         raise ValueError(f"experiment spec has unknown fields: {', '.join(unknown)}")
 
-    def _get(key, kind, default):
-        if key not in raw:
-            return default
-        val = raw[key]
+    values = {"label": default_label}
+    for key, val in raw.items():
+        kind = _SPEC_KEYS[key]
         if kind is float and isinstance(val, int) and not isinstance(val, bool):
             val = float(val)
-        if kind is not None and not isinstance(val, kind):
+        if not isinstance(val, kind):
             raise ValueError(f"experiment spec field '{key}' must be of type {kind.__name__}")
-        return val
-
-    grid_kwargs = {}
-    for key, attr in (("tau1_values", "tau1_values"), ("tau2_values", "tau2_values")):
-        if key in raw:
-            grid_kwargs[attr] = np.asarray(_get(key, list, None), dtype=float)
-    if "gamma_value_count" in raw:
-        grid_kwargs["gamma_value_count"] = _get("gamma_value_count", int, None)
-    if "gamma_lower_fraction" in raw:
-        grid_kwargs["gamma_lower_fraction"] = _get("gamma_lower_fraction", float, None)
-    folds = _get("folds", int, 5)
+        values[key] = val
+    grid = {key: values.pop(key) for key in _GRID_KEYS if key in values}
     try:
-        grid = TuningGrid(m=folds, **grid_kwargs)
-        return ExperimentSpec(
-            label=_get("label", str, default_label),
-            d=_get("d", int, 1),
-            n=_get("n", int, 100),
-            points_per_dim=_get("points_per_dim", int, 50),
-            interval=tuple(float(v) for v in _get("interval", list, [-5.0, 5.0])),
-            eigenvalues=tuple(float(v) for v in _get("eigenvalues", list, [9.0, 0.0])),
-            k_fit=tuple(int(v) for v in _get("k_fit", list, [2])),
-            replicates=_get("replicates", int, 20),
-            seed=_get("seed", int, 0),
-            methods=tuple(_get("methods", list, list(METHODS))),
-            folds=folds,
-            grid=grid,
-        )
+        for key, item in _TUPLE_ITEMS.items():
+            if key in values:
+                values[key] = tuple(item(v) for v in values[key])
+        return ExperimentSpec(grid=TuningGrid(**grid), **values)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid experiment spec: {exc}") from exc

@@ -4,12 +4,14 @@ The (tau1, tau2) criterion scores held-out reconstruction error of the basis
 fitted on the training folds; the gamma criterion scores how well the fitted
 covariance built from training folds matches the held-out sample covariance.
 Phi is orthonormal, so both scores need only the K basis coordinates Y Phi
-and a few traces: no p x p matrix is formed outside the solver.  Sweeps warm
-start along increasing tau2 and reuse one spectral factorization per
-(fold, tau1) cell, which is where nearly all of the compute goes.
+and a few traces: the CV scores form no p x p matrix.  Sweeps warm start
+along increasing tau2 and reuse one spectral factorization per (fold, tau1)
+cell, which is where nearly all of the compute goes.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
-on all rows, gamma by CV, then the closed-form covariance step.
+on all rows, gamma by CV, then the closed-form covariance step, which forms
+the p x p sample covariance S once.  The fold count lives only in the
+FoldAssignment the caller passes.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ class TuningGrid:
     tau2_values: np.ndarray = field(default_factory=lambda: default_log_grid(31))
     gamma_value_count: int = 11
     gamma_lower_fraction: float | None = None
-    m: int = 5
 
     def __post_init__(self):
         for name in ("tau1_values", "tau2_values"):
@@ -112,8 +113,6 @@ class TuningGrid:
             raise ValueError("gamma_value_count must be at least 1")
         if self.gamma_lower_fraction is not None and not 0 < self.gamma_lower_fraction <= 1:
             raise ValueError("gamma_lower_fraction must lie in (0, 1]")
-        if self.m < 2:
-            raise ValueError("need at least 2 folds")
 
 
 @dataclass(frozen=True)
@@ -223,10 +222,7 @@ def gamma_grid(dhat1: float, count: int, lower_fraction: float | None = None) ->
     low = dhat1 * lower_fraction if lower_fraction is not None else 1.0
     if dhat1 <= low or count < 2:
         return np.unique(np.array([0.0, float(dhat1)]))
-    vals = np.geomspace(low, dhat1, count - 1)
-    vals[0] = low
-    vals[-1] = dhat1
-    return np.concatenate([[0.0], vals])
+    return default_log_grid(count, low, dhat1)
 
 
 def cv_gamma(y, basis: EigenBasis, grid: TuningGrid, folds: FoldAssignment) -> CvReport:
@@ -307,7 +303,7 @@ class TunedFit:
 
 def select_and_fit(
     y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAssignment,
-    gamma: float | None = None, max_iterations: int = 1000,
+    gamma: float | None = None, max_iterations: int = SolverConfig.max_iterations,
 ) -> TunedFit:
     """Tune and fit: (tau1, tau2) by cv_tau unless the grid has a single
     cell, a refit on all rows, gamma by cv_gamma unless given, then

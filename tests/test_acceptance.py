@@ -299,7 +299,6 @@ def test_acceptance_8_held_out_covariance_on_large_grid():
         tau2_values=[0.0],
         gamma_value_count=11,
         gamma_lower_fraction=1e-3,
-        m=5,
     )
 
     def held_out_sse(y_tr, s_va, folds, tau_pinned):

@@ -339,21 +339,48 @@ class TestScreeCommand:
 
 
 class TestCvCommand:
-    def test_report_structure(self, dataset, tmp_path, capsys):
+    def _cv_args(self, dataset, out, *taus):
         data, loc, _, _ = dataset
+        return ["cv", "--data", data, "--locations", loc, "--k", "1", *taus, "--out", str(out)]
+
+    def test_report_structure(self, dataset, tmp_path, capsys):
         out = tmp_path / "cv.json"
-        rc = main([
-            "cv", "--data", data, "--locations", loc, "--k", "1",
-            "--tau1", "0.0", "--tau2", "0.0", "--out", str(out),
-        ])
-        assert rc == 0
+        assert main(self._cv_args(dataset, out, "--tau1", "0.0")) == 0
         assert "selected" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["command"] == "cv"
         assert doc["tau"]["kind"] == "tau"
         assert doc["tau"]["tau1_values"] == [0.0]
+        assert len(doc["tau"]["tau2_values"]) == 31
         assert doc["gamma"]["kind"] == "gamma"
+
+    def test_pinned_taus_skip_tau_cv(self, dataset, tmp_path, capsys, monkeypatch):
+        def no_cv_tau(*args, **kwargs):
+            raise AssertionError("cv_tau ran although both taus are pinned")
+
+        monkeypatch.setattr("spatpca.tuning.cv_tau", no_cv_tau)
+        out = tmp_path / "cv.json"
+        assert main(self._cv_args(dataset, out, "--tau1", "0.0", "--tau2", "0.0")) == 0
+        assert "tau1=0.0 tau2=0.0" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["tau"] is None
+        assert doc["gamma"]["kind"] == "gamma"
+
+    def test_selects_what_fit_writes(self, dataset, tmp_path, capsys):
+        taus = ("--tau2", "0.0")
+        report, model = tmp_path / "cv.json", tmp_path / "model.json"
+        assert main(self._cv_args(dataset, report, *taus)) == 0
+        fit_args = self._cv_args(dataset, model, *taus)
+        fit_args[0] = "fit"
+        assert main(fit_args) == 0
+        capsys.readouterr()
+        doc = json.loads(report.read_text())
+        bundle = load_model(model)
+        config = bundle.basis.config
+        assert tuple(doc["tau"]["selected"]) == (config.tau1, config.tau2)
+        assert doc["gamma"]["selected"] == bundle.covariance.gamma
+        assert doc["gamma"]["gamma_values"] == bundle.provenance["gamma_grid"]
 
 
 class TestSimulateCommand:

@@ -14,7 +14,6 @@ from spatpca import (
     predict,
     rotated_eigenfunctions,
 )
-from spatpca.covariance import objective_value
 from spatpca.solver import EigenBasis
 
 from checks import shrinkage_objective, minimize_shrinkage_objective, random_orthonormal, random_psd, smooth_rank1_data
@@ -115,15 +114,6 @@ class TestEstimateParameters:
             closed = shrinkage_objective(s, phi, model.lam, model.sigma2, gamma)
             _, _, oracle = minimize_shrinkage_objective(s, phi, gamma)
             assert closed <= oracle + 1e-5
-
-    def test_objective_value_agrees_with_reference(self):
-        rng = np.random.default_rng(2)
-        s = random_psd(rng, 5)
-        phi = random_orthonormal(rng, 5, 2)
-        lam = random_psd(rng, 2)
-        assert objective_value(s, phi, lam, 0.7, 0.3) == pytest.approx(
-            shrinkage_objective(s, phi, lam, 0.7, 0.3), rel=1e-10
-        )
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), gamma=st.floats(0.0, 10.0, allow_nan=False))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ TINY = ExperimentSpec(
     k_fit=(1,),
     methods=("pca", "spatpca"),
     folds=3,
-    grid=TuningGrid(tau1_values=[0.0, 1.0], tau2_values=[0.0, 1.0], gamma_value_count=2, m=3),
+    grid=TuningGrid(tau1_values=[0.0, 1.0], tau2_values=[0.0, 1.0], gamma_value_count=2),
 )
 
 
@@ -240,13 +241,14 @@ class TestReporting:
 
 class TestSpecFromDict:
     def test_defaults(self):
+        # every absent field takes the dataclass default
         spec = spec_from_dict({}, default_label="exp0")
         base = ExperimentSpec(label="exp0")
-        assert spec.label == "exp0"
-        assert (spec.d, spec.n, spec.points_per_dim) == (base.d, base.n, base.points_per_dim)
-        assert spec.eigenvalues == base.eigenvalues and spec.k_fit == base.k_fit
-        assert np.array_equal(spec.grid.tau1_values, base.grid.tau1_values)
-        assert np.array_equal(spec.grid.tau2_values, base.grid.tau2_values)
+        for f in fields(ExperimentSpec):
+            if f.name != "grid":
+                assert getattr(spec, f.name) == getattr(base, f.name), f.name
+        for f in fields(TuningGrid):
+            assert np.array_equal(getattr(spec.grid, f.name), getattr(base.grid, f.name)), f.name
 
     def test_explicit_label_wins(self):
         assert spec_from_dict({"label": "mine"}, default_label="x").label == "mine"
@@ -272,7 +274,7 @@ class TestSpecFromDict:
         spec = spec_from_dict(raw)
         assert spec.d == 2 and spec.n == 30 and spec.k_fit == (1, 2)
         assert np.array_equal(spec.grid.tau1_values, [0.0, 2.0])
-        assert spec.grid.m == 3 and spec.grid.gamma_value_count == 4
+        assert spec.folds == 3 and spec.grid.gamma_value_count == 4
         assert spec.grid.gamma_lower_fraction == 0.01
 
     def test_unknown_field_named(self):
