@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._files import atomic_write_text
-from .covariance import CovarianceModel, SampleCovariance
+from .covariance import CovarianceModel, SampleCovariance, _symmetric_cov
 from .simulate import (
     records_csv_text,
     run_experiment,
@@ -32,7 +32,7 @@ from .simulate import (
     summary_json_text,
 )
 from .solver import EigenBasis, RhoTooSmallError, SolverConfig
-from .tps import SpatialDomain, SplineCoefficients, build_penalty, evaluate
+from .tps import SpatialDomain, SplineCoefficients, build_penalty, evaluate, solve_coefficients
 from .tuning import TuningGrid, partition_folds, restrict_grid, select_and_fit
 
 __all__ = ["IngestReport", "ingest", "save_model", "load_model", "main"]
@@ -138,13 +138,18 @@ def ingest(data_path, locations_path, center: bool = False, deseasonalize: int |
 
 @dataclass(frozen=True)
 class ModelBundle:
+    """Contents of a model file.  splines holds the stored interpolants of the
+    basis columns (a p x K, b (d + 1) x K): evaluation needs no penalty."""
+
     domain: SpatialDomain
     basis: EigenBasis
+    splines: SplineCoefficients
     covariance: CovarianceModel | None
     provenance: dict
 
 
-def model_to_dict(domain, basis, covariance, provenance) -> dict:
+def model_to_dict(bundle: ModelBundle) -> dict:
+    domain, basis, covariance = bundle.domain, bundle.basis, bundle.covariance
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
@@ -155,7 +160,7 @@ def model_to_dict(domain, basis, covariance, provenance) -> dict:
             "sample_variances": basis.sample_variances.tolist(),
             "splines": [
                 {"a": a, "b": b}
-                for a, b in zip(basis.splines.a.T.tolist(), basis.splines.b.T.tolist())
+                for a, b in zip(bundle.splines.a.T.tolist(), bundle.splines.b.T.tolist())
             ],
             "converged": basis.converged,
             "iterations": basis.iterations,
@@ -168,12 +173,12 @@ def model_to_dict(domain, basis, covariance, provenance) -> dict:
             "vhat": covariance.vhat.tolist(),
             "lambda": covariance.lam.tolist(),
         },
-        "provenance": provenance,
+        "provenance": bundle.provenance,
     }
 
 
-def save_model(path, domain, basis, covariance, provenance):
-    doc = model_to_dict(domain, basis, covariance, provenance)
+def save_model(path, bundle: ModelBundle):
+    doc = model_to_dict(bundle)
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -194,7 +199,6 @@ def load_model(path) -> ModelBundle:
     )
     basis = EigenBasis(
         phi=np.asarray(b["phi"], dtype=float),
-        splines=splines,
         sample_variances=np.asarray(b["sample_variances"], dtype=float),
         config=config,
         converged=b["converged"],
@@ -212,9 +216,7 @@ def load_model(path) -> ModelBundle:
             gamma=c["gamma"],
             basis=basis,
         )
-    return ModelBundle(
-        domain=domain, basis=basis, covariance=covariance, provenance=doc.get("provenance", {})
-    )
+    return ModelBundle(domain, basis, splines, covariance, doc.get("provenance", {}))
 
 
 def _sha256(path) -> str:
@@ -229,7 +231,7 @@ def _sha256(path) -> str:
 
 
 def _tuned_fit(args, gamma):
-    """Ingest, then the tuned fit of select_and_fit under the CLI's pins."""
+    """Ingest, then select_and_fit under the CLI's pins: (penalty, report, tuned)."""
     y, domain, report = ingest(args.data, args.locations, args.center, args.deseasonalize)
     penalty = build_penalty(domain)
     folds = partition_folds(y.shape[0], args.folds, args.seed)
@@ -237,11 +239,19 @@ def _tuned_fit(args, gamma):
     tuned = select_and_fit(
         y, penalty, args.k, grid, folds, gamma=gamma, max_iterations=args.max_iterations
     )
-    return domain, report, tuned
+    return penalty, report, tuned
+
+
+def _cap_status(basis: EigenBasis) -> int:
+    """Exit status after a tuned fit: 2, with a warning, when the final fit hit its cap."""
+    if basis.converged:
+        return 0
+    print("warning: solver hit its iteration cap", file=sys.stderr)
+    return 2
 
 
 def cmd_fit(args) -> int:
-    domain, report, tuned = _tuned_fit(args, args.gamma)
+    penalty, report, tuned = _tuned_fit(args, args.gamma)
     basis, model = tuned.basis, tuned.model
     tau_report, gamma_report = tuned.tau_report, tuned.gamma_report
 
@@ -265,7 +275,8 @@ def cmd_fit(args) -> int:
         if gamma_report is None
         else gamma_report.gamma_values.tolist(),
     }
-    save_model(args.out, domain, basis, model, provenance)
+    splines = solve_coefficients(penalty, basis.phi)
+    save_model(args.out, ModelBundle(penalty.domain, basis, splines, model, provenance))
 
     print(f"sites: {len(report.kept_sites)} kept, {len(report.dropped_sites)} dropped")
     how_tau = "fixed" if tau_report is None else f"{args.folds}-fold CV"
@@ -278,10 +289,7 @@ def cmd_fit(args) -> int:
     state = "converged" if basis.converged else "NOT converged"
     print(f"iterations: {basis.iterations} ({state})")
     print(f"model written to {args.out}")
-    if not basis.converged:
-        print("warning: solver hit its iteration cap", file=sys.stderr)
-        return 2
-    return 0
+    return _cap_status(basis)
 
 
 def _parse_grid_spec(text: str, d: int) -> np.ndarray:
@@ -297,8 +305,6 @@ def _parse_grid_spec(text: str, d: int) -> np.ndarray:
         if count < 2 or not lo < hi:
             raise ValueError(f"bad grid axis {part!r}: need lo < hi and count >= 2")
         axes.append(np.linspace(lo, hi, count))
-    if d == 1:
-        return axes[0][:, None]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
@@ -316,7 +322,7 @@ def cmd_eval(args) -> int:
         raise ValueError("eval needs either --query or --grid")
 
     k = bundle.basis.phi.shape[1]
-    psi = evaluate(bundle.basis.splines, bundle.domain, pts)
+    psi = evaluate(bundle.splines, bundle.domain, pts)
     header = [f"x{j + 1}" for j in range(d)] + [f"phi_{j + 1}" for j in range(k)]
     blocks = [pts, psi]
     if bundle.covariance is not None:
@@ -328,10 +334,9 @@ def cmd_eval(args) -> int:
         ref = np.array([float(v) for v in args.ref.split(",")])
         if ref.shape != (d,):
             raise ValueError(f"--ref needs {d} comma-separated coordinates")
-        psi_ref = evaluate(bundle.basis.splines, bundle.domain, ref[None, :])[0]
-        lam = bundle.covariance.lam
+        psi_ref = evaluate(bundle.splines, bundle.domain, ref[None, :])[0]
         header.append("cov_ref")
-        blocks.append(0.5 * (psi @ (lam @ psi_ref) + (psi @ lam.T) @ psi_ref))
+        blocks.append(_symmetric_cov(psi, bundle.covariance.lam, psi_ref))
 
     # repr of a Python float is the shortest text that parses back exactly
     rows = np.column_stack(blocks).tolist()
@@ -369,7 +374,7 @@ def cmd_cv(args) -> int:
     config = tuned.basis.config
     print(f"selected tau1={config.tau1!r} tau2={config.tau2!r} gamma={tuned.model.gamma!r}")
     print(f"report written to {args.out}")
-    return 0
+    return _cap_status(tuned.basis)
 
 
 def cmd_simulate(args) -> int:

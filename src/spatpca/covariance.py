@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import EigenBasis, _fix_signs
-from .tps import PenaltyOperator, evaluate
+from .tps import PenaltyOperator, SplineCoefficients, evaluate, solve_coefficients
 
 __all__ = [
     "SampleCovariance",
@@ -165,24 +165,30 @@ def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) ->
     )
 
 
-def _basis_at(model: CovarianceModel, penalty: PenaltyOperator, point) -> np.ndarray:
+def _basis_at(splines: SplineCoefficients, penalty: PenaltyOperator, point) -> np.ndarray:
     d = penalty.domain.d
     pt = np.atleast_1d(np.asarray(point, dtype=float))
     if pt.shape != (d,):
         raise ValueError(f"point must have {d} coordinates, got shape {pt.shape}")
-    return evaluate(model.basis.splines, penalty.domain, pt[None, :])[0]
+    return evaluate(splines, penalty.domain, pt[None, :])[0]
+
+
+def _symmetric_cov(psi: np.ndarray, lam: np.ndarray, psi_ref: np.ndarray):
+    """psi' Lambda psi_ref for psi a length-K vector or a q x K matrix, as the
+    mean of both association orders, so swapping two vectors is exact."""
+    return 0.5 * (psi @ (lam @ psi_ref) + (psi @ lam.T) @ psi_ref)
 
 
 def covariance_at(model: CovarianceModel, penalty: PenaltyOperator, s_point, s_star) -> float:
     """Estimated covariance between the process at two locations.
 
-    C(s, s*) = psi(s)' Lambda psi(s*) with psi the spline-interpolated basis.
-    Computed in symmetrized form, so swapping arguments returns the identical
-    float.
+    C(s, s*) = psi(s)' Lambda psi(s*) with psi the spline interpolant of the
+    basis, solved from penalty on each call.  Computed in symmetrized form,
+    so swapping arguments returns the identical float.
     """
-    ps = _basis_at(model, penalty, s_point)
-    pt = _basis_at(model, penalty, s_star)
-    return 0.5 * (float(ps @ model.lam @ pt) + float(pt @ model.lam @ ps))
+    splines = solve_coefficients(penalty, model.basis.phi)
+    ps, pt = (_basis_at(splines, penalty, x) for x in (s_point, s_star))
+    return float(_symmetric_cov(ps, model.lam, pt))
 
 
 def rotated_eigenfunctions(model: CovarianceModel) -> np.ndarray:
@@ -202,13 +208,14 @@ def predict(model: CovarianceModel, penalty: PenaltyOperator, y, query) -> np.nd
     sigma2 == 0 is the Moore-Penrose pseudoinverse (projection of y_i onto the
     range of Lambda in basis coordinates).
 
-    Returns an n x q matrix, one row per observation.
+    psi is the spline interpolant of the basis, solved from penalty in one
+    p x K solve per call.  Returns an n x q matrix, one row per observation.
     """
     y = np.asarray(y, dtype=float)
     phi = model.basis.phi
     if y.ndim != 2 or y.shape[1] != phi.shape[0]:
         raise ValueError(f"data must be n x {phi.shape[0]}, got {y.shape}")
-    psi = evaluate(model.basis.splines, penalty.domain, query)
+    psi = evaluate(solve_coefficients(penalty, phi), penalty.domain, query)
     lam_star = model.lambda_star
     keep = lam_star > 1e-12 * max(1.0, float(lam_star.max(initial=0.0)))
     w = np.zeros_like(lam_star)

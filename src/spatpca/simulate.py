@@ -39,7 +39,10 @@ __all__ = [
     "spec_from_dict",
 ]
 
-METHODS = ("pca", "smooth-only", "sparse-only", "spatpca")
+# the penalty axes each method pins; select_and_fit cross-validates the rest
+_METHOD_PINS = {"pca": {"tau1": 0.0, "tau2": 0.0}, "smooth-only": {"tau2": 0.0},
+                "sparse-only": {"tau1": 0.0}, "spatpca": {}}
+METHODS = tuple(_METHOD_PINS)
 
 # substream roles for the seeded generator: (seed, replicate, role)
 _ROLE_SCORES = 0
@@ -177,38 +180,22 @@ def generate(spec: ExperimentSpec, replicate: int) -> np.ndarray:
 
 def loss_phi(phi_hat, phi_true, xi, y) -> float:
     """Signal reconstruction loss sum_i ||Phi Phi' y_i - Phi_true xi_i||^2."""
-    phi_hat = np.asarray(phi_hat, dtype=float)
-    phi_true = np.asarray(phi_true, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    y = np.asarray(y, dtype=float)
+    phi_hat, phi_true, xi, y = (np.asarray(a, dtype=float) for a in (phi_hat, phi_true, xi, y))
     if y.ndim != 2 or phi_hat.ndim != 2 or y.shape[1] != phi_hat.shape[0]:
         raise ValueError("y must be n x p and phi_hat p x k")
     if phi_true.shape[0] != y.shape[1] or xi.shape != (y.shape[0], phi_true.shape[1]):
         raise ValueError("truth must pair phi_true (p x r) with xi (n x r)")
-    recon = (y @ phi_hat) @ phi_hat.T
-    signal = xi @ phi_true.T
-    diff = recon - signal
+    diff = (y @ phi_hat) @ phi_hat.T - xi @ phi_true.T
     return float(np.sum(diff * diff))
 
 
 def loss_cov(c_hat, c_true) -> float:
     """Entrywise squared error between two covariance surfaces on the nodes."""
-    c_hat = np.asarray(c_hat, dtype=float)
-    c_true = np.asarray(c_true, dtype=float)
+    c_hat, c_true = np.asarray(c_hat, dtype=float), np.asarray(c_true, dtype=float)
     if c_hat.shape != c_true.shape:
         raise ValueError(f"covariance shapes differ: {c_hat.shape} vs {c_true.shape}")
     diff = c_hat - c_true
     return float(np.sum(diff * diff))
-
-
-def _method_grid(grid: TuningGrid, method: str) -> TuningGrid:
-    if method == "pca":
-        return restrict_grid(grid, tau1=0.0, tau2=0.0)
-    if method == "smooth-only":
-        return restrict_grid(grid, tau2=0.0)
-    if method == "sparse-only":
-        return restrict_grid(grid, tau1=0.0)
-    return grid
 
 
 def run_experiment(spec: ExperimentSpec) -> list[LossRecord]:
@@ -235,7 +222,8 @@ def run_experiment(spec: ExperimentSpec) -> list[LossRecord]:
             for method in spec.methods:
                 cell = {"label": spec.label, "method": method, "k": k, "replicate": rep}
                 try:
-                    tuned = select_and_fit(y, penalty, k, _method_grid(spec.grid, method), folds)
+                    grid = restrict_grid(spec.grid, **_METHOD_PINS[method])
+                    tuned = select_and_fit(y, penalty, k, grid, folds)
                     basis, model = tuned.basis, tuned.model
                     record = LossRecord(
                         **cell,
@@ -331,8 +319,16 @@ def spec_from_dict(raw: dict, default_label: str = "") -> ExperimentSpec:
         kind = _SPEC_KEYS[key]
         if kind is float and isinstance(val, int) and not isinstance(val, bool):
             val = float(val)
-        if not isinstance(val, kind):
+        # bool is an int subclass but no spec value is a flag, and int() would
+        # truncate a fractional count without a word
+        if isinstance(val, bool) or not isinstance(val, kind):
             raise ValueError(f"experiment spec field '{key}' must be of type {kind.__name__}")
+        counts = _TUPLE_ITEMS.get(key) is int
+        if kind is list and any(
+            isinstance(v, bool) or counts and isinstance(v, float) and not v.is_integer()
+            for v in val
+        ):
+            raise ValueError(f"experiment spec field '{key}' holds a boolean or a fractional count")
         values[key] = val
     grid = {key: values.pop(key) for key in _GRID_KEYS if key in values}
     try:

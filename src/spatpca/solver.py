@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tps import PenaltyOperator, SplineCoefficients, solve_coefficients
+from .tps import PenaltyOperator
 
 __all__ = [
     "RhoTooSmallError",
@@ -103,12 +103,11 @@ class EigenBasis:
     """Fitted basis: orthonormal columns ordered by explained sample variance.
 
     sample_variances[k] = phi_k' S phi_k with S = Y'Y/n, nonincreasing.
-    splines interpolates all K columns for evaluation off the nodes: its ``a``
-    is p x K and its ``b`` is (d + 1) x K, column k belonging to phi_k.
+    The basis lives on the p sites only; tps.solve_coefficients(penalty, phi)
+    gives its interpolants where off-node values are needed.
     """
 
     phi: np.ndarray
-    splines: SplineCoefficients
     sample_variances: np.ndarray
     config: SolverConfig
     converged: bool
@@ -145,13 +144,13 @@ def soft_threshold(m, tau: float):
     return float(out) if arr.ndim == 0 else out
 
 
-def _check_data(y, penalty: PenaltyOperator | None = None) -> np.ndarray:
+def _check_data(y, penalty: PenaltyOperator) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise ValueError("data must be an n x p matrix")
     if not np.all(np.isfinite(y)):
         raise ValueError("data must be finite; drop or impute missing values first")
-    if penalty is not None and y.shape[1] != penalty.domain.p:
+    if y.shape[1] != penalty.domain.p:
         raise ValueError(
             f"data has {y.shape[1]} site columns but the penalty was built "
             f"for {penalty.domain.p} sites"
@@ -199,14 +198,8 @@ def initial_phi(quad: QuadraticTerm, k: int) -> np.ndarray:
     return _fix_signs(quad.vectors[:, ::-1][:, :k])
 
 
-def admm_step(
-    state: AdmmState,
-    y,
-    penalty: PenaltyOperator,
-    config: SolverConfig,
-    quad: QuadraticTerm | None = None,
-) -> AdmmState:
-    """One three-block pass at the state's rho.
+def admm_step(state: AdmmState, quad: QuadraticTerm, tau2: float) -> AdmmState:
+    """One three-block pass at the state's rho, quad from precompute_quadratic.
 
     Phi <- (tau1*omega + rho*I - Y'Y)^{-1} (rho(Q + R) - Gamma1 - Gamma2) / 2
     Q   <- polar factor of Phi + Gamma2/rho
@@ -219,15 +212,13 @@ def admm_step(
     Raises RhoTooSmallError when rho does not exceed the largest eigenvalue
     of Y'Y - tau1*omega (carried as .min_rho).
     """
-    if quad is None:
-        quad = precompute_quadratic(y, penalty, config.tau1)
     rho = state.rho
     if rho <= quad.beta_max:
         raise RhoTooSmallError(rho, quad.beta_max)
     rhs = rho * (state.q + state.r) - state.gamma1 - state.gamma2
     phi = 0.5 * quad.shifted_solve(rho, rhs)
     q = _polar(phi + state.gamma2 / rho)
-    r = soft_threshold(rho * phi + state.gamma1, config.tau2) / rho
+    r = soft_threshold(rho * phi + state.gamma1, tau2) / rho
     gamma1 = state.gamma1 + rho * (phi - r)
     gamma2 = state.gamma2 + rho * (phi - q)
     return AdmmState(phi=phi, q=q, r=r, gamma1=gamma1, gamma2=gamma2, rho=rho)
@@ -248,7 +239,7 @@ def _check_warm(warm_start, p: int, k: int) -> np.ndarray:
     return w.copy()
 
 
-def _finish(y, penalty, config, q, converged: bool, iterations: int) -> EigenBasis:
+def _finish(y, config, q, converged: bool, iterations: int) -> EigenBasis:
     yq = y @ q
     variances = np.einsum("ij,ij->j", yq, yq) / y.shape[0]
     order = np.argsort(-variances, kind="stable")
@@ -258,7 +249,6 @@ def _finish(y, penalty, config, q, converged: bool, iterations: int) -> EigenBas
     variances.setflags(write=False)
     return EigenBasis(
         phi=q,
-        splines=solve_coefficients(penalty, q),
         sample_variances=variances,
         config=config,
         converged=converged,
@@ -273,8 +263,10 @@ def fit(
     warm_start=None,
     quad: QuadraticTerm | None = None,
 ) -> EigenBasis:
-    """Estimate the regularized eigenbasis by iterating admm_step.
+    """Estimate the regularized eigenbasis at the p sites by iterating admm_step.
 
+    No spline is solved here: a caller that needs the basis off the sites
+    solves its interpolants once, tps.solve_coefficients(penalty, basis.phi).
     Non-convergence within max_iterations is reported through the returned
     converged flag, never as an exception.  quad is a performance hook: pass
     the result of precompute_quadratic(y, penalty, config.tau1) when fitting
@@ -299,7 +291,7 @@ def fit(
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         prev_phi = state.phi
-        state = admm_step(state, y, penalty, config, quad=quad)
+        state = admm_step(state, quad, config.tau2)
         crit = scale * max(
             _fro(state.phi - prev_phi),
             _fro(state.phi - state.r),
@@ -309,5 +301,5 @@ def fit(
             converged = True
             break
         state = replace(state, rho=min(state.rho * config.rho_growth, rho_cap))
-    return _finish(y, penalty, config, state.q, converged, iterations)
+    return _finish(y, config, state.q, converged, iterations)
 

@@ -79,7 +79,6 @@ def test_acceptance_2_closed_form_matches_numerical_minimizer():
         gamma = float(rng.uniform(0.0, 2.0))
         shell = EigenBasis(
             phi=phi,
-            splines=(),
             sample_variances=np.zeros(k),
             config=SolverConfig(k=k),
             converged=True,
@@ -233,7 +232,7 @@ def test_acceptance_6_update_law_properties(small_penalty):
             gamma2=rng.standard_normal(phi0.shape),
             rho=float(rng.uniform(1.01, 50.0)) * quad.beta_max,
         )
-        new = admm_step(state, y, small_penalty, cfg, quad)
+        new = admm_step(state, quad, cfg.tau2)
         assert np.array_equal(new.gamma1, state.gamma1 + state.rho * (new.phi - new.r))
         assert np.array_equal(new.gamma2, state.gamma2 + state.rho * (new.phi - new.q))
     dt = time.time() - t0

@@ -135,9 +135,7 @@ class TestFitCommand:
         assert main(self._fit_args(dataset, out)) == 0
         bundle = load_model(out)
         doc = json.loads(out.read_text())
-        redone = model_to_dict(
-            bundle.domain, bundle.basis, bundle.covariance, bundle.provenance
-        )
+        redone = model_to_dict(bundle)
         assert json.dumps(redone, indent=2) + "\n" == json.dumps(doc, indent=2) + "\n"
 
     def test_fit_rerun_is_byte_identical(self, dataset, tmp_path):
@@ -222,7 +220,7 @@ class TestEvalCommand:
         bundle = load_model(fitted_model)
         pen = build_penalty(bundle.domain)
         pts = np.linspace(-2.0, 2.0, 9)
-        psi = evaluate(bundle.basis.splines, bundle.domain, pts[:, None])[:, 0]
+        psi = evaluate(bundle.splines, bundle.domain, pts[:, None])[:, 0]
         for i, row in enumerate(rows[1:]):
             assert float(row[0]) == pts[i]
             assert float(row[1]) == pytest.approx(psi[i], abs=1e-12)
@@ -247,8 +245,8 @@ class TestEvalCommand:
 
         bundle = load_model(model_path)
         pts = np.linspace(-2.0, 2.0, 13)[:, None]
-        psi = evaluate(bundle.basis.splines, bundle.domain, pts)
-        psi_ref = evaluate(bundle.basis.splines, bundle.domain, np.array([[0.5]]))[0]
+        psi = evaluate(bundle.splines, bundle.domain, pts)
+        psi_ref = evaluate(bundle.splines, bundle.domain, np.array([[0.5]]))[0]
         lam = bundle.covariance.lam
         cov = 0.5 * (psi @ (lam @ psi_ref) + (psi @ lam.T) @ psi_ref)
         want = np.column_stack([pts, psi, psi @ bundle.covariance.vhat, cov])
@@ -354,6 +352,13 @@ class TestCvCommand:
         assert doc["tau"]["tau1_values"] == [0.0]
         assert len(doc["tau"]["tau2_values"]) == 31
         assert doc["gamma"]["kind"] == "gamma"
+
+    def test_iteration_cap_exits_2_but_writes(self, dataset, tmp_path, capsys):
+        out = tmp_path / "cv.json"
+        args = self._cv_args(dataset, out, "--tau1", "1.0", "--tau2", "0.0")
+        assert main([*args, "--max-iterations", "1"]) == 2
+        assert "iteration cap" in capsys.readouterr().err
+        assert json.loads(out.read_text())["command"] == "cv"
 
     def test_pinned_taus_skip_tau_cv(self, dataset, tmp_path, capsys, monkeypatch):
         def no_cv_tau(*args, **kwargs):

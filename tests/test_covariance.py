@@ -13,6 +13,7 @@ from spatpca import (
     fit,
     predict,
     rotated_eigenfunctions,
+    solve_coefficients,
 )
 from spatpca.solver import EigenBasis
 
@@ -24,7 +25,6 @@ def _plain_basis(phi):
     k = phi.shape[1]
     return EigenBasis(
         phi=phi,
-        splines=(),
         sample_variances=np.zeros(k),
         config=SolverConfig(k=k),
         converged=True,
@@ -207,7 +207,8 @@ class TestPredict:
         assert np.abs(query[:, None] - domain_1d_module.locations[:, 0]).min() > 1e-3
         p = basis.phi.shape[0]
         c = basis.phi @ model.lam @ basis.phi.T + model.sigma2 * np.eye(p)
-        psi = evaluate(basis.splines, domain_1d_module, query)
+        splines = solve_coefficients(penalty_1d_module, basis.phi)
+        psi = evaluate(splines, domain_1d_module, query)
         expected = (psi @ model.lam @ basis.phi.T @ np.linalg.solve(c, y.T)).T
         got = predict(model, penalty_1d_module, y, query)
         assert got.shape == (y.shape[0], query.size)

@@ -289,6 +289,25 @@ class TestSpecFromDict:
         spec = spec_from_dict({"gamma_lower_fraction": 1})
         assert spec.grid.gamma_lower_fraction == 1.0
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"replicates": True}, "replicates"),
+            ({"gamma_lower_fraction": False}, "gamma_lower_fraction"),
+            ({"k_fit": [2.7]}, "k_fit"),
+            ({"k_fit": [True]}, "k_fit"),
+            ({"interval": [True, 2]}, "interval"),
+            ({"eigenvalues": [9.0, False]}, "eigenvalues"),
+            ({"tau1_values": [0.0, True]}, "tau1_values"),
+        ],
+    )
+    def test_booleans_and_fractional_counts_rejected(self, raw, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            spec_from_dict(raw)
+
+    def test_integral_float_count_accepted(self):
+        assert spec_from_dict({"k_fit": [2.0, 3]}).k_fit == (2, 3)
+
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             spec_from_dict([1, 2])

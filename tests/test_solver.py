@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spatpca.solver
-from spatpca import RhoTooSmallError, SolverConfig, SpatialDomain, build_penalty, evaluate, fit
+import spatpca.cli
+import spatpca.tps
+from spatpca import (
+    RhoTooSmallError,
+    SolverConfig,
+    SpatialDomain,
+    TuningGrid,
+    build_penalty,
+    evaluate,
+    fit,
+    partition_folds,
+    select_and_fit,
+    solve_coefficients,
+)
 from spatpca.solver import (
     AdmmState,
     admm_step,
@@ -109,22 +122,20 @@ class TestAdmmStep:
             gamma2=rng.standard_normal((12, 2)),
             rho=10.0 * quad.lam_max_yty,
         )
-        new = admm_step(state, y, small_penalty, cfg, quad)
+        new = admm_step(state, quad, cfg.tau2)
         assert np.abs(new.q.T @ new.q - np.eye(2)).max() < 1e-12
 
     def test_kkt_state_is_fixed_point(self, small_penalty):
         rng = np.random.default_rng(6)
         y = rng.standard_normal((30, 12))
-        cfg = SolverConfig(tau1=0.0, tau2=0.0, k=2)
         state = _state_at_eigvecs(y, 2)
-        new = admm_step(state, y, small_penalty, cfg)
+        new = admm_step(state, precompute_quadratic(y, small_penalty, 0.0), 0.0)
         for name in ("phi", "q", "r"):
             assert _fro(getattr(new, name) - getattr(state, name)) < 1e-10
 
     def test_zero_threshold_r_update(self, small_penalty):
         rng = np.random.default_rng(7)
         y = rng.standard_normal((25, 12))
-        cfg = SolverConfig(tau1=2.0, tau2=0.0, k=1)
         quad = precompute_quadratic(y, small_penalty, 2.0)
         phi0 = initial_phi(quad, 1)
         g1 = rng.standard_normal((12, 1))
@@ -132,7 +143,7 @@ class TestAdmmStep:
             phi=phi0, q=phi0.copy(), r=phi0.copy(),
             gamma1=g1, gamma2=np.zeros((12, 1)), rho=10.0 * quad.lam_max_yty,
         )
-        new = admm_step(state, y, small_penalty, cfg, quad)
+        new = admm_step(state, quad, 0.0)
         assert np.allclose(new.r, new.phi + g1 / state.rho, atol=1e-12)
 
     def test_rho_too_small_raises_with_floor(self, small_penalty):
@@ -146,7 +157,7 @@ class TestAdmmStep:
             rho=0.5 * quad.beta_max,
         )
         with pytest.raises(RhoTooSmallError) as err:
-            admm_step(state, y, small_penalty, SolverConfig(k=1), quad)
+            admm_step(state, quad, 0.0)
         assert err.value.min_rho == pytest.approx(quad.beta_max)
 
     def test_shifted_solve_matches_dense_inverse(self, small_penalty):
@@ -198,8 +209,9 @@ class TestFit:
         for c in range(k):
             lead = int(np.argmax(np.abs(basis.phi[:, c])))
             assert basis.phi[lead, c] >= 0
-        assert basis.splines.a.shape == (domain_1d.p, k) and basis.splines.b.shape == (2, k)
-        at_nodes = evaluate(basis.splines, domain_1d, domain_1d.locations)
+        splines = solve_coefficients(penalty_1d, basis.phi)
+        assert splines.a.shape == (domain_1d.p, k) and splines.b.shape == (2, k)
+        at_nodes = evaluate(splines, domain_1d, domain_1d.locations)
         assert np.abs(at_nodes - basis.phi).max() < 1e-8
         with pytest.raises(ValueError):
             basis.phi[0, 0] = 1.0
@@ -212,19 +224,38 @@ class TestFit:
         expected = np.array([basis.phi[:, c] @ s @ basis.phi[:, c] for c in range(2)])
         assert np.allclose(basis.sample_variances, expected, rtol=1e-12)
 
-    def test_splines_solved_in_one_call(self, small_penalty, monkeypatch):
+    def test_splines_solved_only_to_write_the_model(
+        self, small_penalty, tmp_path, monkeypatch, capsys
+    ):
         calls = []
-        original = spatpca.solver.solve_coefficients
+        original = spatpca.tps.solve_coefficients
 
         def counting(penalty, values):
             calls.append(np.shape(values))
             return original(penalty, values)
 
-        monkeypatch.setattr(spatpca.solver, "solve_coefficients", counting)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spatpca" and vars(module).get("solve_coefficients") is original:
+                monkeypatch.setattr(module, "solve_coefficients", counting)
         rng = np.random.default_rng(14)
-        y = rng.standard_normal((30, small_penalty.domain.p))
+        p = small_penalty.domain.p
+        y = rng.standard_normal((30, p))
         fit(y, small_penalty, SolverConfig(tau1=1.0, tau2=0.5, k=3))
-        assert calls == [(small_penalty.domain.p, 3)]
+        grid = TuningGrid(tau1_values=[0.0, 1.0], tau2_values=[0.0, 0.5], gamma_value_count=3)
+        select_and_fit(y, small_penalty, 2, grid, partition_folds(30, 3, seed=0))
+        assert calls == []
+
+        data, loc = tmp_path / "data.csv", tmp_path / "loc.csv"
+        data.write_text("\n".join(",".join(map(repr, row)) for row in y.tolist()) + "\n")
+        sites = small_penalty.domain.locations.tolist()
+        loc.write_text("\n".join(",".join(map(repr, row)) for row in sites) + "\n")
+        assert spatpca.cli.main([
+            "fit", "--data", str(data), "--locations", str(loc), "--k", "3",
+            "--tau1", "1.0", "--tau2", "0.5", "--gamma", "0.1",
+            "--out", str(tmp_path / "model.json"),
+        ]) == 0
+        capsys.readouterr()
+        assert calls == [(p, 3)]
 
     def test_stopping_quantity_below_tolerance_when_converged(self, small_penalty):
         # replay the iteration and confirm the reported stop was genuine
@@ -244,7 +275,7 @@ class TestFit:
         scale = 1.0 / math.sqrt(12)
         for it in range(1, cfg.max_iterations + 1):
             prev = state.phi
-            state = admm_step(state, y, small_penalty, cfg, quad)
+            state = admm_step(state, quad, cfg.tau2)
             crit = scale * max(
                 _fro(state.phi - prev),
                 _fro(state.phi - state.r),
