@@ -10,11 +10,19 @@ rho.  Every update of the three-block scheme is in closed form: a shifted
 solve against the spectral factorization of Y'Y - tau1*omega, a polar factor
 for orthonormality and a soft threshold for sparsity.  The exactly
 orthonormal block is returned as the estimate.
+
+The iteration lives in fit_chains, which steps B independent chains as
+B x p x K arrays against a B x p x p stack of factorizations; admm_step
+takes that leading batch axis with a rho and a tau2 per member.  Each
+member gets exactly the arithmetic of a lone chain, so batching changes no
+bit and only spreads the per-call overhead of the small products over the
+members.  fit is the one-chain case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +39,7 @@ __all__ = [
     "initial_phi",
     "precompute_quadratic",
     "admm_step",
+    "fit_chains",
     "fit",
 ]
 
@@ -87,7 +96,8 @@ class AdmmState:
     """One iterate: primal blocks phi/q/r, multipliers gamma1/gamma2, and rho.
 
     q carries the orthonormality constraint (columns orthonormal to 1e-12
-    after every update); r carries the sparsity constraint.
+    after every update); r carries the sparsity constraint.  A stack of B
+    chains holds B x p x K blocks and a length-B rho.
     """
 
     phi: np.ndarray
@@ -95,7 +105,7 @@ class AdmmState:
     r: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
-    rho: float
+    rho: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,18 +131,32 @@ class QuadraticTerm:
     (tau1*omega + rho*I - Y'Y)^{-1} x = vectors diag(1/(rho - values)) vectors' x,
     valid whenever rho exceeds values[-1].  lam_max_yty is the largest
     eigenvalue of Y'Y, ||Y||_2^2, used by the rho0 = "auto" rule.
+
+    A stack of B factorizations has a leading batch axis: vectors B x p x p,
+    values B x p, lam_max_yty and beta_max length B, and shifted_solve takes
+    B rho values and a B x p x K right-hand side.  scaled, when given, is a
+    buffer shaped like vectors that receives the vectors / (rho - values)
+    temporary instead of a fresh allocation on every solve.
     """
 
     vectors: np.ndarray
     values: np.ndarray
-    lam_max_yty: float
+    lam_max_yty: float | np.ndarray
+    scaled: np.ndarray | None = None
 
     @property
-    def beta_max(self) -> float:
-        return float(self.values[-1])
+    def beta_max(self) -> float | np.ndarray:
+        """Largest eigenvalue of Y'Y - tau1*omega, one per member of a stack."""
+        return self.values[..., -1][()]
 
-    def shifted_solve(self, rho: float, rhs: np.ndarray) -> np.ndarray:
-        return (self.vectors / (rho - self.values)) @ (self.vectors.T @ rhs)
+    def shifted_solve(self, rho, rhs: np.ndarray) -> np.ndarray:
+        shift = np.asarray(rho)[..., None] - self.values
+        scaled = np.divide(self.vectors, shift[..., None, :], out=self.scaled)
+        return scaled @ (np.swapaxes(self.vectors, -1, -2) @ rhs)
+
+
+def _shrink(m: np.ndarray, tau) -> np.ndarray:
+    return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
 
 
 def soft_threshold(m, tau: float):
@@ -140,7 +164,7 @@ def soft_threshold(m, tau: float):
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     arr = np.asarray(m, dtype=float)
-    out = np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
+    out = _shrink(arr, tau)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -173,8 +197,19 @@ def _polar(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _fro(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(m * m)))
+def _fro(m: np.ndarray):
+    """Frobenius norm over the last two axes, one per member of a stack."""
+    return np.sqrt(np.sum((m * m).reshape(*m.shape[:-2], -1), axis=-1))
+
+
+def _stop_measure(state: AdmmState, prev_phi: np.ndarray) -> np.ndarray:
+    """The stop test's quantity, one per member: max(||Phi - Phi_prev||,
+    ||Phi - R||, ||Phi - Q||) / sqrt(p), Frobenius norms."""
+    scale = 1.0 / math.sqrt(state.phi.shape[-2])
+    phi = state.phi
+    return scale * np.maximum(
+        np.maximum(_fro(phi - prev_phi), _fro(phi - state.r)), _fro(phi - state.q)
+    )
 
 
 def precompute_quadratic(y, penalty: PenaltyOperator, tau1: float) -> QuadraticTerm:
@@ -198,8 +233,12 @@ def initial_phi(quad: QuadraticTerm, k: int) -> np.ndarray:
     return _fix_signs(quad.vectors[:, ::-1][:, :k])
 
 
-def admm_step(state: AdmmState, quad: QuadraticTerm, tau2: float) -> AdmmState:
+def admm_step(state: AdmmState, quad: QuadraticTerm, tau2) -> AdmmState:
     """One three-block pass at the state's rho, quad from precompute_quadratic.
+
+    For a stack of B chains, state holds B x p x K blocks and a length-B rho,
+    quad stacks the B factorizations and tau2 is a scalar or length B; each
+    member gets exactly the arithmetic it would get alone.
 
     Phi <- (tau1*omega + rho*I - Y'Y)^{-1} (rho(Q + R) - Gamma1 - Gamma2) / 2
     Q   <- polar factor of Phi + Gamma2/rho
@@ -210,24 +249,28 @@ def admm_step(state: AdmmState, quad: QuadraticTerm, tau2: float) -> AdmmState:
     pairing them the other way makes the dual error double per iteration.
 
     Raises RhoTooSmallError when rho does not exceed the largest eigenvalue
-    of Y'Y - tau1*omega (carried as .min_rho).
+    of Y'Y - tau1*omega (carried as .min_rho), for the first such member.
     """
-    rho = state.rho
-    if rho <= quad.beta_max:
-        raise RhoTooSmallError(rho, quad.beta_max)
+    low = state.rho <= quad.beta_max
+    if low.any():
+        i = np.argmax(low)
+        raise RhoTooSmallError(
+            float(np.ravel(state.rho)[i]), float(np.ravel(quad.beta_max)[i])
+        )
+    rho = np.asarray(state.rho)[..., None, None]
     rhs = rho * (state.q + state.r) - state.gamma1 - state.gamma2
-    phi = 0.5 * quad.shifted_solve(rho, rhs)
+    phi = 0.5 * quad.shifted_solve(state.rho, rhs)
     q = _polar(phi + state.gamma2 / rho)
-    r = soft_threshold(rho * phi + state.gamma1, tau2) / rho
+    r = _shrink(rho * phi + state.gamma1, np.asarray(tau2)[..., None, None]) / rho
     gamma1 = state.gamma1 + rho * (phi - r)
     gamma2 = state.gamma2 + rho * (phi - q)
-    return AdmmState(phi=phi, q=q, r=r, gamma1=gamma1, gamma2=gamma2, rho=rho)
+    return AdmmState(phi=phi, q=q, r=r, gamma1=gamma1, gamma2=gamma2, rho=state.rho)
 
 
-def _initial_rho(config: SolverConfig, quad: QuadraticTerm) -> float:
+def _initial_rho(config: SolverConfig, lam_max_yty: np.ndarray) -> np.ndarray:
     if config.rho0 == "auto":
-        return 10.0 * quad.lam_max_yty if quad.lam_max_yty > 0 else 1.0
-    return float(config.rho0)
+        return np.where(lam_max_yty > 0, 10.0 * lam_max_yty, 1.0)
+    return np.full(lam_max_yty.shape, float(config.rho0))
 
 
 def _check_warm(warm_start, p: int, k: int) -> np.ndarray:
@@ -256,6 +299,114 @@ def _finish(y, config, q, converged: bool, iterations: int) -> EigenBasis:
     )
 
 
+def _stack_chains(quads: Iterable[QuadraticTerm], count: int, p: int, k: int, warm_starts):
+    """The count factorizations as one stack, and each chain's starting basis.
+
+    Each QuadraticTerm is copied into one preallocated stack and released,
+    so a generator of quads keeps a single unstacked one alive.  A lone
+    chain reads its factorization in place instead: at large p, where every
+    chain runs alone, the copy costs time and a p x p array per fit.
+    """
+    start = np.empty((count, p, k))
+    if count > 1:
+        vectors = np.empty((count, p, p))
+        stack = QuadraticTerm(
+            vectors, np.empty((count, p)), np.empty(count), scaled=np.empty_like(vectors)
+        )
+    c = -1
+    for c, quad in enumerate(quads):
+        if count == 1:
+            stack = QuadraticTerm(
+                quad.vectors[None], quad.values[None], np.array([quad.lam_max_yty]),
+                scaled=np.empty((1, p, p)),
+            )
+        else:
+            stack.vectors[c], stack.values[c] = quad.vectors, quad.values
+            stack.lam_max_yty[c] = quad.lam_max_yty
+        start[c] = initial_phi(quad, k) if warm_starts is None else warm_starts[c]
+    if c + 1 != count:
+        raise ValueError(f"expected {count} factorizations, one per chain")
+    return stack, start
+
+
+def fit_chains(
+    ys: Sequence[np.ndarray],
+    tau1s: Sequence[float],
+    quads: Iterable[QuadraticTerm],
+    config: SolverConfig,
+    tau2_values: Sequence[float],
+    warm_starts: Sequence[np.ndarray] | None = None,
+) -> Iterator[tuple[int, int, EigenBasis]]:
+    """Fit B = len(ys) independent chains together, each along all of tau2_values.
+
+    Chain c fits the rows ys[c] (read, never copied, so chains may share
+    them) with quads[c] = precompute_quadratic(ys[c], penalty, tau1s[c]) at
+    each tau2 in turn, and yields (c, j, basis) when it finishes
+    tau2_values[j]; chains finish in any order.  Its first fit starts from
+    warm_starts[c], or initial_phi(quads[c], k), each later one from the
+    previous basis.  config gives k and the rho schedule; each basis carries
+    it with the chain's tau1 and tau2.
+
+    Every fit starts at rho0 with zero multipliers and stops on its own stop
+    test or at config.max_iterations, with results bit-identical to running
+    the chain alone; the members are stepped as one stack through admm_step.
+    A member that finishes its last tau2 is retired by moving the last
+    active member into its slot.  quads is read once, in order (see
+    _stack_chains); the factor stack has a scratch stack of the same size.
+    """
+    count, k = len(ys), config.k
+    for y in ys:
+        if k > min(y.shape):
+            raise ValueError(f"k = {k} exceeds min(n, p) = {min(y.shape)}")
+    quad, start = _stack_chains(quads, count, ys[0].shape[1], k, warm_starts)
+    rho0 = _initial_rho(config, quad.lam_max_yty)
+    rho_cap = 1e12 * rho0
+    chain = np.arange(count)
+    step, iters = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    tau2 = np.full(count, float(tau2_values[0]))
+    zeros = np.zeros_like(start)
+    state = AdmmState(
+        phi=start, q=start, r=start.copy(), gamma1=zeros, gamma2=zeros.copy(), rho=rho0.copy()
+    )
+    active = count
+    while active:
+        prev_phi = state.phi
+        state = admm_step(state, quad, tau2)
+        iters += 1
+        converged = _stop_measure(state, prev_phi) <= config.tolerance
+        rho = np.minimum(state.rho * config.rho_growth, rho_cap)
+        blocks = (state.phi, state.q, state.r, state.gamma1, state.gamma2)
+        factors = (quad.vectors, quad.values, quad.lam_max_yty)
+        members = (rho0, rho_cap, rho, chain, step, iters, tau2)
+        retired = False
+        # descending, so the member moved into a retired slot was already handled
+        for i in np.flatnonzero(converged | (iters >= config.max_iterations))[::-1]:
+            c, j = int(chain[i]), int(step[i])
+            cfg = replace(config, tau1=float(tau1s[c]), tau2=float(tau2_values[j]))
+            basis = _finish(ys[c], cfg, state.q[i], bool(converged[i]), int(iters[i]))
+            yield c, j, basis
+            if j + 1 < len(tau2_values):
+                # as a fresh fit warm started from the basis: phi = q = r = basis,
+                # zero multipliers, rho0
+                for block in blocks[:3]:
+                    block[i] = basis.phi
+                for block in blocks[3:]:
+                    block[i] = 0.0
+                rho[i], iters[i], step[i] = rho0[i], 0, j + 1
+                tau2[i] = tau2_values[j + 1]
+            else:
+                active -= 1
+                if i < active:
+                    for arr in blocks + factors + members:
+                        arr[i] = arr[active]
+                retired = True
+        if retired:
+            quad = QuadraticTerm(*(a[:active] for a in factors), scaled=quad.scaled[:active])
+            rho0, rho_cap, rho, chain, step, iters, tau2 = (a[:active] for a in members)
+            blocks = tuple(block[:active] for block in blocks)
+        state = AdmmState(*blocks, rho=rho)
+
+
 def fit(
     y,
     penalty: PenaltyOperator,
@@ -263,43 +414,18 @@ def fit(
     warm_start=None,
     quad: QuadraticTerm | None = None,
 ) -> EigenBasis:
-    """Estimate the regularized eigenbasis at the p sites by iterating admm_step.
+    """Estimate the regularized eigenbasis at the p sites: the one-chain fit_chains.
 
     No spline is solved here: a caller that needs the basis off the sites
     solves its interpolants once, tps.solve_coefficients(penalty, basis.phi).
     Non-convergence within max_iterations is reported through the returned
     converged flag, never as an exception.  quad is a performance hook: pass
     the result of precompute_quadratic(y, penalty, config.tau1) when fitting
-    the same data repeatedly (as the tuning sweeps do).
+    the same data repeatedly.
     """
     y = _check_data(y, penalty)
-    n, p = y.shape
-    k = config.k
-    if k > min(n, p):
-        raise ValueError(f"k = {k} exceeds min(n, p) = {min(n, p)}")
     if quad is None:
         quad = precompute_quadratic(y, penalty, config.tau1)
-    rho0 = _initial_rho(config, quad)
-    rho_cap = 1e12 * rho0
-    q0 = _check_warm(warm_start, p, k) if warm_start is not None else initial_phi(quad, k)
-    zeros = np.zeros((p, k))
-    state = AdmmState(
-        phi=q0, q=q0, r=q0.copy(), gamma1=zeros, gamma2=zeros.copy(), rho=rho0
-    )
-    scale = 1.0 / math.sqrt(p)
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        prev_phi = state.phi
-        state = admm_step(state, quad, config.tau2)
-        crit = scale * max(
-            _fro(state.phi - prev_phi),
-            _fro(state.phi - state.r),
-            _fro(state.phi - state.q),
-        )
-        if crit <= config.tolerance:
-            converged = True
-            break
-        state = replace(state, rho=min(state.rho * config.rho_growth, rho_cap))
-    return _finish(y, config, state.q, converged, iterations)
-
+    warm = None if warm_start is None else [_check_warm(warm_start, y.shape[1], config.k)]
+    ((_, _, basis),) = fit_chains([y], [config.tau1], [quad], config, [config.tau2], warm)
+    return basis

@@ -253,7 +253,8 @@ def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
     q1, r1 = penalty.affine_qr
     c = q1.T @ v
     a = penalty.omega @ (v - q1 @ c)
-    b = solve_triangular(r1, c - q1.T @ (penalty.g @ a))
+    # r1 and the right-hand side are finite by construction; the outputs are checked below
+    b = solve_triangular(r1, c - q1.T @ (penalty.g @ a), check_finite=False)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ConditioningError("interpolation solve produced non-finite coefficients")
     return SplineCoefficients(a=a, b=b)

@@ -4,9 +4,12 @@ The (tau1, tau2) criterion scores held-out reconstruction error of the basis
 fitted on the training folds; the gamma criterion scores how well the fitted
 covariance built from training folds matches the held-out sample covariance.
 Phi is orthonormal, so both scores need only the K basis coordinates Y Phi
-and a few traces: the CV scores form no p x p matrix.  Sweeps warm start
-along increasing tau2 and reuse one spectral factorization per (fold, tau1)
-cell, which is where nearly all of the compute goes.
+and a few traces: the CV scores form no p x p matrix.  Each (fold, tau1)
+cell is one chain: one spectral factorization, then fits along increasing
+tau2, each warm started from the last, which is where nearly all of the
+compute goes.  cv_tau steps groups of chains together through
+solver.fit_chains; a group holds as many chains as fit in _GROUP_BYTES of
+stacked factorizations.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
 on all rows, gamma by CV, then the closed-form covariance step, which forms
@@ -22,7 +25,7 @@ import numpy as np
 
 from .covariance import CovarianceModel, SampleCovariance, estimate_parameters
 from .covariance import _shrink, _sorted_eig_desc
-from .solver import EigenBasis, SolverConfig, fit, precompute_quadratic
+from .solver import EigenBasis, SolverConfig, fit, fit_chains, precompute_quadratic
 from .tps import PenaltyOperator
 
 __all__ = [
@@ -38,6 +41,10 @@ __all__ = [
     "restrict_grid",
     "select_and_fit",
 ]
+
+# cap on one cv_tau group's B x p x p factor stack plus its scratch copy:
+# 26 chains at p = 50, a single chain for p >= 256
+_GROUP_BYTES = 1 << 20
 
 
 def default_log_grid(count: int, low: float = 1.0, high: float = 1e3) -> np.ndarray:
@@ -121,7 +128,9 @@ class CvReport:
 
     kind is "tau" (criterion indexed tau1 x tau2, selected a pair) or
     "gamma" (one-dimensional).  converged mirrors the criterion shape and is
-    False wherever some fold fit hit the iteration cap.
+    False wherever some fold fit hit the iteration cap.  For kind "tau",
+    iterations[i, j] is the number of ADMM iterations cell (i, j) took,
+    summed over the folds.
     """
 
     kind: str
@@ -132,6 +141,7 @@ class CvReport:
     tau1_values: np.ndarray | None = None
     tau2_values: np.ndarray | None = None
     gamma_values: np.ndarray | None = None
+    iterations: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -145,7 +155,7 @@ class CvReport:
                 "assignment": self.folds.assignment.tolist(),
             },
         }
-        for name in ("tau1_values", "tau2_values", "gamma_values"):
+        for name in ("tau1_values", "tau2_values", "gamma_values", "iterations"):
             vals = getattr(self, name)
             if vals is not None:
                 out[name] = vals.tolist()
@@ -175,27 +185,41 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     on the other folds at (tau1_i, tau2_j), computed as
     ||Y_m||^2 - ||Y_m Phi||^2 since Phi is orthonormal.  Ties select the
     smallest (tau1, tau2) in lexicographic order; NaN cells are skipped.
+
+    The M x T1 (fold, tau1) chains run in groups of stacked chains through
+    solver.fit_chains, each chain along the whole tau2 grid; a group holds
+    as many as fit in _GROUP_BYTES, so large p runs one chain at a time.
+    Every fit is bit-identical to fitting its cell alone, and the folds'
+    terms are summed in fold order, so the grouping never changes a bit of
+    the report.
     """
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
+    n, p = y.shape
     _check_folds(folds, n)
     t1s, t2s = grid.tau1_values, grid.tau2_values
-    crit = np.zeros((t1s.size, t2s.size))
-    conv = np.ones((t1s.size, t2s.size), dtype=bool)
-    for m in range(1, folds.m + 1):
-        mask = folds.assignment == m
-        y_tr, y_va = y[~mask], y[mask]
-        va_sq = float(np.sum(y_va * y_va))
-        for i, t1 in enumerate(t1s):
-            quad = precompute_quadratic(y_tr, penalty, t1)
-            warm = None
-            for j, t2 in enumerate(t2s):
-                cfg = SolverConfig(tau1=float(t1), tau2=float(t2), k=k)
-                basis = fit(y_tr, penalty, cfg, warm_start=warm, quad=quad)
-                warm = basis.phi
-                proj = y_va @ basis.phi
-                crit[i, j] += va_sq - float(np.sum(proj * proj))
-                conv[i, j] &= basis.converged
+    splits = [
+        (y[folds.assignment != m], y[folds.assignment == m]) for m in range(1, folds.m + 1)
+    ]
+    va_sq = [float(np.sum(y_va * y_va)) for _, y_va in splits]
+    shape = (folds.m, t1s.size, t2s.size)
+    loss, conv, iters = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=int)
+    cells = [(m, i) for m in range(folds.m) for i in range(t1s.size)]
+    size = max(1, _GROUP_BYTES // (2 * 8 * p * p))
+    config = SolverConfig(k=k)
+    for start in range(0, len(cells), size):
+        group = cells[start : start + size]
+        ys = [splits[m][0] for m, _ in group]
+        tau1s = [float(t1s[i]) for _, i in group]
+        quads = (precompute_quadratic(y_tr, penalty, t1) for y_tr, t1 in zip(ys, tau1s))
+        for c, j, basis in fit_chains(ys, tau1s, quads, config, t2s):
+            m, i = group[c]
+            proj = splits[m][1] @ basis.phi
+            loss[m, i, j] = va_sq[m] - float(np.sum(proj * proj))
+            conv[m, i, j] = basis.converged
+            iters[m, i, j] = basis.iterations
+    crit = np.zeros(shape[1:])
+    for fold_loss in loss:
+        crit += fold_loss
     crit /= folds.m
 
     i, j = _first_minimum(crit)
@@ -204,9 +228,10 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
         criterion=crit,
         selected=(float(t1s[i]), float(t2s[j])),
         folds=folds,
-        converged=conv,
+        converged=conv.all(axis=0),
         tau1_values=t1s,
         tau2_values=t2s,
+        iterations=iters.sum(axis=0),
     )
 
 

@@ -7,6 +7,11 @@ minimizer is a projected gradient method, the eigenbasis oracle is a
 two-block splitting whose Phi update solves K lasso problems by coordinate
 descent, and subspace distances are the norm of a projection residual of the
 QR factors.  Slow and simple on purpose.
+
+The exception is the pair fit_reference / cv_tau_reference: the package's
+own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
+time, so that the stacked chains of solver.fit_chains can be required to
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from spatpca import RhoTooSmallError
+from spatpca import RhoTooSmallError, SolverConfig
+from spatpca.solver import AdmmState, _finish, admm_step, initial_phi, precompute_quadratic
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -205,3 +211,75 @@ def fit_lasso_inner(y, penalty, config) -> LassoInnerFit:
             break
         rho = min(rho * config.rho_growth, 1e12 * rho0)
     return LassoInnerFit(phi=q, converged=converged, iterations=iterations)
+
+
+def fit_reference(y, penalty, config, warm_start=None, quad=None):
+    """One chain of the package's ADMM, stepped alone with two-dimensional
+    blocks and a scalar rho: the loop solver.fit ran before chains were
+    stacked.  Returns the same EigenBasis as fit."""
+    y = np.asarray(y, dtype=float)
+    p = y.shape[1]
+    if quad is None:
+        quad = precompute_quadratic(y, penalty, config.tau1)
+    if config.rho0 == "auto":
+        rho0 = 10.0 * quad.lam_max_yty if quad.lam_max_yty > 0 else 1.0
+    else:
+        rho0 = float(config.rho0)
+    if warm_start is None:
+        q0 = initial_phi(quad, config.k)
+    else:
+        q0 = np.array(warm_start, dtype=float)
+    zeros = np.zeros((p, config.k))
+    state = AdmmState(phi=q0, q=q0, r=q0.copy(), gamma1=zeros, gamma2=zeros.copy(), rho=rho0)
+
+    def fro(m):
+        return float(np.sqrt(np.sum(m * m)))
+
+    scale = 1.0 / math.sqrt(p)
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        prev_phi = state.phi
+        state = admm_step(state, quad, config.tau2)
+        crit = scale * max(
+            fro(state.phi - prev_phi), fro(state.phi - state.r), fro(state.phi - state.q)
+        )
+        if crit <= config.tolerance:
+            converged = True
+            break
+        state = AdmmState(
+            phi=state.phi, q=state.q, r=state.r, gamma1=state.gamma1, gamma2=state.gamma2,
+            rho=min(state.rho * config.rho_growth, 1e12 * rho0),
+        )
+    return _finish(y, config, state.q, converged, iterations)
+
+
+def cv_tau_reference(y, penalty, k, grid, folds):
+    """(criterion, converged, iterations) of cv_tau, one cell at a time.
+
+    For each fold and tau1, one factorization, then fit_reference along the
+    tau2 grid, each fit warm started from the last; the held-out error is
+    accumulated into the criterion in fold order.
+    """
+    y = np.asarray(y, dtype=float)
+    t1s, t2s = grid.tau1_values, grid.tau2_values
+    crit = np.zeros((t1s.size, t2s.size))
+    conv = np.ones((t1s.size, t2s.size), dtype=bool)
+    iters = np.zeros((t1s.size, t2s.size), dtype=int)
+    for m in range(1, folds.m + 1):
+        mask = folds.assignment == m
+        y_tr, y_va = y[~mask], y[mask]
+        va_sq = float(np.sum(y_va * y_va))
+        for i, t1 in enumerate(t1s):
+            quad = precompute_quadratic(y_tr, penalty, t1)
+            warm = None
+            for j, t2 in enumerate(t2s):
+                cfg = SolverConfig(tau1=float(t1), tau2=float(t2), k=k)
+                basis = fit_reference(y_tr, penalty, cfg, warm_start=warm, quad=quad)
+                warm = basis.phi
+                proj = y_va @ basis.phi
+                crit[i, j] += va_sq - float(np.sum(proj * proj))
+                conv[i, j] &= basis.converged
+                iters[i, j] += basis.iterations
+    crit /= folds.m
+    return crit, conv, iters

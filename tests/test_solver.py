@@ -23,7 +23,9 @@ from spatpca import (
 )
 from spatpca.solver import (
     AdmmState,
+    QuadraticTerm,
     admm_step,
+    fit_chains,
     initial_phi,
     precompute_quadratic,
     soft_threshold,
@@ -31,7 +33,7 @@ from spatpca.solver import (
     _polar,
 )
 
-from checks import fit_lasso_inner, lasso_cd, principal_angle, smooth_rank1_data
+from checks import fit_lasso_inner, fit_reference, lasso_cd, principal_angle, smooth_rank1_data
 
 
 def _state_at_eigvecs(y, k, tau2_free=True):
@@ -362,6 +364,64 @@ class TestFit:
         inversions = sum(1 for a, b in zip(counts, counts[1:]) if b < a)
         assert inversions <= 2
         assert counts[-1] > counts[0]
+
+
+class TestFitChains:
+    def test_fit_matches_lone_chain_reference_bitwise(self, small_penalty):
+        y = np.random.default_rng(30).standard_normal((30, 12))
+        for cfg in (
+            SolverConfig(tau1=1.0, tau2=0.5, k=2),
+            SolverConfig(tau1=10.0, tau2=3.0, k=1, max_iterations=7),
+            SolverConfig(k=3, rho0=5000.0, rho_growth=1.2),
+        ):
+            got, want = fit(y, small_penalty, cfg), fit_reference(y, small_penalty, cfg)
+            assert np.array_equal(got.phi, want.phi)
+            assert np.array_equal(got.sample_variances, want.sample_variances)
+            assert (got.converged, got.iterations) == (want.converged, want.iterations)
+            assert got.config == cfg
+
+    def test_member_at_its_cap_matches_separate_fits(self, small_penalty):
+        # members of the stack run out of iterations while others converge,
+        # and some finish on the same step; each must still get exactly the
+        # bits it gets alone, and each (chain, tau2) is reported once
+        rng = np.random.default_rng(31)
+        ys = [rng.standard_normal((30, 12)), 5.0 * rng.standard_normal((24, 12))]
+        chains = [(m, t1) for t1 in (0.0, 10.0, 100.0) for m in (0, 1)]
+        tau2s = [1.0, 30.0, 300.0]
+        cfg = SolverConfig(k=2, max_iterations=24)
+        expected = {}
+        for c, (m, t1) in enumerate(chains):
+            warm = None
+            for j, t2 in enumerate(tau2s):
+                basis = fit(ys[m], small_penalty, replace(cfg, tau1=t1, tau2=t2), warm_start=warm)
+                expected[c, j] = basis
+                warm = basis.phi
+        assert {b.converged for b in expected.values()} == {True, False}
+
+        members = [ys[m] for m, _ in chains]
+        tau1s = [t1 for _, t1 in chains]
+        quads = (precompute_quadratic(y, small_penalty, t1) for y, t1 in zip(members, tau1s))
+        results = list(fit_chains(members, tau1s, quads, cfg, tau2s))
+        got = {(c, j): b for c, j, b in results}
+        assert len(results) == len(got) and got.keys() == expected.keys()
+        for key, want in expected.items():
+            assert np.array_equal(got[key].phi, want.phi)
+            assert (got[key].converged, got[key].iterations) == (want.converged, want.iterations)
+            assert got[key].config == want.config
+
+    def test_stacked_step_reports_first_member_below_floor(self, small_penalty):
+        y = np.random.default_rng(32).standard_normal((25, 12))
+        quads = [precompute_quadratic(y, small_penalty, t1) for t1 in (0.0, 5.0)]
+        stack = QuadraticTerm(
+            np.stack([q.vectors for q in quads]), np.stack([q.values for q in quads]),
+            np.array([q.lam_max_yty for q in quads]),
+        )
+        phi = np.stack([initial_phi(q, 1) for q in quads])
+        rho = np.array([10.0 * quads[0].lam_max_yty, 0.5 * quads[1].beta_max])
+        state = AdmmState(phi=phi, q=phi, r=phi, gamma1=0 * phi, gamma2=0 * phi, rho=rho)
+        with pytest.raises(RhoTooSmallError) as err:
+            admm_step(state, stack, np.zeros(2))
+        assert err.value.min_rho == quads[1].beta_max
 
 
 class TestLassoVariant:

@@ -18,9 +18,11 @@ from spatpca import (
     restrict_grid,
     select_and_fit,
 )
+from spatpca.solver import fit_chains
+import spatpca.tuning
 from spatpca.tuning import _first_minimum, gamma_grid
 
-from checks import smooth_rank1_data
+from checks import cv_tau_reference, smooth_rank1_data
 
 
 class TestGrids:
@@ -196,6 +198,37 @@ class TestCvTau:
         folds = partition_folds(10, 2, seed=0)
         with pytest.raises(ValueError):
             cv_tau(y, pen, 1, TuningGrid(), folds)
+
+
+class TestCvTauGroups:
+    # 3 folds x 4 tau1 values = 12 chains, each along 6 tau2 values
+    @pytest.mark.parametrize(
+        "size, sizes",
+        [(1, [1] * 12), (2, [2] * 6), (5, [5, 5, 2]), (12, [12])],
+    )
+    def test_grouping_is_bit_identical_to_per_cell_loop(self, cv_setup, monkeypatch, size, sizes):
+        y, pen = cv_setup
+        p = y.shape[1]
+        folds = partition_folds(y.shape[0], 3, seed=2)
+        grid = TuningGrid(
+            tau1_values=default_log_grid(4), tau2_values=default_log_grid(6, 0.1, 100.0)
+        )
+        seen = []
+
+        def spy(ys, *args):
+            seen.append(len(ys))
+            yield from fit_chains(ys, *args)
+
+        monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", size * 16 * p * p)
+        monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
+        rep = cv_tau(y, pen, 2, grid, folds)
+        assert seen == sizes
+
+        crit, conv, iters = cv_tau_reference(y, pen, 2, grid, folds)
+        assert np.array_equal(rep.criterion, crit)
+        assert np.array_equal(rep.converged, conv)
+        assert np.array_equal(rep.iterations, iters)
+        assert rep.to_dict()["iterations"] == iters.tolist()
 
 
 class TestCvGamma:
