@@ -134,15 +134,12 @@ class QuadraticTerm:
 
     A stack of B factorizations has a leading batch axis: vectors B x p x p,
     values B x p, lam_max_yty and beta_max length B, and shifted_solve takes
-    B rho values and a B x p x K right-hand side.  scaled, when given, is a
-    buffer shaped like vectors that receives the vectors / (rho - values)
-    temporary instead of a fresh allocation on every solve.
+    B rho values and a B x p x K right-hand side.
     """
 
     vectors: np.ndarray
     values: np.ndarray
     lam_max_yty: float | np.ndarray
-    scaled: np.ndarray | None = None
 
     @property
     def beta_max(self) -> float | np.ndarray:
@@ -150,9 +147,9 @@ class QuadraticTerm:
         return self.values[..., -1][()]
 
     def shifted_solve(self, rho, rhs: np.ndarray) -> np.ndarray:
+        # p x K order: the p x p factor is read twice and never scaled
         shift = np.asarray(rho)[..., None] - self.values
-        scaled = np.divide(self.vectors, shift[..., None, :], out=self.scaled)
-        return scaled @ (np.swapaxes(self.vectors, -1, -2) @ rhs)
+        return self.vectors @ ((np.swapaxes(self.vectors, -1, -2) @ rhs) / shift[..., None])
 
 
 def _shrink(m: np.ndarray, tau) -> np.ndarray:
@@ -309,17 +306,11 @@ def _stack_chains(quads: Iterable[QuadraticTerm], count: int, p: int, k: int, wa
     """
     start = np.empty((count, p, k))
     if count > 1:
-        vectors = np.empty((count, p, p))
-        stack = QuadraticTerm(
-            vectors, np.empty((count, p)), np.empty(count), scaled=np.empty_like(vectors)
-        )
+        stack = QuadraticTerm(np.empty((count, p, p)), np.empty((count, p)), np.empty(count))
     c = -1
     for c, quad in enumerate(quads):
         if count == 1:
-            stack = QuadraticTerm(
-                quad.vectors[None], quad.values[None], np.array([quad.lam_max_yty]),
-                scaled=np.empty((1, p, p)),
-            )
+            stack = QuadraticTerm(quad.vectors[None], quad.values[None], np.array([quad.lam_max_yty]))
         else:
             stack.vectors[c], stack.values[c] = quad.vectors, quad.values
             stack.lam_max_yty[c] = quad.lam_max_yty
@@ -352,7 +343,7 @@ def fit_chains(
     the chain alone; the members are stepped as one stack through admm_step.
     A member that finishes its last tau2 is retired by moving the last
     active member into its slot.  quads is read once, in order (see
-    _stack_chains); the factor stack has a scratch stack of the same size.
+    _stack_chains).
     """
     count, k = len(ys), config.k
     for y in ys:
@@ -401,7 +392,7 @@ def fit_chains(
                         arr[i] = arr[active]
                 retired = True
         if retired:
-            quad = QuadraticTerm(*(a[:active] for a in factors), scaled=quad.scaled[:active])
+            quad = QuadraticTerm(*(a[:active] for a in factors))
             rho0, rho_cap, rho, chain, step, iters, tau2 = (a[:active] for a in members)
             blocks = tuple(block[:active] for block in blocks)
         state = AdmmState(*blocks, rho=rho)
