@@ -7,25 +7,36 @@ Minimizes, over p x K matrices Phi with orthonormal columns,
 
 by an augmented-Lagrangian splitting with an increasing penalty parameter
 rho.  Every update of the three-block scheme is in closed form: a shifted
-solve against the spectral factorization of Y'Y - tau1*omega, a polar factor
-for orthonormality and a soft threshold for sparsity.  The exactly
-orthonormal block is returned as the estimate.
+solve against tau1*omega + rho*I - Y'Y, a polar factor for orthonormality
+and a soft threshold for sparsity.  The exactly orthonormal block is
+returned as the estimate.
+
+The shifted solve has two forms, picked by the data's shape alone.  With at
+least as many rows as sites (n >= p), a QuadraticTerm holds one spectral
+factorization of Y'Y - tau1*omega per tau1 and serves every rho from it.
+With fewer rows (n < p), a LowRankTerm factors nothing per tau1: omega is
+factored once per domain, each solve is a Woodbury update through one n x n
+Cholesky, and the warm start is a top-K subset eigensolve.
 
 The iteration lives in fit_chains, which steps B independent chains as
-B x p x K arrays against a B x p x p stack of factorizations; admm_step
-takes that leading batch axis with a rho and a tau2 per member.  Each
-member gets exactly the arithmetic of a lone chain, so batching changes no
-bit and only spreads the per-call overhead of the small products over the
-members.  fit is the one-chain case.
+B x p x K arrays against a stack of B terms; admm_step takes that leading
+batch axis with a rho and a tau2 per member.  Each member gets exactly the
+arithmetic of a lone chain, so batching changes no bit and only spreads the
+per-call overhead of the small products over the members.  fit is the
+one-chain case.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import ClassVar
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from .tps import PenaltyOperator
 
@@ -35,9 +46,12 @@ __all__ = [
     "AdmmState",
     "EigenBasis",
     "QuadraticTerm",
+    "LowRankTerm",
     "soft_threshold",
     "initial_phi",
+    "quadratic_family",
     "precompute_quadratic",
+    "stacked_bytes",
     "admm_step",
     "fit_chains",
     "fit",
@@ -124,13 +138,22 @@ class EigenBasis:
     iterations: int
 
 
+def _below_floor(quad, rho, low) -> RhoTooSmallError:
+    """The error for the first member of a stack whose rho is at or below its floor."""
+    i = int(np.argmax(low))
+    return RhoTooSmallError(float(np.ravel(rho)[i]), float(np.ravel(quad.beta_max)[i]))
+
+
 @dataclass(frozen=True)
 class QuadraticTerm:
     """Spectral factorization of B = Y'Y - tau1*omega, shared across rho values.
 
     (tau1*omega + rho*I - Y'Y)^{-1} x = vectors diag(1/(rho - values)) vectors' x,
     valid whenever rho exceeds values[-1].  lam_max_yty is the largest
-    eigenvalue of Y'Y, ||Y||_2^2, used by the rho0 = "auto" rule.
+    eigenvalue of Y'Y, ||Y||_2^2, used by the rho0 = "auto" rule.  This is
+    the term for data with at least as many rows as sites (n >= p); see
+    LowRankTerm for n < p.  Both offer beta_max, leading(k) and
+    shifted_solve(rho, rhs), which raises RhoTooSmallError below the floor.
 
     A stack of B factorizations has a leading batch axis: vectors B x p x p,
     values B x p, lam_max_yty and beta_max length B, and shifted_solve takes
@@ -141,15 +164,111 @@ class QuadraticTerm:
     values: np.ndarray
     lam_max_yty: float | np.ndarray
 
+    # the arrays with one entry per member of a stack
+    BATCHED: ClassVar[tuple[str, ...]] = ("vectors", "values", "lam_max_yty")
+
     @property
     def beta_max(self) -> float | np.ndarray:
         """Largest eigenvalue of Y'Y - tau1*omega, one per member of a stack."""
         return self.values[..., -1][()]
 
+    def leading(self, k: int) -> np.ndarray:
+        """The top k eigenvectors of B, in descending order (one term, no stack)."""
+        return self.vectors[:, ::-1][:, :k]
+
     def shifted_solve(self, rho, rhs: np.ndarray) -> np.ndarray:
-        # p x K order: the p x p factor is read twice and never scaled
         shift = np.asarray(rho)[..., None] - self.values
+        low = shift[..., -1] <= 0.0
+        if low.any():
+            raise _below_floor(self, rho, low)
+        # p x K order: the p x p factor is read twice and never scaled
         return self.vectors @ ((np.swapaxes(self.vectors, -1, -2) @ rhs) / shift[..., None])
+
+
+def _rotated_b(yu: np.ndarray, tau1, values: np.ndarray) -> np.ndarray:
+    """U'BU = (YU)'(YU) - tau1*diag(values): B in omega's eigenbasis, same spectrum."""
+    b = yu.T @ yu
+    b[np.diag_indices_from(b)] -= tau1 * values
+    return b
+
+
+@dataclass(frozen=True)
+class LowRankTerm:
+    """B = Y'Y - tau1*omega for data with fewer rows than sites (n < p).
+
+    omega = U diag(d) U' is factored once per domain (PenaltyOperator.spectrum,
+    held here as vectors and values) and Y is kept in that basis, yu = Y U.
+    With A = U diag(tau1*d + rho) U', the Phi update solves against A - Y'Y
+    by the Woodbury identity
+
+        (A - Y'Y)^{-1} = A^{-1} + A^{-1} Y' (I - Y A^{-1} Y')^{-1} Y A^{-1},
+
+    which costs one n x n Cholesky per solve and no factorization per tau1.
+    By the Schur complement that Cholesky fails exactly when rho does not
+    exceed beta_max (or A itself is not positive definite), so it is the rho
+    floor check.  leading(k) is a top-k subset eigensolve of B; beta_max is
+    a top-1 eigensolve per member, computed on each access.
+
+    A stack has a leading batch axis on yu (B x n x p, one n for the whole
+    stack), tau1 and lam_max_yty; vectors and values are the domain's and
+    shared by every member.
+    """
+
+    vectors: np.ndarray
+    values: np.ndarray
+    yu: np.ndarray
+    tau1: float | np.ndarray
+    lam_max_yty: float | np.ndarray
+
+    BATCHED: ClassVar[tuple[str, ...]] = ("yu", "tau1", "lam_max_yty")
+
+    @property
+    def beta_max(self) -> float | np.ndarray:
+        """Largest eigenvalue of Y'Y - tau1*omega, one per member of a stack."""
+        p = self.vectors.shape[-1]
+        yus = self.yu.reshape(-1, *self.yu.shape[-2:])
+        tops = [
+            scipy.linalg.eigh(
+                _rotated_b(yu, tau1, self.values), eigvals_only=True,
+                subset_by_index=[p - 1, p - 1], overwrite_a=True, check_finite=False,
+            )[0]
+            for yu, tau1 in zip(yus, np.ravel(self.tau1))
+        ]
+        return np.reshape(tops, np.shape(self.tau1))[()]
+
+    def leading(self, k: int) -> np.ndarray:
+        """The top k eigenvectors of B, in descending order (one term, no stack)."""
+        p = self.vectors.shape[-1]
+        _, v = scipy.linalg.eigh(
+            _rotated_b(self.yu, self.tau1, self.values), subset_by_index=[p - k, p - 1],
+            overwrite_a=True, check_finite=False,
+        )
+        return self.vectors @ v[:, ::-1]
+
+    def shifted_solve(self, rho, rhs: np.ndarray) -> np.ndarray:
+        rho = np.asarray(rho)
+        a = np.asarray(self.tau1)[..., None] * self.values + rho[..., None]
+        low = a[..., 0] <= 0.0  # values ascend, so a[..., 0] is A's smallest eigenvalue
+        if low.any():
+            raise _below_floor(self, rho, low)
+        # symmetric form: v = A^{-1/2} U' rhs, yh = Y U A^{-1/2}, s = I - yh yh',
+        # solution U A^{-1/2} (v + yh' s^{-1} yh v)
+        root = np.sqrt(a)[..., None]
+        yh = self.yu / np.swapaxes(root, -1, -2)
+        yh_t = np.swapaxes(yh, -1, -2)
+        v = (self.vectors.T @ rhs) / root
+        n = yh.shape[-2]
+        s = (np.eye(n) - yh @ yh_t).reshape(-1, n, n)
+        t = (yh @ v).reshape(-1, n, v.shape[-1])
+        z = np.empty_like(t)
+        for i in range(len(s)):
+            _, z[i], info = lapack.dposv(s[i], t[i], lower=1)
+            if info:
+                raise _below_floor(self, rho, np.arange(len(s)) == i)
+        return self.vectors @ ((v + yh_t @ z.reshape(v.shape[:-2] + z.shape[-2:])) / root)
+
+
+Term = QuadraticTerm | LowRankTerm
 
 
 def _shrink(m: np.ndarray, tau) -> np.ndarray:
@@ -209,28 +328,51 @@ def _stop_measure(state: AdmmState, prev_phi: np.ndarray) -> np.ndarray:
     )
 
 
-def precompute_quadratic(y, penalty: PenaltyOperator, tau1: float) -> QuadraticTerm:
-    """Factor the Phi-update quadratic once; reusable across rho and tau2 values."""
+def quadratic_family(y, penalty: PenaltyOperator) -> Callable[[float], Term]:
+    """precompute_quadratic for one data set at any tau1: call the result with tau1.
+
+    The work that depends on the rows alone is done here, once: ||Y||_2^2,
+    and Y'Y (n >= p) or Y U (n < p, with omega = U D U' factored once per
+    penalty).  The shape alone picks the term: a QuadraticTerm, one p x p
+    eigendecomposition per tau1, when n >= p; a LowRankTerm, none, when n < p.
+    """
     y = _check_data(y, penalty)
-    yty = y.T @ y
-    yty = 0.5 * (yty + yty.T)
-    b = yty - tau1 * penalty.omega
-    b = 0.5 * (b + b.T)
-    values, vectors = np.linalg.eigh(b)
     # the n x p thin SVD is far cheaper than a p x p eigensolve when n < p
     lam_max = float(np.max(np.linalg.svd(y, compute_uv=False), initial=0.0) ** 2)
-    return QuadraticTerm(vectors=vectors, values=values, lam_max_yty=lam_max)
+    if y.shape[0] < y.shape[1]:
+        values, vectors = penalty.spectrum
+        return partial(LowRankTerm, vectors, values, y @ vectors, lam_max_yty=lam_max)
+    yty = y.T @ y
+    yty = 0.5 * (yty + yty.T)
+
+    def spectral(tau1: float) -> QuadraticTerm:
+        b = yty - tau1 * penalty.omega
+        values, vectors = np.linalg.eigh(0.5 * (b + b.T))
+        return QuadraticTerm(vectors=vectors, values=values, lam_max_yty=lam_max)
+
+    return spectral
 
 
-def initial_phi(quad: QuadraticTerm, k: int) -> np.ndarray:
+def precompute_quadratic(y, penalty: PenaltyOperator, tau1: float) -> Term:
+    """Factor the Phi-update quadratic once; reusable across rho and tau2 values."""
+    return quadratic_family(y, penalty)(tau1)
+
+
+def stacked_bytes(n: int, p: int) -> int:
+    """Bytes one chain's term adds to a stack: its p x p factorization when
+    n >= p, its n x p rows Y U when n < p (the domain's U is shared)."""
+    return 8 * (p * p + p + 1 if n >= p else n * p + 2)
+
+
+def initial_phi(quad: Term, k: int) -> np.ndarray:
     """Leading k eigenvectors of Y'Y - tau1*omega from quad, the no-sparsity warm start."""
-    p = quad.vectors.shape[0]
+    p = quad.vectors.shape[-1]
     if not 1 <= k <= p:
         raise ValueError(f"k must be in [1, p] = [1, {p}], got {k}")
-    return _fix_signs(quad.vectors[:, ::-1][:, :k])
+    return _fix_signs(quad.leading(k))
 
 
-def admm_step(state: AdmmState, quad: QuadraticTerm, tau2) -> AdmmState:
+def admm_step(state: AdmmState, quad: Term, tau2) -> AdmmState:
     """One three-block pass at the state's rho, quad from precompute_quadratic.
 
     For a stack of B chains, state holds B x p x K blocks and a length-B rho,
@@ -248,12 +390,6 @@ def admm_step(state: AdmmState, quad: QuadraticTerm, tau2) -> AdmmState:
     Raises RhoTooSmallError when rho does not exceed the largest eigenvalue
     of Y'Y - tau1*omega (carried as .min_rho), for the first such member.
     """
-    low = state.rho <= quad.beta_max
-    if low.any():
-        i = np.argmax(low)
-        raise RhoTooSmallError(
-            float(np.ravel(state.rho)[i]), float(np.ravel(quad.beta_max)[i])
-        )
     rho = np.asarray(state.rho)[..., None, None]
     rhs = rho * (state.q + state.r) - state.gamma1 - state.gamma2
     phi = 0.5 * quad.shifted_solve(state.rho, rhs)
@@ -296,24 +432,35 @@ def _finish(y, config, q, converged: bool, iterations: int) -> EigenBasis:
     )
 
 
-def _stack_chains(quads: Iterable[QuadraticTerm], count: int, p: int, k: int, warm_starts):
-    """The count factorizations as one stack, and each chain's starting basis.
+def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts):
+    """The count terms as one stack, and each chain's starting basis.
 
-    Each QuadraticTerm is copied into one preallocated stack and released,
-    so a generator of quads keeps a single unstacked one alive.  A lone
-    chain reads its factorization in place instead: at large p, where every
-    chain runs alone, the copy costs time and a p x p array per fit.
+    Each term's BATCHED arrays are copied into one preallocated stack and
+    the term is released, so a generator of quads keeps a single unstacked
+    one alive; what a term shares with every chain (the domain's spectrum of
+    omega) the stack shares too.  A lone chain reads its term in place
+    instead: at large p the copy costs time and a p x p array per fit.
     """
     start = np.empty((count, p, k))
-    if count > 1:
-        stack = QuadraticTerm(np.empty((count, p, p)), np.empty((count, p)), np.empty(count))
+    stack = None
     c = -1
     for c, quad in enumerate(quads):
-        if count == 1:
-            stack = QuadraticTerm(quad.vectors[None], quad.values[None], np.array([quad.lam_max_yty]))
-        else:
-            stack.vectors[c], stack.values[c] = quad.vectors, quad.values
-            stack.lam_max_yty[c] = quad.lam_max_yty
+        parts = {name: np.asarray(getattr(quad, name)) for name in quad.BATCHED}
+        if stack is None:
+            stack = replace(quad, **{
+                name: a[None] if count == 1 else np.empty((count, *a.shape))
+                for name, a in parts.items()
+            })
+        elif type(quad) is not type(stack) or any(
+            getattr(stack, name).shape[1:] != a.shape for name, a in parts.items()
+        ):
+            raise ValueError(
+                "chains stacked together need terms of one kind and shape: "
+                "with n < p, equal row counts"
+            )
+        if count > 1:
+            for name, a in parts.items():
+                getattr(stack, name)[c] = a
         start[c] = initial_phi(quad, k) if warm_starts is None else warm_starts[c]
     if c + 1 != count:
         raise ValueError(f"expected {count} factorizations, one per chain")
@@ -323,7 +470,7 @@ def _stack_chains(quads: Iterable[QuadraticTerm], count: int, p: int, k: int, wa
 def fit_chains(
     ys: Sequence[np.ndarray],
     tau1s: Sequence[float],
-    quads: Iterable[QuadraticTerm],
+    quads: Iterable[Term],
     config: SolverConfig,
     tau2_values: Sequence[float],
     warm_starts: Sequence[np.ndarray] | None = None,
@@ -343,7 +490,8 @@ def fit_chains(
     the chain alone; the members are stepped as one stack through admm_step.
     A member that finishes its last tau2 is retired by moving the last
     active member into its slot.  quads is read once, in order (see
-    _stack_chains).
+    _stack_chains); the terms must be of one kind, so when n < p every
+    chain must have the same number of rows.
     """
     count, k = len(ys), config.k
     for y in ys:
@@ -367,7 +515,7 @@ def fit_chains(
         converged = _stop_measure(state, prev_phi) <= config.tolerance
         rho = np.minimum(state.rho * config.rho_growth, rho_cap)
         blocks = (state.phi, state.q, state.r, state.gamma1, state.gamma2)
-        factors = (quad.vectors, quad.values, quad.lam_max_yty)
+        factors = tuple(getattr(quad, name) for name in quad.BATCHED)
         members = (rho0, rho_cap, rho, chain, step, iters, tau2)
         retired = False
         # descending, so the member moved into a retired slot was already handled
@@ -392,7 +540,7 @@ def fit_chains(
                         arr[i] = arr[active]
                 retired = True
         if retired:
-            quad = QuadraticTerm(*(a[:active] for a in factors))
+            quad = replace(quad, **{name: a[:active] for name, a in zip(quad.BATCHED, factors)})
             rho0, rho_cap, rho, chain, step, iters, tau2 = (a[:active] for a in members)
             blocks = tuple(block[:active] for block in blocks)
         state = AdmmState(*blocks, rho=rho)
@@ -403,7 +551,7 @@ def fit(
     penalty: PenaltyOperator,
     config: SolverConfig,
     warm_start=None,
-    quad: QuadraticTerm | None = None,
+    quad: Term | None = None,
 ) -> EigenBasis:
     """Estimate the regularized eigenbasis at the p sites: the one-chain fit_chains.
 

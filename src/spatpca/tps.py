@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -115,6 +116,20 @@ class PenaltyOperator:
     g: np.ndarray
     e: np.ndarray
     affine_qr: tuple
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, vectors)`` with ``omega = vectors diag(values) vectors'``,
+        values ascending.
+
+        Computed on first use and kept: the solver's Phi update for data with
+        fewer rows than sites reads it on every fit on this domain, so a
+        domain only ever fitted with n >= p never pays for it.
+        """
+        values, vectors = np.linalg.eigh(self.omega)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
 
 
 @dataclass(frozen=True)

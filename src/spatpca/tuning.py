@@ -20,12 +20,14 @@ FoldAssignment the caller passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .covariance import CovarianceModel, SampleCovariance, estimate_parameters
 from .covariance import _shrink, _sorted_eig_desc
-from .solver import EigenBasis, SolverConfig, fit, fit_chains, precompute_quadratic
+from .solver import EigenBasis, SolverConfig, fit, fit_chains, quadratic_family, stacked_bytes
 from .tps import PenaltyOperator
 
 __all__ = [
@@ -42,8 +44,8 @@ __all__ = [
     "select_and_fit",
 ]
 
-# cap on one cv_tau group's B x p x p factor stack plus its scratch copy:
-# 26 chains at p = 50, a single chain for p >= 256
+# cap on the stacked terms of one cv_tau group (solver.stacked_bytes per
+# chain): 51 chains at p = 50 (n >= p), 6 at p = 400 with 48 training rows
 _GROUP_BYTES = 1 << 20
 
 
@@ -203,20 +205,25 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     va_sq = [float(np.sum(y_va * y_va)) for _, y_va in splits]
     shape = (folds.m, t1s.size, t2s.size)
     loss, conv, iters = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=int)
-    cells = [(m, i) for m in range(folds.m) for i in range(t1s.size)]
-    size = max(1, _GROUP_BYTES // (2 * 8 * p * p))
     config = SolverConfig(k=k)
-    for start in range(0, len(cells), size):
-        group = cells[start : start + size]
-        ys = [splits[m][0] for m, _ in group]
-        tau1s = [float(t1s[i]) for _, i in group]
-        quads = (precompute_quadratic(y_tr, penalty, t1) for y_tr, t1 in zip(ys, tau1s))
-        for c, j, basis in fit_chains(ys, tau1s, quads, config, t2s):
-            m, i = group[c]
-            proj = splits[m][1] @ basis.phi
-            loss[m, i, j] = va_sq[m] - float(np.sum(proj * proj))
-            conv[m, i, j] = basis.converged
-            iters[m, i, j] = basis.iterations
+    # Y'Y or Y U, and ||Y||_2^2, once per fold; the cells run fold by fold
+    family = lru_cache(maxsize=1)(lambda m: quadratic_family(splits[m][0], penalty))
+    # with n < p only chains of equal row counts stack, so folds go by training size
+    by_rows = sorted(range(folds.m), key=lambda m: splits[m][0].shape[0])
+    for rows, same in groupby(by_rows, key=lambda m: splits[m][0].shape[0]):
+        cells = [(m, i) for m in same for i in range(t1s.size)]
+        size = max(1, _GROUP_BYTES // stacked_bytes(rows, p))
+        for start in range(0, len(cells), size):
+            group = cells[start : start + size]
+            ys = [splits[m][0] for m, _ in group]
+            tau1s = [float(t1s[i]) for _, i in group]
+            quads = (family(m)(t1) for (m, _), t1 in zip(group, tau1s))
+            for c, j, basis in fit_chains(ys, tau1s, quads, config, t2s):
+                m, i = group[c]
+                proj = splits[m][1] @ basis.phi
+                loss[m, i, j] = va_sq[m] - float(np.sum(proj * proj))
+                conv[m, i, j] = basis.converged
+                iters[m, i, j] = basis.iterations
     crit = np.zeros(shape[1:])
     for fold_loss in loss:
         crit += fold_loss

@@ -11,7 +11,8 @@ QR factors.  Slow and simple on purpose.
 The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
 time, so that the stacked chains of solver.fit_chains can be required to
-match it bit for bit.
+match it bit for bit.  spectral_term builds the package's n >= p term for
+any data, the reference for the Woodbury term the package uses when n < p.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from spatpca import RhoTooSmallError, SolverConfig
-from spatpca.solver import AdmmState, _finish, admm_step, initial_phi, precompute_quadratic
+from spatpca.solver import (
+    AdmmState,
+    QuadraticTerm,
+    _finish,
+    admm_step,
+    initial_phi,
+    precompute_quadratic,
+)
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -211,6 +219,15 @@ def fit_lasso_inner(y, penalty, config) -> LassoInnerFit:
             break
         rho = min(rho * config.rho_growth, 1e12 * rho0)
     return LassoInnerFit(phi=q, converged=converged, iterations=iterations)
+
+
+def spectral_term(y, penalty, tau1) -> QuadraticTerm:
+    """The full eigendecomposition of Y'Y - tau1*omega as a QuadraticTerm,
+    whatever the shape of y (precompute_quadratic builds it only for n >= p)."""
+    y = np.asarray(y, dtype=float)
+    b = y.T @ y - tau1 * penalty.omega
+    values, vectors = np.linalg.eigh(0.5 * (b + b.T))
+    return QuadraticTerm(vectors, values, float(np.linalg.norm(y, 2) ** 2))
 
 
 def fit_reference(y, penalty, config, warm_start=None, quad=None):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.linalg
+
 import spatpca.cli
 import spatpca.tps
 from spatpca import (
@@ -23,6 +25,7 @@ from spatpca import (
 )
 from spatpca.solver import (
     AdmmState,
+    LowRankTerm,
     QuadraticTerm,
     admm_step,
     fit_chains,
@@ -33,7 +36,14 @@ from spatpca.solver import (
     _polar,
 )
 
-from checks import fit_lasso_inner, fit_reference, lasso_cd, principal_angle, smooth_rank1_data
+from checks import (
+    fit_lasso_inner,
+    fit_reference,
+    lasso_cd,
+    principal_angle,
+    smooth_rank1_data,
+    spectral_term,
+)
 
 
 def _state_at_eigvecs(y, k, tau2_free=True):
@@ -100,6 +110,20 @@ class TestInitialPhi:
         assert principal_angle(phi, v[:, ::-1][:, :3]) < 1e-8
         assert np.abs(phi.T @ phi - np.eye(3)).max() < 1e-12
 
+    def test_subset_eigensolve_matches_full_eigh(self, penalty_1d):
+        # n < p: the top-k subset eigensolve of the low-rank term against the
+        # leading columns of a full eigendecomposition
+        rng = np.random.default_rng(25)
+        y = rng.standard_normal((15, 50))
+        for tau1 in (0.0, 10.0, 1000.0):
+            quad = precompute_quadratic(y, penalty_1d, tau1)
+            assert isinstance(quad, LowRankTerm)
+            full = spectral_term(y, penalty_1d, tau1)
+            for k in (1, 3):
+                phi = initial_phi(quad, k)
+                assert principal_angle(phi, full.vectors[:, ::-1][:, :k]) < 1e-10
+                assert np.abs(phi.T @ phi - np.eye(k)).max() < 1e-12
+
     def test_rejects_bad_rank(self, small_penalty):
         # k > n is rejected by fit (TestFit.test_data_validation)
         y = np.random.default_rng(0).standard_normal((5, 12))
@@ -164,15 +188,18 @@ class TestAdmmStep:
 
     def test_shifted_solve_matches_dense_inverse(self, small_penalty):
         rng = np.random.default_rng(9)
-        y = rng.standard_normal((20, 12))
         tau1 = 3.0
-        quad = precompute_quadratic(y, small_penalty, tau1)
-        rho = 10.0 * quad.lam_max_yty
-        rhs = rng.standard_normal((12, 2))
-        direct = np.linalg.solve(
-            tau1 * small_penalty.omega + rho * np.eye(12) - y.T @ y, rhs
-        )
-        assert np.abs(quad.shifted_solve(rho, rhs) - direct).max() < 1e-10
+        # n >= p: spectral term; n < p: Woodbury term
+        for n, kind in ((20, QuadraticTerm), (7, LowRankTerm)):
+            y = rng.standard_normal((n, 12))
+            quad = precompute_quadratic(y, small_penalty, tau1)
+            assert type(quad) is kind
+            rho = 10.0 * quad.lam_max_yty
+            rhs = rng.standard_normal((12, 2))
+            direct = np.linalg.solve(
+                tau1 * small_penalty.omega + rho * np.eye(12) - y.T @ y, rhs
+            )
+            assert np.abs(quad.shifted_solve(rho, rhs) - direct).max() < 1e-10
 
     def test_lam_max_is_largest_eigenvalue_of_yty(self, small_penalty):
         rng = np.random.default_rng(24)
@@ -366,6 +393,81 @@ class TestFit:
         assert counts[-1] > counts[0]
 
 
+class TestLowRankTerm:
+    """The n < p Woodbury term against the spectral term on the same data."""
+
+    def test_fit_matches_spectral_term(self, penalty_1d, domain_1d):
+        rng = np.random.default_rng(26)
+        y, _ = smooth_rank1_data(rng, domain_1d.locations[:, 0], 20)
+        for cfg in (
+            SolverConfig(tau1=0.0, tau2=0.0, k=2),
+            SolverConfig(tau1=10.0, tau2=1.0, k=2),
+            SolverConfig(tau1=100.0, tau2=10.0, k=3),
+        ):
+            quad = precompute_quadratic(y, penalty_1d, cfg.tau1)
+            assert isinstance(quad, LowRankTerm)
+            got = fit(y, penalty_1d, cfg, quad=quad)
+            want = fit(y, penalty_1d, cfg, quad=spectral_term(y, penalty_1d, cfg.tau1))
+            assert got.converged and want.converged
+            assert got.iterations == want.iterations
+            assert np.abs(got.phi - want.phi).max() < 1e-10
+
+    def test_rho_floor_matches_spectral_term(self, penalty_1d):
+        rng = np.random.default_rng(27)
+        y = rng.standard_normal((15, 50))
+        for tau1 in (0.0, 3.0):
+            low = precompute_quadratic(y, penalty_1d, tau1)
+            full = spectral_term(y, penalty_1d, tau1)
+            assert low.beta_max == pytest.approx(full.beta_max, rel=1e-12)
+            phi0 = initial_phi(full, 2)
+            for factor, raises in ((0.5, True), (0.999, True), (1.001, False)):
+                state = AdmmState(
+                    phi=phi0, q=phi0, r=phi0, gamma1=0 * phi0, gamma2=0 * phi0,
+                    rho=factor * full.beta_max,
+                )
+                errors = []
+                for quad in (low, full):
+                    try:
+                        admm_step(state, quad, 0.0)
+                    except RhoTooSmallError as err:
+                        errors.append(err.min_rho)
+                assert len(errors) == (2 if raises else 0)
+                if raises:
+                    assert errors[0] == pytest.approx(errors[1], rel=1e-12)
+
+    def test_no_pxp_eigendecomposition_per_fit(self, domain_2d, monkeypatch):
+        # n < p: omega is decomposed once per penalty, and no (fold, tau1)
+        # cell or later fit on that penalty decomposes a p x p matrix in full
+        from spatpca import cv_tau, default_log_grid
+
+        p = domain_2d.p
+        penalty = build_penalty(domain_2d)
+        full, subset = [], []
+        numpy_eigh, scipy_eigh = np.linalg.eigh, scipy.linalg.eigh
+
+        def counting_numpy(a, *args, **kwargs):
+            full.append(np.shape(a))
+            return numpy_eigh(a, *args, **kwargs)
+
+        def counting_scipy(a, *args, **kwargs):
+            subset.append((np.shape(a), kwargs.get("subset_by_index")))
+            return scipy_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_numpy)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_scipy)
+        rng = np.random.default_rng(28)
+        y = rng.standard_normal((20, p))
+        grid = TuningGrid(tau1_values=default_log_grid(3), tau2_values=[0.0, 1.0])
+        cv_tau(y, penalty, 2, grid, partition_folds(20, 4, seed=0))
+        assert [shape for shape in full if shape == (p, p)] == [(p, p)]
+        assert subset == [((p, p), [p - 2, p - 1])] * 12
+        full.clear()
+        subset.clear()
+        fit(y, penalty, SolverConfig(tau1=1.0, tau2=1.0, k=2))
+        assert [shape for shape in full if shape == (p, p)] == []
+        assert subset == [((p, p), [p - 2, p - 1])]
+
+
 class TestFitChains:
     def test_fit_matches_lone_chain_reference_bitwise(self, small_penalty):
         y = np.random.default_rng(30).standard_normal((30, 12))
@@ -383,31 +485,47 @@ class TestFitChains:
     def test_member_at_its_cap_matches_separate_fits(self, small_penalty):
         # members of the stack run out of iterations while others converge,
         # and some finish on the same step; each must still get exactly the
-        # bits it gets alone, and each (chain, tau2) is reported once
+        # bits it gets alone, and each (chain, tau2) is reported once.  The
+        # second design has fewer rows than sites: a stack of Woodbury terms.
         rng = np.random.default_rng(31)
-        ys = [rng.standard_normal((30, 12)), 5.0 * rng.standard_normal((24, 12))]
-        chains = [(m, t1) for t1 in (0.0, 10.0, 100.0) for m in (0, 1)]
-        tau2s = [1.0, 30.0, 300.0]
-        cfg = SolverConfig(k=2, max_iterations=24)
-        expected = {}
-        for c, (m, t1) in enumerate(chains):
-            warm = None
-            for j, t2 in enumerate(tau2s):
-                basis = fit(ys[m], small_penalty, replace(cfg, tau1=t1, tau2=t2), warm_start=warm)
-                expected[c, j] = basis
-                warm = basis.phi
-        assert {b.converged for b in expected.values()} == {True, False}
+        designs = [
+            [rng.standard_normal((30, 12)), 5.0 * rng.standard_normal((24, 12))],
+            [rng.standard_normal((8, 12)), 5.0 * rng.standard_normal((8, 12))],
+        ]
+        for ys in designs:
+            chains = [(m, t1) for t1 in (0.0, 10.0, 100.0) for m in (0, 1)]
+            tau2s = [1.0, 30.0, 300.0]
+            cfg = SolverConfig(k=2, max_iterations=24)
+            expected = {}
+            for c, (m, t1) in enumerate(chains):
+                warm = None
+                for j, t2 in enumerate(tau2s):
+                    basis = fit(
+                        ys[m], small_penalty, replace(cfg, tau1=t1, tau2=t2), warm_start=warm
+                    )
+                    expected[c, j] = basis
+                    warm = basis.phi
+            assert {b.converged for b in expected.values()} == {True, False}
 
-        members = [ys[m] for m, _ in chains]
-        tau1s = [t1 for _, t1 in chains]
-        quads = (precompute_quadratic(y, small_penalty, t1) for y, t1 in zip(members, tau1s))
-        results = list(fit_chains(members, tau1s, quads, cfg, tau2s))
-        got = {(c, j): b for c, j, b in results}
-        assert len(results) == len(got) and got.keys() == expected.keys()
-        for key, want in expected.items():
-            assert np.array_equal(got[key].phi, want.phi)
-            assert (got[key].converged, got[key].iterations) == (want.converged, want.iterations)
-            assert got[key].config == want.config
+            members = [ys[m] for m, _ in chains]
+            tau1s = [t1 for _, t1 in chains]
+            quads = (precompute_quadratic(y, small_penalty, t1) for y, t1 in zip(members, tau1s))
+            results = list(fit_chains(members, tau1s, quads, cfg, tau2s))
+            got = {(c, j): b for c, j, b in results}
+            assert len(results) == len(got) and got.keys() == expected.keys()
+            for key, want in expected.items():
+                assert np.array_equal(got[key].phi, want.phi)
+                assert (got[key].converged, got[key].iterations) == (
+                    want.converged, want.iterations
+                )
+                assert got[key].config == want.config
+
+    def test_low_rank_stack_needs_equal_row_counts(self, small_penalty):
+        rng = np.random.default_rng(33)
+        ys = [rng.standard_normal((8, 12)), rng.standard_normal((7, 12))]
+        quads = [precompute_quadratic(y, small_penalty, 1.0) for y in ys]
+        with pytest.raises(ValueError, match="equal row counts"):
+            list(fit_chains(ys, [1.0, 1.0], quads, SolverConfig(k=2), [0.0]))
 
     def test_stacked_step_reports_first_member_below_floor(self, small_penalty):
         y = np.random.default_rng(32).standard_normal((25, 12))
