@@ -138,9 +138,9 @@ class EigenBasis:
     iterations: int
 
 
-def _below_floor(quad, rho, low) -> RhoTooSmallError:
-    """The error for the first member of a stack whose rho is at or below its floor."""
-    i = int(np.argmax(low))
+def _below_floor(quad, rho, i) -> RhoTooSmallError:
+    """The error for member i of a stack (0 for a lone term), whose rho is at
+    or below its floor."""
     return RhoTooSmallError(float(np.ravel(rho)[i]), float(np.ravel(quad.beta_max)[i]))
 
 
@@ -180,7 +180,7 @@ class QuadraticTerm:
         shift = np.asarray(rho)[..., None] - self.values
         low = shift[..., -1] <= 0.0
         if low.any():
-            raise _below_floor(self, rho, low)
+            raise _below_floor(self, rho, np.argmax(low))
         # p x K order: the p x p factor is read twice and never scaled
         return self.vectors @ ((np.swapaxes(self.vectors, -1, -2) @ rhs) / shift[..., None])
 
@@ -250,7 +250,7 @@ class LowRankTerm:
         a = np.asarray(self.tau1)[..., None] * self.values + rho[..., None]
         low = a[..., 0] <= 0.0  # values ascend, so a[..., 0] is A's smallest eigenvalue
         if low.any():
-            raise _below_floor(self, rho, low)
+            raise _below_floor(self, rho, np.argmax(low))
         # symmetric form: v = A^{-1/2} U' rhs, yh = Y U A^{-1/2}, s = I - yh yh',
         # solution U A^{-1/2} (v + yh' s^{-1} yh v)
         root = np.sqrt(a)[..., None]
@@ -259,13 +259,14 @@ class LowRankTerm:
         v = (self.vectors.T @ rhs) / root
         n = yh.shape[-2]
         s = (np.eye(n) - yh @ yh_t).reshape(-1, n, n)
-        t = (yh @ v).reshape(-1, n, v.shape[-1])
+        t = yh @ v
         z = np.empty_like(t)
-        for i in range(len(s)):
-            _, z[i], info = lapack.dposv(s[i], t[i], lower=1)
+        members = zip(s, t.reshape(len(s), n, -1), z.reshape(len(s), n, -1))
+        for i, (s_i, t_i, z_i) in enumerate(members):
+            _, z_i[...], info = lapack.dposv(s_i, t_i, lower=1)
             if info:
-                raise _below_floor(self, rho, np.arange(len(s)) == i)
-        return self.vectors @ ((v + yh_t @ z.reshape(v.shape[:-2] + z.shape[-2:])) / root)
+                raise _below_floor(self, rho, i)
+        return self.vectors @ ((v + yh_t @ z) / root)
 
 
 Term = QuadraticTerm | LowRankTerm

@@ -5,11 +5,12 @@ fitted on the training folds; the gamma criterion scores how well the fitted
 covariance built from training folds matches the held-out sample covariance.
 Phi is orthonormal, so both scores need only the K basis coordinates Y Phi
 and a few traces: the CV scores form no p x p matrix.  Each (fold, tau1)
-cell is one chain: one spectral factorization, then fits along increasing
+cell is one chain: one Phi-update term (solver.quadratic_family, from
+per-fold pieces shared by the fold's chains), then fits along increasing
 tau2, each warm started from the last, which is where nearly all of the
 compute goes.  cv_tau steps groups of chains together through
 solver.fit_chains; a group holds as many chains as fit in _GROUP_BYTES of
-stacked factorizations.
+stacked terms.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
 on all rows, gamma by CV, then the closed-form covariance step, which forms
@@ -190,10 +191,10 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
 
     The M x T1 (fold, tau1) chains run in groups of stacked chains through
     solver.fit_chains, each chain along the whole tau2 grid; a group holds
-    as many as fit in _GROUP_BYTES, so large p runs one chain at a time.
-    Every fit is bit-identical to fitting its cell alone, and the folds'
-    terms are summed in fold order, so the grouping never changes a bit of
-    the report.
+    chains of one training row count, as many as fit in _GROUP_BYTES by
+    solver.stacked_bytes.  Every fit is bit-identical to fitting its cell
+    alone, and the folds' terms are summed in fold order, so the grouping
+    never changes a bit of the report.
     """
     y = np.asarray(y, dtype=float)
     n, p = y.shape
