@@ -35,10 +35,13 @@ from functools import partial
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .tps import PenaltyOperator
+
+# after .tps, which imports scipy.linalg first: imported ahead of it here,
+# `import spatpca` took about 10% longer (garbage-collection timing)
+import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "RhoTooSmallError",
