@@ -11,12 +11,15 @@ solve against tau1*omega + rho*I - Y'Y, a polar factor for orthonormality
 and a soft threshold for sparsity.  The exactly orthonormal block is
 returned as the estimate.
 
-The shifted solve has two forms, picked by the data's shape alone.  With at
-least as many rows as sites (n >= p), a QuadraticTerm holds one spectral
-factorization of Y'Y - tau1*omega per tau1 and serves every rho from it.
-With fewer rows (n < p), a LowRankTerm factors nothing per tau1: omega is
-factored once per domain, each solve is a Woodbury update through one n x n
-Cholesky, and the warm start is a top-K subset eigensolve.
+The shifted solve has two forms.  A QuadraticTerm holds one spectral
+factorization of Y'Y - tau1*omega per tau1 and serves every rho from it; a
+lone fit (precompute_quadratic) always uses it.  A LowRankTerm factors
+nothing per tau1: omega is factored once per domain, each solve is a
+Woodbury update through one n x n Cholesky, and the warm start is a top-K
+subset eigensolve.  It saves a full eigensolve per chain but costs more per
+step, and it pays only where many chains share omega's factorization, so
+quadratic_family, which cv_tau calls once per fold, picks it from the shape
+and the length of the tau2 path alone (_low_rank_pays).
 
 The iteration lives in fit_chains, which steps B independent chains as
 B x p x K arrays against a stack of B terms; admm_step takes that leading
@@ -154,9 +157,10 @@ class QuadraticTerm:
     (tau1*omega + rho*I - Y'Y)^{-1} x = vectors diag(1/(rho - values)) vectors' x,
     valid whenever rho exceeds values[-1].  lam_max_yty is the largest
     eigenvalue of Y'Y, ||Y||_2^2, used by the rho0 = "auto" rule.  This is
-    the term for data with at least as many rows as sites (n >= p); see
-    LowRankTerm for n < p.  Both offer beta_max, leading(k) and
-    shifted_solve(rho, rhs), which raises RhoTooSmallError below the floor.
+    the term of every lone fit and, in cv_tau, of data that do not have
+    far fewer rows than sites; see LowRankTerm for the rest.  Both offer
+    beta_max, leading(k) and shifted_solve(rho, rhs), which raises
+    RhoTooSmallError below the floor.
 
     A stack of B factorizations has a leading batch axis: vectors B x p x p,
     values B x p, lam_max_yty and beta_max length B, and shifted_solve takes
@@ -197,7 +201,7 @@ def _rotated_b(yu: np.ndarray, tau1, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LowRankTerm:
-    """B = Y'Y - tau1*omega for data with fewer rows than sites (n < p).
+    """B = Y'Y - tau1*omega for data with far fewer rows than sites.
 
     omega = U diag(d) U' is factored once per domain (PenaltyOperator.spectrum,
     held here as vectors and values) and Y is kept in that basis, yu = Y U.
@@ -332,20 +336,30 @@ def _stop_measure(state: AdmmState, prev_phi: np.ndarray) -> np.ndarray:
     )
 
 
-def quadratic_family(y, penalty: PenaltyOperator) -> Callable[[float], Term]:
-    """precompute_quadratic for one data set at any tau1: call the result with tau1.
+def _low_rank_pays(n: int, p: int, tau2_count: int) -> bool:
+    """Whether cv_tau's chains on n rows and p sites, each along tau2_count
+    tau2 values, run faster on LowRankTerm than on QuadraticTerm.
 
-    The work that depends on the rows alone is done here, once: ||Y||_2^2,
-    and Y'Y (n >= p) or Y U (n < p, with omega = U D U' factored once per
-    penalty).  The shape alone picks the term: a QuadraticTerm, one p x p
-    eigendecomposition per tau1, when n >= p; a LowRankTerm, none, when n < p.
+    Per chain the low-rank term saves a full p x p eigensolve less a top-K
+    one, about p^3 flops, and pays about n^2 p more per step, with about 20
+    steps per tau2 value: it pays while n sqrt(T2) stays below a fixed
+    fraction of p.  On select_and_fit (5 folds, 11 tau1 values, one BLAS
+    thread, 2-core Xeon) the two terms broke even with one tau2 value at
+    0.38 p training rows for p = 400 and 0.37 p for p = 900; with 4 values
+    at 0.23 p and 0.18-0.22 p; with 31 at 0.12 p and 0.07 p.  The switch,
+    n sqrt(T2) < 3p/8, is at or below each of these.  A lone fit
+    has no chains to share omega's factorization with, so it never takes
+    the low-rank term.
     """
-    y = _check_data(y, penalty)
+    return 8 * n * math.sqrt(tau2_count) < 3 * p
+
+
+def _lam_max(y: np.ndarray) -> float:
     # the n x p thin SVD is far cheaper than a p x p eigensolve when n < p
-    lam_max = float(np.max(np.linalg.svd(y, compute_uv=False), initial=0.0) ** 2)
-    if y.shape[0] < y.shape[1]:
-        values, vectors = penalty.spectrum
-        return partial(LowRankTerm, vectors, values, y @ vectors, lam_max_yty=lam_max)
+    return float(np.max(np.linalg.svd(y, compute_uv=False), initial=0.0) ** 2)
+
+
+def _spectral_family(y: np.ndarray, penalty: PenaltyOperator, lam_max: float):
     yty = y.T @ y
     yty = 0.5 * (yty + yty.T)
 
@@ -357,15 +371,41 @@ def quadratic_family(y, penalty: PenaltyOperator) -> Callable[[float], Term]:
     return spectral
 
 
-def precompute_quadratic(y, penalty: PenaltyOperator, tau1: float) -> Term:
-    """Factor the Phi-update quadratic once; reusable across rho and tau2 values."""
-    return quadratic_family(y, penalty)(tau1)
+def quadratic_family(
+    y, penalty: PenaltyOperator, tau2_count: int
+) -> Callable[[float], Term]:
+    """The Phi-update terms of one data set for chains along tau2_count tau2
+    values: call the result with tau1.
+
+    The work that depends on the rows alone is done here, once: ||Y||_2^2,
+    and Y'Y or Y U (omega = U D U', factored once per penalty).  The shape
+    and tau2_count alone pick the term (_low_rank_pays): a LowRankTerm,
+    no eigendecomposition per tau1, for far fewer rows than sites; a
+    QuadraticTerm, one p x p eigendecomposition per tau1, otherwise.
+    """
+    y = _check_data(y, penalty)
+    lam_max = _lam_max(y)
+    if _low_rank_pays(*y.shape, tau2_count):
+        values, vectors = penalty.spectrum
+        return partial(LowRankTerm, vectors, values, y @ vectors, lam_max_yty=lam_max)
+    return _spectral_family(y, penalty, lam_max)
 
 
-def stacked_bytes(n: int, p: int) -> int:
-    """Bytes one chain's term adds to a stack: its p x p factorization when
-    n >= p, its n x p rows Y U when n < p (the domain's U is shared)."""
-    return 8 * (p * p + p + 1 if n >= p else n * p + 2)
+def precompute_quadratic(y, penalty: PenaltyOperator, tau1: float) -> QuadraticTerm:
+    """Factor the Phi-update quadratic once; reusable across rho and tau2 values.
+
+    The term of a lone fit: the spectral one whatever the data's shape, since
+    one eigendecomposition of B costs less than omega's plus a subset solve.
+    """
+    y = _check_data(y, penalty)
+    return _spectral_family(y, penalty, _lam_max(y))(tau1)
+
+
+def stacked_bytes(n: int, p: int, tau2_count: int) -> int:
+    """Bytes one chain's term from quadratic_family(., ., tau2_count) adds to
+    a stack: its p x p factorization, or for a LowRankTerm its n x p rows
+    Y U (the domain's U is shared)."""
+    return 8 * (n * p + 2 if _low_rank_pays(n, p, tau2_count) else p * p + p + 1)
 
 
 def initial_phi(quad: Term, k: int) -> np.ndarray:
@@ -460,7 +500,7 @@ def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts
         ):
             raise ValueError(
                 "chains stacked together need terms of one kind and shape: "
-                "with n < p, equal row counts"
+                "low-rank terms need equal row counts"
             )
         if count > 1:
             for name, a in parts.items():
@@ -494,8 +534,8 @@ def fit_chains(
     the chain alone; the members are stepped as one stack through admm_step.
     A member that finishes its last tau2 is retired by moving the last
     active member into its slot.  quads is read once, in order (see
-    _stack_chains); the terms must be of one kind, so when n < p every
-    chain must have the same number of rows.
+    _stack_chains); the terms must be of one kind, and LowRankTerm chains
+    must all have the same number of rows.
     """
     count, k = len(ys), config.k
     for y in ys:

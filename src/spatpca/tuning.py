@@ -46,7 +46,8 @@ __all__ = [
 ]
 
 # cap on the stacked terms of one cv_tau group (solver.stacked_bytes per
-# chain): 51 chains at p = 50 (n >= p), 6 at p = 400 with 48 training rows
+# chain): 51 spectral chains at p = 50, 6 low-rank ones at p = 400 with 48
+# training rows and one tau2 value
 _GROUP_BYTES = 1 << 20
 
 
@@ -208,12 +209,12 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     loss, conv, iters = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=int)
     config = SolverConfig(k=k)
     # Y'Y or Y U, and ||Y||_2^2, once per fold; the cells run fold by fold
-    family = lru_cache(maxsize=1)(lambda m: quadratic_family(splits[m][0], penalty))
-    # with n < p only chains of equal row counts stack, so folds go by training size
+    family = lru_cache(maxsize=1)(lambda m: quadratic_family(splits[m][0], penalty, t2s.size))
+    # low-rank chains stack only with equal row counts, so folds go by training size
     by_rows = sorted(range(folds.m), key=lambda m: splits[m][0].shape[0])
     for rows, same in groupby(by_rows, key=lambda m: splits[m][0].shape[0]):
         cells = [(m, i) for m in same for i in range(t1s.size)]
-        size = max(1, _GROUP_BYTES // stacked_bytes(rows, p))
+        size = max(1, _GROUP_BYTES // stacked_bytes(rows, p, t2s.size))
         for start in range(0, len(cells), size):
             group = cells[start : start + size]
             ys = [splits[m][0] for m, _ in group]
@@ -343,15 +344,21 @@ def select_and_fit(
     estimate_parameters on the full sample covariance.
 
     Pin a penalty axis with restrict_grid.  max_iterations caps the final
-    fit only; the CV fits keep SolverConfig's default cap.
+    fit only; the CV fits keep SolverConfig's default cap.  With both axes
+    pinned the refit is a lone fit, on the spectral term.
     """
-    tau_report = None
+    tau_report, quad = None, None
     if grid.tau1_values.size * grid.tau2_values.size > 1:
         tau_report = cv_tau(y, penalty, k, grid, folds)
         t1, t2 = tau_report.selected
+        # the refit takes the term of one more cv_tau chain: the choice is
+        # monotone in the row count, so it reuses omega's decomposition only
+        # where the fold chains already paid for it
+        quad = quadratic_family(y, penalty, grid.tau2_values.size)(t1)
     else:
         t1, t2 = float(grid.tau1_values[0]), float(grid.tau2_values[0])
-    basis = fit(y, penalty, SolverConfig(tau1=t1, tau2=t2, k=k, max_iterations=max_iterations))
+    config = SolverConfig(tau1=t1, tau2=t2, k=k, max_iterations=max_iterations)
+    basis = fit(y, penalty, config, quad=quad)
     gamma_report = None
     if gamma is None:
         gamma_report = cv_gamma(y, basis, grid, folds)

@@ -11,8 +11,8 @@ QR factors.  Slow and simple on purpose.
 The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
 time, so that the stacked chains of solver.fit_chains can be required to
-match it bit for bit.  spectral_term builds the package's n >= p term for
-any data, the reference for the Woodbury term the package uses when n < p.
+match it bit for bit.  low_rank_term builds the package's Woodbury term for
+any data, to be checked against the spectral term of precompute_quadratic.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from scipy.interpolate import CubicSpline
 from spatpca import RhoTooSmallError, SolverConfig
 from spatpca.solver import (
     AdmmState,
-    QuadraticTerm,
+    LowRankTerm,
     _finish,
     admm_step,
     initial_phi,
     precompute_quadratic,
+    quadratic_family,
 )
 
 
@@ -221,13 +222,12 @@ def fit_lasso_inner(y, penalty, config) -> LassoInnerFit:
     return LassoInnerFit(phi=q, converged=converged, iterations=iterations)
 
 
-def spectral_term(y, penalty, tau1) -> QuadraticTerm:
-    """The full eigendecomposition of Y'Y - tau1*omega as a QuadraticTerm,
-    whatever the shape of y (precompute_quadratic builds it only for n >= p)."""
+def low_rank_term(y, penalty, tau1) -> LowRankTerm:
+    """The Woodbury term for Y'Y - tau1*omega, whatever the shape of y
+    (the package builds it only in cv_tau, for far fewer rows than sites)."""
     y = np.asarray(y, dtype=float)
-    b = y.T @ y - tau1 * penalty.omega
-    values, vectors = np.linalg.eigh(0.5 * (b + b.T))
-    return QuadraticTerm(vectors, values, float(np.linalg.norm(y, 2) ** 2))
+    values, vectors = penalty.spectrum
+    return LowRankTerm(vectors, values, y @ vectors, tau1, float(np.linalg.norm(y, 2) ** 2))
 
 
 def fit_reference(y, penalty, config, warm_start=None, quad=None):
@@ -274,7 +274,7 @@ def fit_reference(y, penalty, config, warm_start=None, quad=None):
 def cv_tau_reference(y, penalty, k, grid, folds):
     """(criterion, converged, iterations) of cv_tau, one cell at a time.
 
-    For each fold and tau1, one factorization, then fit_reference along the
+    For each fold and tau1, the term cv_tau uses, then fit_reference along the
     tau2 grid, each fit warm started from the last; the held-out error is
     accumulated into the criterion in fold order.
     """
@@ -288,7 +288,7 @@ def cv_tau_reference(y, penalty, k, grid, folds):
         y_tr, y_va = y[~mask], y[mask]
         va_sq = float(np.sum(y_va * y_va))
         for i, t1 in enumerate(t1s):
-            quad = precompute_quadratic(y_tr, penalty, t1)
+            quad = quadratic_family(y_tr, penalty, t2s.size)(t1)
             warm = None
             for j, t2 in enumerate(t2s):
                 cfg = SolverConfig(tau1=float(t1), tau2=float(t2), k=k)

@@ -31,7 +31,9 @@ from spatpca.solver import (
     fit_chains,
     initial_phi,
     precompute_quadratic,
+    quadratic_family,
     soft_threshold,
+    stacked_bytes,
     _fro,
     _polar,
 )
@@ -40,9 +42,9 @@ from checks import (
     fit_lasso_inner,
     fit_reference,
     lasso_cd,
+    low_rank_term,
     principal_angle,
     smooth_rank1_data,
-    spectral_term,
 )
 
 
@@ -116,9 +118,8 @@ class TestInitialPhi:
         rng = np.random.default_rng(25)
         y = rng.standard_normal((15, 50))
         for tau1 in (0.0, 10.0, 1000.0):
-            quad = precompute_quadratic(y, penalty_1d, tau1)
-            assert isinstance(quad, LowRankTerm)
-            full = spectral_term(y, penalty_1d, tau1)
+            quad = low_rank_term(y, penalty_1d, tau1)
+            full = precompute_quadratic(y, penalty_1d, tau1)
             for k in (1, 3):
                 phi = initial_phi(quad, k)
                 assert principal_angle(phi, full.vectors[:, ::-1][:, :k]) < 1e-10
@@ -189,17 +190,18 @@ class TestAdmmStep:
     def test_shifted_solve_matches_dense_inverse(self, small_penalty):
         rng = np.random.default_rng(9)
         tau1 = 3.0
-        # n >= p: spectral term; n < p: Woodbury term
-        for n, kind in ((20, QuadraticTerm), (7, LowRankTerm)):
+        # an n >= p and an n < p design, each through the spectral and the
+        # Woodbury term
+        for n in (20, 7):
             y = rng.standard_normal((n, 12))
-            quad = precompute_quadratic(y, small_penalty, tau1)
-            assert type(quad) is kind
-            rho = 10.0 * quad.lam_max_yty
             rhs = rng.standard_normal((12, 2))
-            direct = np.linalg.solve(
-                tau1 * small_penalty.omega + rho * np.eye(12) - y.T @ y, rhs
-            )
-            assert np.abs(quad.shifted_solve(rho, rhs) - direct).max() < 1e-10
+            for build in (precompute_quadratic, low_rank_term):
+                quad = build(y, small_penalty, tau1)
+                rho = 10.0 * quad.lam_max_yty
+                direct = np.linalg.solve(
+                    tau1 * small_penalty.omega + rho * np.eye(12) - y.T @ y, rhs
+                )
+                assert np.abs(quad.shifted_solve(rho, rhs) - direct).max() < 1e-10
 
     def test_lam_max_is_largest_eigenvalue_of_yty(self, small_penalty):
         rng = np.random.default_rng(24)
@@ -404,10 +406,8 @@ class TestLowRankTerm:
             SolverConfig(tau1=10.0, tau2=1.0, k=2),
             SolverConfig(tau1=100.0, tau2=10.0, k=3),
         ):
-            quad = precompute_quadratic(y, penalty_1d, cfg.tau1)
-            assert isinstance(quad, LowRankTerm)
-            got = fit(y, penalty_1d, cfg, quad=quad)
-            want = fit(y, penalty_1d, cfg, quad=spectral_term(y, penalty_1d, cfg.tau1))
+            got = fit(y, penalty_1d, cfg, quad=low_rank_term(y, penalty_1d, cfg.tau1))
+            want = fit(y, penalty_1d, cfg)
             assert got.converged and want.converged
             assert got.iterations == want.iterations
             assert np.abs(got.phi - want.phi).max() < 1e-10
@@ -416,8 +416,8 @@ class TestLowRankTerm:
         rng = np.random.default_rng(27)
         y = rng.standard_normal((15, 50))
         for tau1 in (0.0, 3.0):
-            low = precompute_quadratic(y, penalty_1d, tau1)
-            full = spectral_term(y, penalty_1d, tau1)
+            low = low_rank_term(y, penalty_1d, tau1)
+            full = precompute_quadratic(y, penalty_1d, tau1)
             assert low.beta_max == pytest.approx(full.beta_max, rel=1e-12)
             phi0 = initial_phi(full, 2)
             for factor, raises in ((0.5, True), (0.999, True), (1.001, False)):
@@ -435,13 +435,22 @@ class TestLowRankTerm:
                 if raises:
                     assert errors[0] == pytest.approx(errors[1], rel=1e-12)
 
-    def test_no_pxp_eigendecomposition_per_fit(self, domain_2d, monkeypatch):
-        # n < p: omega is decomposed once per penalty, and no (fold, tau1)
-        # cell or later fit on that penalty decomposes a p x p matrix in full
-        from spatpca import cv_tau, default_log_grid
+    def test_term_follows_the_measured_crossover(self, penalty_1d):
+        # p = 50: Woodbury while n sqrt(T2) < 3p/8, spectral from there on and
+        # for every lone fit
+        rng = np.random.default_rng(29)
+        for n, tau2_count, kind in (
+            (18, 1, LowRankTerm), (19, 1, QuadraticTerm),
+            (9, 4, LowRankTerm), (10, 4, QuadraticTerm), (60, 1, QuadraticTerm),
+        ):
+            y = rng.standard_normal((n, 50))
+            assert type(quadratic_family(y, penalty_1d, tau2_count)(1.0)) is kind
+            rows = n * 50 + 2 if kind is LowRankTerm else 50 * 50 + 51
+            assert stacked_bytes(n, 50, tau2_count) == 8 * rows
+            assert type(precompute_quadratic(y, penalty_1d, 1.0)) is QuadraticTerm
 
-        p = domain_2d.p
-        penalty = build_penalty(domain_2d)
+    @staticmethod
+    def _count_eigensolves(monkeypatch):
         full, subset = [], []
         numpy_eigh, scipy_eigh = np.linalg.eigh, scipy.linalg.eigh
 
@@ -455,17 +464,32 @@ class TestLowRankTerm:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_numpy)
         monkeypatch.setattr(scipy.linalg, "eigh", counting_scipy)
-        rng = np.random.default_rng(28)
-        y = rng.standard_normal((20, p))
+        return full, subset
+
+    def test_select_and_fit_decomposes_omega_once(self, domain_2d, monkeypatch):
+        # 6 training rows, 36 sites: neither the (fold, tau1) chains nor the
+        # refit decompose a p x p matrix in full, only omega is, once
+        from spatpca import default_log_grid
+
+        p = domain_2d.p
+        penalty = build_penalty(domain_2d)
+        full, subset = self._count_eigensolves(monkeypatch)
+        y = np.random.default_rng(28).standard_normal((8, p))
         grid = TuningGrid(tau1_values=default_log_grid(3), tau2_values=[0.0, 1.0])
-        cv_tau(y, penalty, 2, grid, partition_folds(20, 4, seed=0))
+        select_and_fit(y, penalty, 2, grid, partition_folds(8, 4, seed=0), gamma=0.0)
         assert [shape for shape in full if shape == (p, p)] == [(p, p)]
-        assert subset == [((p, p), [p - 2, p - 1])] * 12
-        full.clear()
-        subset.clear()
+        assert subset == [((p, p), [p - 2, p - 1])] * 13
+
+    def test_lone_fit_never_decomposes_omega(self, domain_2d, monkeypatch):
+        # a lone fit with n < p pays B's eigendecomposition and nothing else
+        p = domain_2d.p
+        penalty = build_penalty(domain_2d)
+        full, subset = self._count_eigensolves(monkeypatch)
+        y = np.random.default_rng(34).standard_normal((8, p))
         fit(y, penalty, SolverConfig(tau1=1.0, tau2=1.0, k=2))
-        assert [shape for shape in full if shape == (p, p)] == []
-        assert subset == [((p, p), [p - 2, p - 1])]
+        assert [shape for shape in full if shape == (p, p)] == [(p, p)]
+        assert subset == []
+        assert "spectrum" not in vars(penalty)
 
 
 class TestFitChains:
@@ -489,10 +513,11 @@ class TestFitChains:
         # second design has fewer rows than sites: a stack of Woodbury terms.
         rng = np.random.default_rng(31)
         designs = [
-            [rng.standard_normal((30, 12)), 5.0 * rng.standard_normal((24, 12))],
-            [rng.standard_normal((8, 12)), 5.0 * rng.standard_normal((8, 12))],
+            ([rng.standard_normal((30, 12)), 5.0 * rng.standard_normal((24, 12))],
+             precompute_quadratic),
+            ([rng.standard_normal((8, 12)), 5.0 * rng.standard_normal((8, 12))], low_rank_term),
         ]
-        for ys in designs:
+        for ys, build in designs:
             chains = [(m, t1) for t1 in (0.0, 10.0, 100.0) for m in (0, 1)]
             tau2s = [1.0, 30.0, 300.0]
             cfg = SolverConfig(k=2, max_iterations=24)
@@ -501,7 +526,8 @@ class TestFitChains:
                 warm = None
                 for j, t2 in enumerate(tau2s):
                     basis = fit(
-                        ys[m], small_penalty, replace(cfg, tau1=t1, tau2=t2), warm_start=warm
+                        ys[m], small_penalty, replace(cfg, tau1=t1, tau2=t2), warm_start=warm,
+                        quad=build(ys[m], small_penalty, t1),
                     )
                     expected[c, j] = basis
                     warm = basis.phi
@@ -509,7 +535,7 @@ class TestFitChains:
 
             members = [ys[m] for m, _ in chains]
             tau1s = [t1 for _, t1 in chains]
-            quads = (precompute_quadratic(y, small_penalty, t1) for y, t1 in zip(members, tau1s))
+            quads = (build(y, small_penalty, t1) for y, t1 in zip(members, tau1s))
             results = list(fit_chains(members, tau1s, quads, cfg, tau2s))
             got = {(c, j): b for c, j, b in results}
             assert len(results) == len(got) and got.keys() == expected.keys()
@@ -523,7 +549,7 @@ class TestFitChains:
     def test_low_rank_stack_needs_equal_row_counts(self, small_penalty):
         rng = np.random.default_rng(33)
         ys = [rng.standard_normal((8, 12)), rng.standard_normal((7, 12))]
-        quads = [precompute_quadratic(y, small_penalty, 1.0) for y in ys]
+        quads = [low_rank_term(y, small_penalty, 1.0) for y in ys]
         with pytest.raises(ValueError, match="equal row counts"):
             list(fit_chains(ys, [1.0, 1.0], quads, SolverConfig(k=2), [0.0]))
 

@@ -18,7 +18,7 @@ from spatpca import (
     restrict_grid,
     select_and_fit,
 )
-from spatpca.solver import fit_chains, stacked_bytes
+from spatpca.solver import LowRankTerm, fit_chains, quadratic_family, stacked_bytes
 import spatpca.tuning
 from spatpca.tuning import _first_minimum, gamma_grid
 
@@ -219,8 +219,8 @@ class TestCvTauGroups:
             seen.append(len(ys))
             yield from fit_chains(ys, *args)
 
-        # 24 training rows per fold, at least p = 14: spectral terms
-        monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", size * stacked_bytes(24, p))
+        # 24 training rows per fold, more than p = 14: spectral terms
+        monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", size * stacked_bytes(24, p, 6))
         monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
         rep = cv_tau(y, pen, 2, grid, folds)
         assert seen == sizes
@@ -232,11 +232,11 @@ class TestCvTauGroups:
         assert rep.to_dict()["iterations"] == iters.tolist()
 
 
-    def test_low_rank_chains_group_by_row_count(self, cv_setup, monkeypatch):
-        # 13 rows in 3 folds of 5, 4, 4: 8 or 9 training rows, fewer than the
-        # 14 sites, so the Woodbury chains stack by training row count
-        y, pen = cv_setup
-        y = y[:13]
+    def test_low_rank_chains_group_by_row_count(self, domain_1d, penalty_1d, monkeypatch):
+        # 13 rows in 3 folds of 5, 4, 4: 8 or 9 training rows, far fewer than
+        # the 50 sites, so the Woodbury chains stack by training row count
+        y, _ = smooth_rank1_data(np.random.default_rng(5), domain_1d.locations[:, 0], 13)
+        pen = penalty_1d
         p = y.shape[1]
         folds = partition_folds(13, 3, seed=4)
         grid = TuningGrid(tau1_values=default_log_grid(3), tau2_values=[0.0, 1.0, 10.0])
@@ -246,7 +246,8 @@ class TestCvTauGroups:
             seen.append([y_tr.shape[0] for y_tr in ys])
             yield from fit_chains(ys, *args)
 
-        monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", 4 * stacked_bytes(9, p))
+        assert type(quadratic_family(y[:9], pen, 3)(1.0)) is LowRankTerm
+        monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", 4 * stacked_bytes(9, p, 3))
         monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
         rep = cv_tau(y, pen, 2, grid, folds)
         assert seen == [[8] * 3, [9] * 4, [9] * 2]
