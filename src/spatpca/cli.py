@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._files import atomic_write_text
-from .covariance import CovarianceModel, SampleCovariance, _symmetric_cov
+from .covariance import CovarianceModel, _symmetric_cov
 from .simulate import (
     records_csv_text,
     run_experiment,
@@ -182,38 +182,41 @@ def save_model(path, bundle: ModelBundle):
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
+def _field(doc, path: str):
+    """The entry at a dotted path of a model document; ValueError naming it if absent."""
+    for key in path.split("."):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"model file lacks field {path!r}")
+        doc = doc[key]
+    return doc
+
+
 def load_model(path) -> ModelBundle:
     with open(path) as fh:
         doc = json.load(fh)
-    version = doc.get("schema_version")
+    version = _field(doc, "schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version: {version!r}")
-    domain = SpatialDomain(np.asarray(doc["domain"]["locations"], dtype=float))
-    b = doc["basis"]
+    def array(path):
+        return np.asarray(_field(doc, path), dtype=float)
+    domain = SpatialDomain(array("domain.locations"))
     # keys outside SolverConfig's fields (an old "variant") are ignored
-    config = SolverConfig(**{f.name: b[f.name] for f in fields(SolverConfig)})
+    config = SolverConfig(**{f.name: _field(doc, f"basis.{f.name}") for f in fields(SolverConfig)})
     # one {"a", "b"} entry per column on file, one p x K object in memory
+    columns = _field(doc, "basis.splines")
     splines = SplineCoefficients(
-        a=np.asarray([c["a"] for c in b["splines"]], dtype=float).T,
-        b=np.asarray([c["b"] for c in b["splines"]], dtype=float).T,
+        a=np.asarray([_field(c, "a") for c in columns], dtype=float).T,
+        b=np.asarray([_field(c, "b") for c in columns], dtype=float).T,
     )
-    basis = EigenBasis(
-        phi=np.asarray(b["phi"], dtype=float),
-        sample_variances=np.asarray(b["sample_variances"], dtype=float),
-        config=config,
-        converged=b["converged"],
-        iterations=b["iterations"],
-    )
+    basis = EigenBasis(phi=array("basis.phi"), sample_variances=array("basis.sample_variances"),
+                       config=config, converged=_field(doc, "basis.converged"),
+                       iterations=_field(doc, "basis.iterations"))
     covariance = None
     if doc.get("covariance") is not None:
-        c = doc["covariance"]
         covariance = CovarianceModel(
-            sigma2=c["sigma2"],
-            lam=np.asarray(c["lambda"], dtype=float),
-            vhat=np.asarray(c["vhat"], dtype=float),
-            lambda_star=np.asarray(c["lambda_star"], dtype=float),
-            l_hat=c["l_hat"],
-            gamma=c["gamma"],
+            sigma2=_field(doc, "covariance.sigma2"), lam=array("covariance.lambda"),
+            vhat=array("covariance.vhat"), lambda_star=array("covariance.lambda_star"),
+            l_hat=_field(doc, "covariance.l_hat"), gamma=_field(doc, "covariance.gamma"),
             basis=basis,
         )
     return ModelBundle(domain, basis, splines, covariance, doc.get("provenance", {}))
@@ -348,8 +351,8 @@ def cmd_eval(args) -> int:
 
 def cmd_scree(args) -> int:
     y, _, report = ingest(args.data, args.locations, args.center, args.deseasonalize)
-    s = SampleCovariance.from_data(y)
-    values = np.linalg.eigvalsh(s.s)[::-1]
+    sv = np.linalg.svd(y, compute_uv=False)  # S = Y'Y/n: rank <= n, zeros to p
+    values = np.concatenate([sv * sv / y.shape[0], np.zeros(y.shape[1] - sv.size)])
     total = float(values.sum())
     cumulative = np.cumsum(values) / total if total > 0 else np.zeros_like(values)
     lines = ["component,eigenvalue,cumulative_fraction"]

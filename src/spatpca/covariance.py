@@ -7,9 +7,9 @@ solves, in closed form,
                                     + gamma ||Phi Lambda Phi'||_*
 
 where ||.||_* is the nuclear norm.  The solution shares eigenvectors with
-Phi' S Phi; its eigenvalues are soft-thresholded by sigma2 + gamma.  The
-fitted pair (Lambda, sigma2) then yields a positive semidefinite covariance
-surface and best linear predictions at arbitrary locations.
+Phi' S Phi; its eigenvalues are soft-thresholded by sigma2 + gamma, and it
+needs only Phi' S Phi and tr(S) (estimate_from_moments, the rule's one home).
+(Lambda, sigma2) yields a PSD covariance surface and best linear predictions.
 """
 
 from __future__ import annotations
@@ -97,8 +97,7 @@ def _sorted_eig_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(m)
     w = w[::-1].copy()
     v = _fix_signs(v[:, ::-1])
-    k = w.shape[0]
-    order = sorted(range(k), key=lambda j: (-w[j], tuple(v[:, j])))
+    order = sorted(range(w.shape[0]), key=lambda j: (-w[j], tuple(v[:, j])))
     return w[order], v[:, order]
 
 
@@ -122,6 +121,28 @@ def _shrink(d: np.ndarray, tr: float, p: int, gamma: float) -> tuple[float, int,
     return sigma2, l_hat, np.maximum(d - sigma2 - gamma, 0.0)
 
 
+def estimate_from_moments(m, tr: float, basis: EigenBasis, gammas) -> list[CovarianceModel]:
+    """The rule of estimate_parameters at each of gammas from M = Phi' S Phi (K x K,
+    symmetrized here, one eigendecomposition) and tr(S), e.g. Z'Z/n and ||Y||_F^2/n."""
+    if any(gamma < 0 for gamma in gammas):
+        raise ValueError("gamma must be nonnegative")
+    p, k = basis.phi.shape
+    if k >= p:
+        raise ValueError(f"need k < p to identify the noise variance, got k = {k}, p = {p}")
+    d, v = _sorted_eig_desc(0.5 * (m + m.T))
+    v.setflags(write=False)
+    models = []
+    for gamma in gammas:
+        sigma2, l_hat, lambda_star = _shrink(d, tr, p, gamma)
+        lam = (v * lambda_star) @ v.T
+        lam = 0.5 * (lam + lam.T)
+        lam.setflags(write=False)
+        lambda_star.setflags(write=False)
+        models.append(CovarianceModel(sigma2=float(sigma2), lam=lam, vhat=v, l_hat=l_hat,
+                                      lambda_star=lambda_star, gamma=float(gamma), basis=basis))
+    return models
+
+
 def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) -> CovarianceModel:
     """Closed-form noise variance and component covariance for a fitted basis.
 
@@ -133,36 +154,13 @@ def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) ->
     * lambda*_k = max(d_k - sigma2 - gamma, 0), reassembled around the
       eigenvectors of Phi' S Phi.
 
-    The rule needs only d and tr(S); tuning.cv_gamma applies the same rule
-    to each training fold in the K basis coordinates.  Requires K < p so the
-    noise variance is identifiable.
+    The rule lives in estimate_from_moments, which needs only Phi' S Phi and
+    tr(S).  Requires K < p so the noise variance is identifiable.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    phi = basis.phi
-    p, k = phi.shape
-    if s.p != p:
-        raise ValueError(f"sample covariance is {s.p} x {s.p}, basis has p = {p}")
-    if k >= p:
-        raise ValueError(f"need k < p to identify the noise variance, got k = {k}, p = {p}")
-
-    m = phi.T @ s.s @ phi
-    m = 0.5 * (m + m.T)
-    d, v = _sorted_eig_desc(m)
-    sigma2, l_hat, lambda_star = _shrink(d, float(np.trace(s.s)), p, gamma)
-    lam = (v * lambda_star) @ v.T
-    lam = 0.5 * (lam + lam.T)
-    for arr in (lam, v, lambda_star):
-        arr.setflags(write=False)
-    return CovarianceModel(
-        sigma2=float(sigma2),
-        lam=lam,
-        vhat=v,
-        lambda_star=lambda_star,
-        l_hat=l_hat,
-        gamma=float(gamma),
-        basis=basis,
-    )
+    if s.p != basis.phi.shape[0]:
+        raise ValueError(f"sample covariance is {s.p} x {s.p}, basis has p = {basis.phi.shape[0]}")
+    m = basis.phi.T @ s.s @ basis.phi
+    return estimate_from_moments(m, float(np.trace(s.s)), basis, [gamma])[0]
 
 
 def _basis_at(splines: SplineCoefficients, penalty: PenaltyOperator, point) -> np.ndarray:

@@ -417,7 +417,7 @@ def initial_phi(quad: Term, k: int) -> np.ndarray:
 
 
 def admm_step(state: AdmmState, quad: Term, tau2) -> AdmmState:
-    """One three-block pass at the state's rho, quad from precompute_quadratic.
+    """One three-block pass at the state's rho against quad, either kind of Term.
 
     For a stack of B chains, state holds B x p x K blocks and a length-B rho,
     quad stacks the B factorizations and tau2 is a scalar or length B; each
@@ -522,12 +522,12 @@ def fit_chains(
     """Fit B = len(ys) independent chains together, each along all of tau2_values.
 
     Chain c fits the rows ys[c] (read, never copied, so chains may share
-    them) with quads[c] = precompute_quadratic(ys[c], penalty, tau1s[c]) at
-    each tau2 in turn, and yields (c, j, basis) when it finishes
-    tau2_values[j]; chains finish in any order.  Its first fit starts from
-    warm_starts[c], or initial_phi(quads[c], k), each later one from the
-    previous basis.  config gives k and the rho schedule; each basis carries
-    it with the chain's tau1 and tau2.
+    them) with quads[c], its term at tau1s[c] from precompute_quadratic or
+    quadratic_family, at each tau2 in turn, and yields (c, j, basis) when it
+    finishes tau2_values[j]; chains finish in any order.  Its first fit
+    starts from warm_starts[c], or initial_phi(quads[c], k), each later one
+    from the previous basis.  config gives k and the rho schedule; each
+    basis carries it with the chain's tau1 and tau2.
 
     Every fit starts at rho0 with zero multipliers and stops on its own stop
     test or at config.max_iterations, with results bit-identical to running
@@ -602,9 +602,9 @@ def fit(
     No spline is solved here: a caller that needs the basis off the sites
     solves its interpolants once, tps.solve_coefficients(penalty, basis.phi).
     Non-convergence within max_iterations is reported through the returned
-    converged flag, never as an exception.  quad is a performance hook: pass
-    the result of precompute_quadratic(y, penalty, config.tau1) when fitting
-    the same data repeatedly.
+    converged flag, never as an exception.  quad is a performance hook: the
+    term of y at config.tau1, from precompute_quadratic or quadratic_family
+    (which may give a LowRankTerm), when fitting the same data repeatedly.
     """
     y = _check_data(y, penalty)
     if quad is None:

@@ -13,9 +13,9 @@ solver.fit_chains; a group holds as many chains as fit in _GROUP_BYTES of
 stacked terms.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
-on all rows, gamma by CV, then the closed-form covariance step, which forms
-the p x p sample covariance S once.  The fold count lives only in the
-FoldAssignment the caller passes.
+on all rows, gamma by CV, then the covariance step from Y Phi and ||Y||_F^2
+(estimate_from_moments), with no p x p sample covariance.  The fold count
+lives only in the FoldAssignment the caller passes.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .covariance import CovarianceModel, SampleCovariance, estimate_parameters
-from .covariance import _shrink, _sorted_eig_desc
+from .covariance import CovarianceModel, estimate_from_moments
 from .solver import EigenBasis, SolverConfig, fit, fit_chains, quadratic_family, stacked_bytes
 from .tps import PenaltyOperator
 
@@ -262,8 +261,8 @@ def gamma_grid(dhat1: float, count: int, lower_fraction: float | None = None) ->
 def cv_gamma(y, basis: EigenBasis, grid: TuningGrid, folds: FoldAssignment) -> CvReport:
     """M-fold score of the shrinkage level for a basis fitted on all rows.
 
-    Each fold re-estimates (Lambda, sigma2) from the training rows, by the
-    rule of estimate_parameters, and scores ||S_m - Phi Lambda Phi' -
+    Each fold re-estimates (Lambda, sigma2) from the training rows with
+    estimate_from_moments, and scores ||S_m - Phi Lambda Phi' -
     sigma2 I||_F^2 against the held-out sample covariance S_m.  With Phi
     orthonormal that is
 
@@ -278,9 +277,6 @@ def cv_gamma(y, basis: EigenBasis, grid: TuningGrid, folds: FoldAssignment) -> C
     y = np.asarray(y, dtype=float)
     n, p = y.shape
     _check_folds(folds, n)
-    k = basis.phi.shape[1]
-    if k >= p:
-        raise ValueError(f"need k < p to identify the noise variance, got k = {k}, p = {p}")
     z = y @ basis.phi
     dhat1 = float(np.linalg.eigvalsh(z.T @ (z / n))[-1])
     gammas = gamma_grid(dhat1, grid.gamma_value_count, grid.gamma_lower_fraction)
@@ -291,14 +287,15 @@ def cv_gamma(y, basis: EigenBasis, grid: TuningGrid, folds: FoldAssignment) -> C
         y_tr, y_va, z_tr, z_va = y[~mask], y[mask], z[~mask], z[mask]
         n_va = y_va.shape[0]
         m_tr = z_tr.T @ (z_tr / z_tr.shape[0])
-        d, v = _sorted_eig_desc(0.5 * (m_tr + m_tr.T))
         tr_tr = float(np.sum(y_tr * y_tr)) / y_tr.shape[0]
-        # diagonal of Vhat' Phi' S_m Phi Vhat: <Phi' S_m Phi, Lambda> = w . lambda*
-        w = np.sum(v * (z_va.T @ (z_va @ v)), axis=0) / n_va
         gram = y_va @ y_va.T
         s_va_sq, tr_va = float(np.sum(gram * gram)) / n_va**2, float(np.trace(gram)) / n_va
-        for gi, g in enumerate(gammas):
-            sigma2, _, lam = _shrink(d, tr_tr, p, float(g))
+        models = estimate_from_moments(m_tr, tr_tr, basis, gammas)
+        v = models[0].vhat  # the eigenvectors of M, the same at every gamma
+        # diagonal of Vhat' Phi' S_m Phi Vhat: <Phi' S_m Phi, Lambda> = w . lambda*
+        w = np.sum(v * (z_va.T @ (z_va @ v)), axis=0) / n_va
+        for gi, model in enumerate(models):
+            sigma2, lam = model.sigma2, model.lambda_star
             fitted_sq = float(lam @ lam) + 2.0 * sigma2 * float(lam.sum()) + p * sigma2 * sigma2
             crit[gi] += s_va_sq - 2.0 * (float(w @ lam) + sigma2 * tr_va) + fitted_sq
     crit /= folds.m
@@ -340,13 +337,14 @@ def select_and_fit(
     gamma: float | None = None, max_iterations: int = SolverConfig.max_iterations,
 ) -> TunedFit:
     """Tune and fit: (tau1, tau2) by cv_tau unless the grid has a single
-    cell, a refit on all rows, gamma by cv_gamma unless given, then
-    estimate_parameters on the full sample covariance.
+    cell, a refit on all rows, gamma by cv_gamma unless given, then the
+    covariance step from Z'Z/n and ||Y||_F^2/n with Z = Y Phi.
 
     Pin a penalty axis with restrict_grid.  max_iterations caps the final
     fit only; the CV fits keep SolverConfig's default cap.  With both axes
     pinned the refit is a lone fit, on the spectral term.
     """
+    y = np.asarray(y, dtype=float)
     tau_report, quad = None, None
     if grid.tau1_values.size * grid.tau2_values.size > 1:
         tau_report = cv_tau(y, penalty, k, grid, folds)
@@ -363,5 +361,6 @@ def select_and_fit(
     if gamma is None:
         gamma_report = cv_gamma(y, basis, grid, folds)
         gamma = gamma_report.selected
-    model = estimate_parameters(SampleCovariance.from_data(y), basis, gamma)
+    z, n = y @ basis.phi, y.shape[0]
+    (model,) = estimate_from_moments(z.T @ (z / n), float(np.sum(y * y)) / n, basis, [gamma])
     return TunedFit(basis=basis, model=model, tau_report=tau_report, gamma_report=gamma_report)

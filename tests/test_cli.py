@@ -322,18 +322,37 @@ class TestEvalCommand:
         assert "schema" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field", ["basis.iterations", "schema_version"])
+    def test_malformed_model_file_exits_1(self, fitted_model, tmp_path, capsys, field):
+        doc = json.loads(fitted_model.read_text())
+        if field == "basis.iterations":
+            del doc["basis"]["iterations"]
+        else:
+            doc = [doc]  # a JSON list holds no fields at all
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["eval", "--model", str(bad), "--grid=-1:1:3",
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert f"lacks field '{field}'" in capsys.readouterr().err
+
+
 class TestScreeCommand:
     def test_values_match_spectrum(self, dataset, tmp_path, capsys):
-        data, loc, y, _ = dataset
-        out = tmp_path / "scree.csv"
-        assert main(["scree", "--data", data, "--locations", loc, "--out", str(out)]) == 0
-        capsys.readouterr()
-        rows = [r.split(",") for r in out.read_text().splitlines()]
-        assert rows[0] == ["component", "eigenvalue", "cumulative_fraction"]
-        got = np.array([float(r[1]) for r in rows[1:]])
-        want = np.linalg.eigvalsh(y.T @ y / y.shape[0])[::-1]
-        assert np.allclose(got, want, rtol=1e-12)
-        assert float(rows[-1][2]) == pytest.approx(1.0)
+        _, loc, y_all, _ = dataset
+        for n in (16, 6):  # n > p, and n < p, where the last p - n values are 0
+            y = y_all[:n]
+            data = _write_rows(tmp_path / f"rows{n}.csv", y.tolist())
+            out = tmp_path / "scree.csv"
+            assert main(["scree", "--data", data, "--locations", loc, "--out", str(out)]) == 0
+            capsys.readouterr()
+            rows = [r.split(",") for r in out.read_text().splitlines()]
+            assert rows[0] == ["component", "eigenvalue", "cumulative_fraction"]
+            got = np.array([float(r[1]) for r in rows[1:]])
+            want = np.linalg.eigvalsh(y.T @ y / n)[::-1]
+            assert got.size == y.shape[1]
+            assert np.allclose(got, want, rtol=1e-12)
+            assert float(rows[-1][2]) == pytest.approx(1.0)
 
 
 class TestCvCommand:

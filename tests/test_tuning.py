@@ -20,6 +20,7 @@ from spatpca import (
 )
 from spatpca.solver import LowRankTerm, fit_chains, quadratic_family, stacked_bytes
 import spatpca.tuning
+from spatpca.covariance import estimate_from_moments
 from spatpca.tuning import _first_minimum, gamma_grid
 
 from checks import cv_tau_reference, smooth_rank1_data
@@ -324,7 +325,10 @@ class TestSelectAndFit:
         t1, t2 = tau_rep.selected
         basis = fit(y, pen, SolverConfig(tau1=t1, tau2=t2, k=2))
         gamma_rep = cv_gamma(y, basis, self.GRID, folds)
-        model = estimate_parameters(SampleCovariance.from_data(y), basis, gamma_rep.selected)
+        z, n = y @ basis.phi, y.shape[0]
+        (model,) = estimate_from_moments(
+            z.T @ (z / n), float(np.sum(y * y)) / n, basis, [gamma_rep.selected]
+        )
 
         assert np.array_equal(tuned.tau_report.criterion, tau_rep.criterion)
         assert tuned.tau_report.selected == tau_rep.selected
@@ -334,6 +338,44 @@ class TestSelectAndFit:
         assert tuned.model.gamma == model.gamma == gamma_rep.selected
         assert tuned.model.sigma2 == model.sigma2
         assert np.array_equal(tuned.model.lam, model.lam)
+
+    def test_builds_no_sample_covariance(self, cv_setup, monkeypatch):
+        built = []
+        post_init = SampleCovariance.__post_init__
+
+        def spy(self):
+            built.append(self.s.shape)
+            post_init(self)
+
+        monkeypatch.setattr(SampleCovariance, "__post_init__", spy)
+        y, pen = cv_setup
+        select_and_fit(y, pen, 2, self.GRID, partition_folds(y.shape[0], 3, seed=6))
+        assert built == []
+
+    @pytest.mark.parametrize("design", ["n_above_p", "n_below_p"])
+    def test_model_matches_estimate_parameters(self, design, cv_setup, penalty_2d):
+        if design == "n_above_p":
+            y, pen = cv_setup
+        else:
+            pen = penalty_2d
+            x = pen.domain.locations
+            bump = np.exp(-np.sum(x * x, axis=1))
+            rng = np.random.default_rng(11)
+            y = rng.normal(0.0, 3.0, (10, 1)) * bump / np.linalg.norm(bump)
+            y = y + rng.standard_normal((10, pen.domain.p))
+        n, p = y.shape
+        assert (n > p) == (design == "n_above_p")
+        folds = partition_folds(n, 3, seed=6)
+        # gamma by CV, inside the spectrum, and above its leading eigenvalue d_1
+        for gamma in (None, 0.5, 1e3):
+            tuned = select_and_fit(y, pen, 2, self.GRID, folds, gamma=gamma)
+            ref = estimate_parameters(SampleCovariance.from_data(y), tuned.basis, tuned.model.gamma)
+            got = tuned.model
+            np.testing.assert_allclose(got.sigma2, ref.sigma2, rtol=1e-12)
+            for name in ("lambda_star", "vhat", "lam"):
+                np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-12)
+            assert got.l_hat == ref.l_hat
+        assert not got.lambda_star.any() and got.sigma2 == pytest.approx(np.sum(y * y) / n / p)
 
     def test_pins_skip_cross_validation(self, cv_setup, monkeypatch):
         import spatpca.tuning as tuning
