@@ -182,42 +182,47 @@ def save_model(path, bundle: ModelBundle):
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _field(doc, path: str):
-    """The entry at a dotted path of a model document; ValueError naming it if absent."""
+def _field(doc, path: str, kind):
+    """The entry at a dotted path of a model document; ValueError naming it if
+    absent or not of type kind (a JSON boolean is only a bool)."""
     for key in path.split("."):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"model file lacks field {path!r}")
         doc = doc[key]
+    if not isinstance(doc, kind) or isinstance(doc, bool) is not (kind is bool):
+        raise ValueError(f"model file field {path!r} has the wrong type {type(doc).__name__}")
     return doc
 
 
 def load_model(path) -> ModelBundle:
     with open(path) as fh:
         doc = json.load(fh)
-    version = _field(doc, "schema_version")
+    version = _field(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version: {version!r}")
     def array(path):
-        return np.asarray(_field(doc, path), dtype=float)
+        return np.asarray(_field(doc, path, list), dtype=float)
     domain = SpatialDomain(array("domain.locations"))
-    # keys outside SolverConfig's fields (an old "variant") are ignored
-    config = SolverConfig(**{f.name: _field(doc, f"basis.{f.name}") for f in fields(SolverConfig)})
+    # typed as the defaults, rho0 also a number; other keys (an old "variant") are ignored
+    kinds = {int: int, float: (int, float), str: (int, float, str)}
+    config = SolverConfig(**{f.name: _field(doc, f"basis.{f.name}", kinds[type(f.default)])
+                             for f in fields(SolverConfig)})
     # one {"a", "b"} entry per column on file, one p x K object in memory
-    columns = _field(doc, "basis.splines")
+    columns = _field(doc, "basis.splines", list)
     splines = SplineCoefficients(
-        a=np.asarray([_field(c, "a") for c in columns], dtype=float).T,
-        b=np.asarray([_field(c, "b") for c in columns], dtype=float).T,
+        a=np.asarray([_field(c, "a", list) for c in columns], dtype=float).T,
+        b=np.asarray([_field(c, "b", list) for c in columns], dtype=float).T,
     )
     basis = EigenBasis(phi=array("basis.phi"), sample_variances=array("basis.sample_variances"),
-                       config=config, converged=_field(doc, "basis.converged"),
-                       iterations=_field(doc, "basis.iterations"))
+                       config=config, converged=_field(doc, "basis.converged", bool),
+                       iterations=_field(doc, "basis.iterations", int))
     covariance = None
     if doc.get("covariance") is not None:
         covariance = CovarianceModel(
-            sigma2=_field(doc, "covariance.sigma2"), lam=array("covariance.lambda"),
+            sigma2=_field(doc, "covariance.sigma2", (int, float)), lam=array("covariance.lambda"),
             vhat=array("covariance.vhat"), lambda_star=array("covariance.lambda_star"),
-            l_hat=_field(doc, "covariance.l_hat"), gamma=_field(doc, "covariance.gamma"),
-            basis=basis,
+            l_hat=_field(doc, "covariance.l_hat", int),
+            gamma=_field(doc, "covariance.gamma", (int, float)), basis=basis,
         )
     return ModelBundle(domain, basis, splines, covariance, doc.get("provenance", {}))
 
@@ -436,7 +441,7 @@ def _add_fit_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
     sub.add_argument(
         "--max-iterations", type=int, default=SolverConfig.max_iterations,
-        help="solver iteration cap",
+        help="ADMM iteration cap of the final fit (a tau2 = 0 fit is closed-form: 0 iterations)",
     )
 
 

@@ -9,7 +9,8 @@ by an augmented-Lagrangian splitting with an increasing penalty parameter
 rho.  Every update of the three-block scheme is in closed form: a shifted
 solve against tau1*omega + rho*I - Y'Y, a polar factor for orthonormality
 and a soft threshold for sparsity.  The exactly orthonormal block is
-returned as the estimate.
+returned as the estimate.  At tau2 = 0 the K leading eigenvectors of
+Y'Y - tau1*omega are the exact minimizer (Ky Fan), returned with no iteration.
 
 The shifted solve has two forms.  A QuadraticTerm holds one spectral
 factorization of Y'Y - tau1*omega per tau1 and serves every rho from it; a
@@ -134,7 +135,8 @@ class EigenBasis:
 
     sample_variances[k] = phi_k' S phi_k with S = Y'Y/n, nonincreasing.
     The basis lives on the p sites only; tps.solve_coefficients(penalty, phi)
-    gives its interpolants where off-node values are needed.
+    gives its interpolants where off-node values are needed.  iterations
+    counts ADMM iterations: 0 for a tau2 = 0 fit, solved in closed form.
     """
 
     phi: np.ndarray
@@ -171,8 +173,9 @@ class QuadraticTerm:
     values: np.ndarray
     lam_max_yty: float | np.ndarray
 
-    # the arrays with one entry per member of a stack
+    # the arrays with one entry per member of a stack, and those a stack drops
     BATCHED: ClassVar[tuple[str, ...]] = ("vectors", "values", "lam_max_yty")
+    UNSTACKED: ClassVar[tuple[str, ...]] = ()
 
     @property
     def beta_max(self) -> float | np.ndarray:
@@ -192,9 +195,10 @@ class QuadraticTerm:
         return self.vectors @ ((np.swapaxes(self.vectors, -1, -2) @ rhs) / shift[..., None])
 
 
-def _rotated_b(yu: np.ndarray, tau1, values: np.ndarray) -> np.ndarray:
-    """U'BU = (YU)'(YU) - tau1*diag(values): B in omega's eigenbasis, same spectrum."""
-    b = yu.T @ yu
+def _rotated_b(yu: np.ndarray, gram, tau1, values: np.ndarray) -> np.ndarray:
+    """U'BU = (YU)'(YU) - tau1*diag(values): B in omega's eigenbasis, same spectrum;
+    gram is (YU)'(YU) when already formed."""
+    b = yu.T @ yu if gram is None else gram.copy()
     b[np.diag_indices_from(b)] -= tau1 * values
     return b
 
@@ -214,11 +218,12 @@ class LowRankTerm:
     By the Schur complement that Cholesky fails exactly when rho does not
     exceed beta_max (or A itself is not positive definite), so it is the rho
     floor check.  leading(k) is a top-k subset eigensolve of B; beta_max is
-    a top-1 eigensolve per member, computed on each access.
+    a top-1 eigensolve per member, computed on each access.  Both start from
+    gram = (YU)'(YU) when given, formed once per data set by quadratic_family.
 
     A stack has a leading batch axis on yu (B x n x p, one n for the whole
     stack), tau1 and lam_max_yty; vectors and values are the domain's and
-    shared by every member.
+    shared by every member; gram is dropped, as members may differ in data.
     """
 
     vectors: np.ndarray
@@ -226,8 +231,10 @@ class LowRankTerm:
     yu: np.ndarray
     tau1: float | np.ndarray
     lam_max_yty: float | np.ndarray
+    gram: np.ndarray | None = None
 
     BATCHED: ClassVar[tuple[str, ...]] = ("yu", "tau1", "lam_max_yty")
+    UNSTACKED: ClassVar[tuple[str, ...]] = ("gram",)
 
     @property
     def beta_max(self) -> float | np.ndarray:
@@ -236,7 +243,7 @@ class LowRankTerm:
         yus = self.yu.reshape(-1, *self.yu.shape[-2:])
         tops = [
             scipy.linalg.eigh(
-                _rotated_b(yu, tau1, self.values), eigvals_only=True,
+                _rotated_b(yu, self.gram, tau1, self.values), eigvals_only=True,
                 subset_by_index=[p - 1, p - 1], overwrite_a=True, check_finite=False,
             )[0]
             for yu, tau1 in zip(yus, np.ravel(self.tau1))
@@ -247,8 +254,8 @@ class LowRankTerm:
         """The top k eigenvectors of B, in descending order (one term, no stack)."""
         p = self.vectors.shape[-1]
         _, v = scipy.linalg.eigh(
-            _rotated_b(self.yu, self.tau1, self.values), subset_by_index=[p - k, p - 1],
-            overwrite_a=True, check_finite=False,
+            _rotated_b(self.yu, self.gram, self.tau1, self.values),
+            subset_by_index=[p - k, p - 1], overwrite_a=True, check_finite=False,
         )
         return self.vectors @ v[:, ::-1]
 
@@ -387,7 +394,8 @@ def quadratic_family(
     lam_max = _lam_max(y)
     if _low_rank_pays(*y.shape, tau2_count):
         values, vectors = penalty.spectrum
-        return partial(LowRankTerm, vectors, values, y @ vectors, lam_max_yty=lam_max)
+        yu = y @ vectors
+        return partial(LowRankTerm, vectors, values, yu, lam_max_yty=lam_max, gram=yu.T @ yu)
     return _spectral_family(y, penalty, lam_max)
 
 
@@ -491,7 +499,7 @@ def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts
     for c, quad in enumerate(quads):
         parts = {name: np.asarray(getattr(quad, name)) for name in quad.BATCHED}
         if stack is None:
-            stack = replace(quad, **{
+            stack = replace(quad, **dict.fromkeys(quad.UNSTACKED), **{
                 name: a[None] if count == 1 else np.empty((count, *a.shape))
                 for name, a in parts.items()
             })
@@ -524,29 +532,43 @@ def fit_chains(
     Chain c fits the rows ys[c] (read, never copied, so chains may share
     them) with quads[c], its term at tau1s[c] from precompute_quadratic or
     quadratic_family, at each tau2 in turn, and yields (c, j, basis) when it
-    finishes tau2_values[j]; chains finish in any order.  Its first fit
-    starts from warm_starts[c], or initial_phi(quads[c], k), each later one
-    from the previous basis.  config gives k and the rho schedule; each
-    basis carries it with the chain's tau1 and tau2.
+    finishes tau2_values[j], which must be nonnegative and strictly
+    ascending; chains finish in any order.  config gives k and the rho
+    schedule; each basis carries it with the chain's tau1 and tau2.
 
-    Every fit starts at rho0 with zero multipliers and stops on its own stop
-    test or at config.max_iterations, with results bit-identical to running
-    the chain alone; the members are stepped as one stack through admm_step.
-    A member that finishes its last tau2 is retired by moving the last
-    active member into its slot.  quads is read once, in order (see
-    _stack_chains); the terms must be of one kind, and LowRankTerm chains
-    must all have the same number of rows.
+    At tau2 = 0 the objective on orthonormal Phi is a constant minus
+    tr(Phi' B Phi), B = Y'Y - tau1*omega, so by Ky Fan's theorem
+    initial_phi(quads[c], k) minimizes it exactly: that fit takes no ADMM
+    step, ignores warm_starts and comes with converged=True, iterations=0.
+    Every other fit runs the ADMM from the previous basis, the first from
+    warm_starts[c] or initial_phi(quads[c], k), at rho0 with zero
+    multipliers, until its own stop test or config.max_iterations, with
+    results bit-identical to running the chain alone; the members are
+    stepped as one stack through admm_step.  A member that finishes its last
+    tau2 is retired by moving the last active member into its slot.  quads
+    is read once, in order (see _stack_chains); the terms must be of one
+    kind, and LowRankTerm chains must all have the same number of rows.
     """
     count, k = len(ys), config.k
     for y in ys:
         if k > min(y.shape):
             raise ValueError(f"k = {k} exceeds min(n, p) = {min(y.shape)}")
-    quad, start = _stack_chains(quads, count, ys[0].shape[1], k, warm_starts)
+    t2s = np.asarray(tau2_values, dtype=float)
+    if not (t2s[0] >= 0 and np.all(np.diff(t2s) > 0)):
+        raise ValueError("tau2 values must be nonnegative and strictly ascending")
+    first = int(t2s[0] == 0)  # the index of the first ADMM fit
+    quad, start = _stack_chains(quads, count, ys[0].shape[1], k, None if first else warm_starts)
+    for c in range(count if first else 0):
+        basis = _finish(ys[c], replace(config, tau1=float(tau1s[c]), tau2=0.0), start[c], True, 0)
+        yield c, 0, basis
+        start[c] = basis.phi
+    if first == t2s.size:
+        return
     rho0 = _initial_rho(config, quad.lam_max_yty)
     rho_cap = 1e12 * rho0
     chain = np.arange(count)
-    step, iters = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
-    tau2 = np.full(count, float(tau2_values[0]))
+    step, iters = np.full(count, first), np.zeros(count, dtype=int)
+    tau2 = np.full(count, t2s[first])
     zeros = np.zeros_like(start)
     state = AdmmState(
         phi=start, q=start, r=start.copy(), gamma1=zeros, gamma2=zeros.copy(), rho=rho0.copy()
@@ -601,10 +623,12 @@ def fit(
 
     No spline is solved here: a caller that needs the basis off the sites
     solves its interpolants once, tps.solve_coefficients(penalty, basis.phi).
-    Non-convergence within max_iterations is reported through the returned
-    converged flag, never as an exception.  quad is a performance hook: the
-    term of y at config.tau1, from precompute_quadratic or quadratic_family
-    (which may give a LowRankTerm), when fitting the same data repeatedly.
+    At tau2 = 0 the basis is the closed form (see fit_chains) and warm_start
+    is checked but not used.  Non-convergence within max_iterations is
+    reported through the returned converged flag, never as an exception.
+    quad is a performance hook: the term of y at config.tau1, from
+    precompute_quadratic or quadratic_family (which may give a LowRankTerm),
+    when fitting the same data repeatedly.
     """
     y = _check_data(y, penalty)
     if quad is None:

@@ -7,10 +7,11 @@ Phi is orthonormal, so both scores need only the K basis coordinates Y Phi
 and a few traces: the CV scores form no p x p matrix.  Each (fold, tau1)
 cell is one chain: one Phi-update term (solver.quadratic_family, from
 per-fold pieces shared by the fold's chains), then fits along increasing
-tau2, each warm started from the last, which is where nearly all of the
-compute goes.  cv_tau steps groups of chains together through
-solver.fit_chains; a group holds as many chains as fit in _GROUP_BYTES of
-stacked terms.
+tau2, each warm started from the last.  The fit at tau2 = 0 is the term's
+leading eigenvectors in closed form, so the compute goes into the terms
+and the ADMM fits at tau2 > 0.  cv_tau steps groups of chains together
+through solver.fit_chains; a group holds as many chains as fit in
+_GROUP_BYTES of stacked terms.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
 on all rows, gamma by CV, then the covariance step from Y Phi and ||Y||_F^2
@@ -133,7 +134,7 @@ class CvReport:
     "gamma" (one-dimensional).  converged mirrors the criterion shape and is
     False wherever some fold fit hit the iteration cap.  For kind "tau",
     iterations[i, j] is the number of ADMM iterations cell (i, j) took,
-    summed over the folds.
+    summed over the folds: 0 at tau2 = 0, solved in closed form.
     """
 
     kind: str

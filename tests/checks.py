@@ -10,8 +10,8 @@ QR factors.  Slow and simple on purpose.
 
 The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
-time, so that the stacked chains of solver.fit_chains can be required to
-match it bit for bit.  low_rank_term builds the package's Woodbury term for
+time (cv_tau_reference takes the closed form at tau2 = 0), so that the
+stacked chains of solver.fit_chains can be required to match it bit for bit.  low_rank_term builds the package's Woodbury term for
 any data, to be checked against the spectral term of precompute_quadratic.
 """
 
@@ -68,6 +68,15 @@ def shrinkage_objective(s, phi, lam, sigma2: float, gamma: float) -> float:
     lam = np.asarray(lam, dtype=float)
     resid = s - phi @ lam @ phi.T - sigma2 * np.eye(s.shape[0])
     return 0.5 * float(np.sum(resid * resid)) + gamma * float(np.trace(lam))
+
+
+def spatpca_objective(y, penalty, phi, tau1: float, tau2: float) -> float:
+    """||Y - Y Phi Phi'||_F^2 + tau1 tr(Phi' omega Phi) + tau2 sum |phi_jk|."""
+    y = np.asarray(y, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    resid = y - (y @ phi) @ phi.T
+    smooth = float(np.sum(phi * (penalty.omega @ phi)))
+    return float(np.sum(resid * resid)) + tau1 * smooth + tau2 * float(np.sum(np.abs(phi)))
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:
@@ -275,8 +284,9 @@ def cv_tau_reference(y, penalty, k, grid, folds):
     """(criterion, converged, iterations) of cv_tau, one cell at a time.
 
     For each fold and tau1, the term cv_tau uses, then fit_reference along the
-    tau2 grid, each fit warm started from the last; the held-out error is
-    accumulated into the criterion in fold order.
+    tau2 grid, each fit warm started from the last; at tau2 = 0 the closed
+    form, the leading eigenvectors of the term with no iteration.  The
+    held-out error is accumulated into the criterion in fold order.
     """
     y = np.asarray(y, dtype=float)
     t1s, t2s = grid.tau1_values, grid.tau2_values
@@ -292,7 +302,10 @@ def cv_tau_reference(y, penalty, k, grid, folds):
             warm = None
             for j, t2 in enumerate(t2s):
                 cfg = SolverConfig(tau1=float(t1), tau2=float(t2), k=k)
-                basis = fit_reference(y_tr, penalty, cfg, warm_start=warm, quad=quad)
+                if t2 == 0:
+                    basis = _finish(y_tr, cfg, initial_phi(quad, k), True, 0)
+                else:
+                    basis = fit_reference(y_tr, penalty, cfg, warm_start=warm, quad=quad)
                 warm = basis.phi
                 proj = y_va @ basis.phi
                 crit[i, j] += va_sq - float(np.sum(proj * proj))

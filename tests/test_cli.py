@@ -160,7 +160,8 @@ class TestFitCommand:
 
     def test_iteration_cap_exits_2_but_writes(self, dataset, tmp_path, capsys):
         out = tmp_path / "model.json"
-        rc = main(self._fit_args(dataset, out, extra=["--max-iterations", "1"]))
+        # tau2 > 0: a tau2 = 0 fit is solved in closed form and runs no iteration
+        rc = main(self._fit_args(dataset, out, extra=["--tau2", "0.5", "--max-iterations", "1"]))
         assert rc == 2
         assert "iteration cap" in capsys.readouterr().err
         assert not load_model(out).basis.converged
@@ -336,6 +337,17 @@ class TestEvalCommand:
         assert rc == 1
         assert f"lacks field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("splines", 3), ("tau1", "1.0")])
+    def test_mistyped_model_field_exits_1(self, fitted_model, tmp_path, capsys, field, value):
+        doc = json.loads(fitted_model.read_text())
+        doc["basis"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["eval", "--model", str(bad), "--grid=-1:1:3",
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert f"field 'basis.{field}' has the wrong type" in capsys.readouterr().err
+
 
 class TestScreeCommand:
     def test_values_match_spectrum(self, dataset, tmp_path, capsys):
@@ -374,7 +386,7 @@ class TestCvCommand:
 
     def test_iteration_cap_exits_2_but_writes(self, dataset, tmp_path, capsys):
         out = tmp_path / "cv.json"
-        args = self._cv_args(dataset, out, "--tau1", "1.0", "--tau2", "0.0")
+        args = self._cv_args(dataset, out, "--tau1", "1.0", "--tau2", "0.5")
         assert main([*args, "--max-iterations", "1"]) == 2
         assert "iteration cap" in capsys.readouterr().err
         assert json.loads(out.read_text())["command"] == "cv"

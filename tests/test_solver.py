@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import scipy.linalg
 
 import spatpca.cli
+import spatpca.solver
 import spatpca.tps
 from spatpca import (
     RhoTooSmallError,
@@ -17,9 +18,11 @@ from spatpca import (
     SpatialDomain,
     TuningGrid,
     build_penalty,
+    default_log_grid,
     evaluate,
     fit,
     partition_folds,
+    restrict_grid,
     select_and_fit,
     solve_coefficients,
 )
@@ -36,6 +39,7 @@ from spatpca.solver import (
     stacked_bytes,
     _fro,
     _polar,
+    _stack_chains,
 )
 
 from checks import (
@@ -44,7 +48,9 @@ from checks import (
     lasso_cd,
     low_rank_term,
     principal_angle,
+    random_orthonormal,
     smooth_rank1_data,
+    spatpca_objective,
 )
 
 
@@ -328,9 +334,10 @@ class TestFit:
         assert principal_angle(b1.phi, b2.phi) < 1e-4
 
     def test_nonconvergence_is_flagged_not_raised(self, small_penalty):
+        # tau2 > 0: a tau2 = 0 fit is solved in closed form and runs no iteration
         rng = np.random.default_rng(16)
         y = rng.standard_normal((30, 12))
-        basis = fit(y, small_penalty, SolverConfig(k=1, max_iterations=1))
+        basis = fit(y, small_penalty, SolverConfig(tau2=0.5, k=1, max_iterations=1))
         assert not basis.converged
         assert basis.iterations == 1
 
@@ -338,7 +345,7 @@ class TestFit:
         rng = np.random.default_rng(17)
         y = rng.standard_normal((30, 12))
         with pytest.raises(RhoTooSmallError):
-            fit(y, small_penalty, SolverConfig(k=1, rho0=1e-6))
+            fit(y, small_penalty, SolverConfig(tau2=0.5, k=1, rho0=1e-6))
 
     def test_warm_start_validation_and_use(self, small_penalty):
         rng = np.random.default_rng(18)
@@ -395,8 +402,95 @@ class TestFit:
         assert counts[-1] > counts[0]
 
 
+class TestClosedForm:
+    """tau2 = 0: the K leading eigenvectors of Y'Y - tau1*omega, with no ADMM step."""
+
+    def test_fit_is_leading_eigenvectors_of_b(self, penalty_1d):
+        # both terms, any warm start, and a rho0 far below the floor: no step runs
+        rng = np.random.default_rng(35)
+        for n in (60, 15):
+            y = rng.standard_normal((n, 50))
+            for tau1 in (0.0, 5.0, 200.0):
+                b = y.T @ y - tau1 * penalty_1d.omega
+                _, v = np.linalg.eigh(0.5 * (b + b.T))
+                terms = [None, low_rank_term(y, penalty_1d, tau1),
+                         quadratic_family(y, penalty_1d, 1)(tau1)]
+                for k in (1, 3):
+                    want = v[:, ::-1][:, :k]
+                    cfg = SolverConfig(tau1=tau1, k=k, rho0=1e-9)
+                    for quad in terms:
+                        for warm in (None, random_orthonormal(rng, 50, k)):
+                            basis = fit(y, penalty_1d, cfg, warm_start=warm, quad=quad)
+                            assert (basis.converged, basis.iterations) == (True, 0)
+                            # the same columns up to order and sign
+                            match = np.argmax(np.abs(want.T @ basis.phi), axis=0)
+                            assert sorted(match) == list(range(k))
+                            signs = np.sign(np.sum(want[:, match] * basis.phi, axis=0))
+                            assert np.abs(basis.phi - want[:, match] * signs).max() < 1e-10
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(4, 30),
+        k=st.integers(1, 3),
+        tau1=st.sampled_from([0.0, 0.5, 20.0]),
+    )
+    def test_objective_not_above_admm_from_random_start(self, seed, n, k, tau1):
+        rng = np.random.default_rng(seed)
+        pen = build_penalty(SpatialDomain(np.sort(rng.uniform(-5.0, 5.0, 12))))
+        y = rng.standard_normal((n, 12)) * rng.uniform(0.2, 3.0, 12)
+        warm = random_orthonormal(rng, 12, k)
+        cfg = SolverConfig(tau1=tau1, k=k)
+        closed = fit(y, pen, cfg, warm_start=warm)
+        admm = fit_reference(y, pen, cfg, warm_start=warm)
+        assert closed.iterations == 0
+        got = spatpca_objective(y, pen, closed.phi, tau1, 0.0)
+        other = spatpca_objective(y, pen, admm.phi, tau1, 0.0)
+        assert got <= other + 1e-10 * abs(other)
+        # Ky Fan: the minimum is ||Y||^2 less the K largest eigenvalues of B
+        b = y.T @ y - tau1 * pen.omega
+        bound = float(np.sum(y * y)) - float(np.sum(np.linalg.eigvalsh(0.5 * (b + b.T))[-k:]))
+        assert got == pytest.approx(bound, rel=1e-10, abs=1e-10 * float(np.sum(y * y)))
+
+    def test_select_and_fit_at_tau2_zero_takes_no_admm_step(self, penalty_1d, monkeypatch):
+        calls = []
+        original = spatpca.solver.admm_step
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(spatpca.solver, "admm_step", counting)
+        rng = np.random.default_rng(36)
+        grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(4)), tau2=0.0)
+        for n in (60, 15):  # spectral and low-rank chains
+            y = rng.standard_normal((n, 50))
+            tuned = select_and_fit(y, penalty_1d, 2, grid, partition_folds(n, 3, seed=0))
+            assert (tuned.basis.converged, tuned.basis.iterations) == (True, 0)
+            assert tuned.tau_report.converged.all() and not tuned.tau_report.iterations.any()
+        assert calls == []
+        # the spy sees the steps of a tau2 > 0 fit
+        fit(y, penalty_1d, SolverConfig(tau2=1.0, k=2))
+        assert calls
+
+
 class TestLowRankTerm:
     """The n < p Woodbury term against the spectral term on the same data."""
+
+    def test_gram_is_shared_by_a_data_set_never_by_a_stack(self, penalty_1d):
+        rng = np.random.default_rng(37)
+        families = [quadratic_family(rng.standard_normal((10, 50)), penalty_1d, 1)
+                    for _ in range(2)]
+        terms = [family(t1) for family in families for t1 in (1.0, 50.0)]
+        assert type(terms[0]) is LowRankTerm
+        assert terms[0].gram is terms[1].gram  # formed once per data set
+        for term in terms:
+            alone = replace(term, gram=None)
+            assert np.array_equal(initial_phi(term, 3), initial_phi(alone, 3))
+            assert term.beta_max == alone.beta_max
+        stack, _ = _stack_chains(iter(terms), len(terms), 50, 3, None)
+        assert stack.gram is None
+        np.testing.assert_allclose(stack.beta_max, [t.beta_max for t in terms], rtol=1e-12)
 
     def test_fit_matches_spectral_term(self, penalty_1d, domain_1d):
         rng = np.random.default_rng(26)
@@ -498,7 +592,7 @@ class TestFitChains:
         for cfg in (
             SolverConfig(tau1=1.0, tau2=0.5, k=2),
             SolverConfig(tau1=10.0, tau2=3.0, k=1, max_iterations=7),
-            SolverConfig(k=3, rho0=5000.0, rho_growth=1.2),
+            SolverConfig(tau2=0.2, k=3, rho0=5000.0, rho_growth=1.2),
         ):
             got, want = fit(y, small_penalty, cfg), fit_reference(y, small_penalty, cfg)
             assert np.array_equal(got.phi, want.phi)
@@ -545,6 +639,13 @@ class TestFitChains:
                     want.converged, want.iterations
                 )
                 assert got[key].config == want.config
+
+    def test_rejects_tau2_not_ascending_from_zero(self, small_penalty):
+        y = np.random.default_rng(38).standard_normal((30, 12))
+        for tau2s in ([1.0, 0.5], [0.0, 0.0], [-1.0], [-1.0, 0.0, 1.0]):
+            quads = [precompute_quadratic(y, small_penalty, 1.0)]
+            with pytest.raises(ValueError, match="ascending"):
+                list(fit_chains([y], [1.0], quads, SolverConfig(k=2), tau2s))
 
     def test_low_rank_stack_needs_equal_row_counts(self, small_penalty):
         rng = np.random.default_rng(33)
