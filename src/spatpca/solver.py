@@ -20,7 +20,12 @@ Woodbury update through one n x n Cholesky, and the warm start is a top-K
 subset eigensolve.  It saves a full eigensolve per chain but costs more per
 step, and it pays only where many chains share omega's factorization, so
 quadratic_family, which cv_tau calls once per fold, picks it from the shape
-and the length of the tau2 path alone (_low_rank_pays).
+and the number of tau2 values above 0 alone (_low_rank_pays).
+
+The polar factor comes from the K x K Gram (Higham 1986): Q = M V
+diag(w)^(-1/2) V' with M'M = V diag(w) V'.  The Gram squares M's condition
+number, so a member with w_min <= w_max/100 takes the SVD instead; the test
+is made per member, and no member's bits depend on another's.
 
 The iteration lives in fit_chains, which steps B independent chains as
 B x p x K arrays against a stack of B terms; admm_step takes that leading
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import ClassVar
 
 import numpy as np
@@ -286,8 +291,14 @@ class LowRankTerm:
 Term = QuadraticTerm | LowRankTerm
 
 
-def _shrink(m: np.ndarray, tau) -> np.ndarray:
-    return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
+def _shrink(m: np.ndarray, tau, out: np.ndarray) -> np.ndarray:
+    """sign(m) * max(|m| - tau, 0) written into out, which may be m."""
+    sign = np.sign(m)
+    np.abs(m, out=out)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    out *= sign
+    return out
 
 
 def soft_threshold(m, tau: float):
@@ -295,7 +306,7 @@ def soft_threshold(m, tau: float):
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     arr = np.asarray(m, dtype=float)
-    out = _shrink(arr, tau)
+    out = _shrink(arr, tau, np.empty_like(arr))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -314,43 +325,48 @@ def _check_data(y, penalty: PenaltyOperator) -> np.ndarray:
 
 
 def _fix_signs(phi: np.ndarray) -> np.ndarray:
-    # largest-magnitude entry of each column made nonnegative, ties at the lowest index
-    phi = phi.copy()
-    for c in range(phi.shape[1]):
-        lead = int(np.argmax(np.abs(phi[:, c])))
-        if phi[lead, c] < 0:
-            phi[:, c] = -phi[:, c]
-    return phi
+    # largest-magnitude entry of each column made nonnegative, ties at the lowest
+    # index; a copy, one member or a stack
+    lead = np.take_along_axis(phi, np.argmax(np.abs(phi), axis=-2)[..., None, :], axis=-2)
+    return np.where(lead < 0, -phi, phi)
 
 
-def _polar(m: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(m, full_matrices=False)
-    return u @ vt
-
-
-def _fro(m: np.ndarray):
-    """Frobenius norm over the last two axes, one per member of a stack."""
-    return np.sqrt(np.sum((m * m).reshape(*m.shape[:-2], -1), axis=-1))
+def _polar(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The polar factor of m, or of each member of a stack, into out when given:
+    from the K x K Gram M'M = V diag(w) V', or by SVD where w_min <= w_max/100."""
+    w, v = np.linalg.eigh(np.swapaxes(m, -1, -2) @ m)
+    ok = w[..., 0] > 1e-2 * w[..., -1]
+    root = np.sqrt(np.where(ok[..., None], w, 1.0))
+    out = np.matmul(m, (v / root[..., None, :]) @ np.swapaxes(v, -1, -2), out=out)
+    if not ok.all():
+        u, _, vt = np.linalg.svd(m[~ok], full_matrices=False)
+        out[~ok] = u @ vt
+    return out
 
 
 def _stop_measure(state: AdmmState, prev_phi: np.ndarray) -> np.ndarray:
     """The stop test's quantity, one per member: max(||Phi - Phi_prev||,
-    ||Phi - R||, ||Phi - Q||) / sqrt(p), Frobenius norms."""
-    scale = 1.0 / math.sqrt(state.phi.shape[-2])
+    ||Phi - R||, ||Phi - Q||) / sqrt(p), Frobenius norms, in one pass over
+    the three differences stacked."""
     phi = state.phi
-    return scale * np.maximum(
-        np.maximum(_fro(phi - prev_phi), _fro(phi - state.r)), _fro(phi - state.q)
-    )
+    diffs = np.empty((3, *phi.shape))
+    for diff, other in zip(diffs, (prev_phi, state.r, state.q)):
+        np.subtract(phi, other, out=diff)
+    diffs *= diffs
+    squares = diffs.reshape(*diffs.shape[:-2], -1).sum(axis=-1).max(axis=0)
+    return (1.0 / math.sqrt(phi.shape[-2])) * np.sqrt(squares)
 
 
 def _low_rank_pays(n: int, p: int, tau2_count: int) -> bool:
     """Whether cv_tau's chains on n rows and p sites, each along tau2_count
-    tau2 values, run faster on LowRankTerm than on QuadraticTerm.
+    tau2 values above 0, run faster on LowRankTerm than on QuadraticTerm.
 
     Per chain the low-rank term saves a full p x p eigensolve less a top-K
     one, about p^3 flops, and pays about n^2 p more per step, with about 20
-    steps per tau2 value: it pays while n sqrt(T2) stays below a fixed
-    fraction of p.  On select_and_fit (5 folds, 11 tau1 values, one BLAS
+    steps per tau2 value above 0 and none at 0: it pays while n sqrt(T2)
+    stays below a fixed fraction of p, and always at T2 = 0 (p = 400 with
+    200 training rows: select_and_fit 0.53 s, against 1.32-1.40 s on the
+    spectral term).  On select_and_fit (5 folds, 11 tau1 values, one BLAS
     thread, 2-core Xeon) the two terms broke even with one tau2 value at
     0.38 p training rows for p = 400 and 0.37 p for p = 900; with 4 values
     at 0.23 p and 0.18-0.22 p; with 31 at 0.12 p and 0.07 p.  The switch,
@@ -382,7 +398,7 @@ def quadratic_family(
     y, penalty: PenaltyOperator, tau2_count: int
 ) -> Callable[[float], Term]:
     """The Phi-update terms of one data set for chains along tau2_count tau2
-    values: call the result with tau1.
+    values above 0 (and any at 0): call the result with tau1.
 
     The work that depends on the rows alone is done here, once: ||Y||_2^2,
     and Y'Y or Y U (omega = U D U', factored once per penalty).  The shape
@@ -424,7 +440,7 @@ def initial_phi(quad: Term, k: int) -> np.ndarray:
     return _fix_signs(quad.leading(k))
 
 
-def admm_step(state: AdmmState, quad: Term, tau2) -> AdmmState:
+def admm_step(state: AdmmState, quad: Term, tau2, out: AdmmState | None = None) -> AdmmState:
     """One three-block pass at the state's rho against quad, either kind of Term.
 
     For a stack of B chains, state holds B x p x K blocks and a length-B rho,
@@ -441,15 +457,29 @@ def admm_step(state: AdmmState, quad: Term, tau2) -> AdmmState:
 
     Raises RhoTooSmallError when rho does not exceed the largest eigenvalue
     of Y'Y - tau1*omega (carried as .min_rho), for the first such member.
+    With out, the new blocks are written into its arrays, which may be
+    state's own, with the same bits; out's rho is not read.
     """
     rho = np.asarray(state.rho)[..., None, None]
-    rhs = rho * (state.q + state.r) - state.gamma1 - state.gamma2
-    phi = 0.5 * quad.shifted_solve(state.rho, rhs)
-    q = _polar(phi + state.gamma2 / rho)
-    r = _shrink(rho * phi + state.gamma1, np.asarray(tau2)[..., None, None]) / rho
-    gamma1 = state.gamma1 + rho * (phi - r)
-    gamma2 = state.gamma2 + rho * (phi - q)
-    return AdmmState(phi=phi, q=q, r=r, gamma1=gamma1, gamma2=gamma2, rho=state.rho)
+    if out is None:
+        out = AdmmState(*(np.empty_like(state.phi) for _ in range(5)), rho=state.rho)
+    work = state.q + state.r
+    work *= rho
+    work -= state.gamma1
+    work -= state.gamma2
+    phi = np.multiply(quad.shifted_solve(state.rho, work), 0.5, out=out.phi)
+    np.divide(state.gamma2, rho, out=work)
+    _polar(np.add(phi, work, out=work), out=out.q)
+    np.multiply(rho, phi, out=work)
+    work += state.gamma1
+    np.divide(_shrink(work, np.asarray(tau2)[..., None, None], out=out.r), rho, out=out.r)
+    for gamma, new_gamma, block in (
+        (state.gamma1, out.gamma1, out.r), (state.gamma2, out.gamma2, out.q)
+    ):
+        np.subtract(phi, block, out=work)
+        work *= rho
+        np.add(gamma, work, out=new_gamma)
+    return AdmmState(out.phi, out.q, out.r, out.gamma1, out.gamma2, rho=state.rho)
 
 
 def _initial_rho(config: SolverConfig, lam_max_yty: np.ndarray) -> np.ndarray:
@@ -467,21 +497,23 @@ def _check_warm(warm_start, p: int, k: int) -> np.ndarray:
     return w.copy()
 
 
-def _finish(y, config, q, converged: bool, iterations: int) -> EigenBasis:
-    yq = y @ q
-    variances = np.einsum("ij,ij->j", yq, yq) / y.shape[0]
-    order = np.argsort(-variances, kind="stable")
-    q = _fix_signs(q[:, order])
-    variances = variances[order]
-    q.setflags(write=False)
+def _finish(ys, configs, qs: np.ndarray, converged, iterations) -> list[EigenBasis]:
+    """The bases of the B finished members of a stack at once: member b's
+    columns qs[b] in descending order of sample variance on ys[b], signs fixed."""
+    variances = np.empty((len(qs), qs.shape[-1]))
+    for var, y, q in zip(variances, ys, qs):
+        yq = y @ q
+        np.einsum("ij,ij->j", yq, yq, out=var)
+        var /= y.shape[0]
+    order = np.argsort(-variances, axis=-1, kind="stable")
+    phis = _fix_signs(np.take_along_axis(qs, order[:, None, :], axis=-1))
+    variances = np.take_along_axis(variances, order, axis=-1)
+    phis.setflags(write=False)
     variances.setflags(write=False)
-    return EigenBasis(
-        phi=q,
-        sample_variances=variances,
-        config=config,
-        converged=converged,
-        iterations=iterations,
-    )
+    return [
+        EigenBasis(*fields)
+        for fields in zip(phis, variances, configs, map(bool, converged), map(int, iterations))
+    ]
 
 
 def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts):
@@ -544,10 +576,13 @@ def fit_chains(
     warm_starts[c] or initial_phi(quads[c], k), at rho0 with zero
     multipliers, until its own stop test or config.max_iterations, with
     results bit-identical to running the chain alone; the members are
-    stepped as one stack through admm_step.  A member that finishes its last
-    tau2 is retired by moving the last active member into its slot.  quads
-    is read once, in order (see _stack_chains); the terms must be of one
-    kind, and LowRankTerm chains must all have the same number of rows.
+    stepped as one stack through admm_step, updated in place.  The members
+    that finish in one step are finished together, and those past their last
+    tau2 retire, the last active members moving into their slots.  quads is
+    read once, in order (see _stack_chains); the terms must be of one kind,
+    and LowRankTerm chains must all have the same number of rows.  With
+    tau2 = 0 alone no stack is built: each term gives its closed form and
+    is released.
     """
     count, k = len(ys), config.k
     for y in ys:
@@ -556,12 +591,17 @@ def fit_chains(
     t2s = np.asarray(tau2_values, dtype=float)
     if not (t2s[0] >= 0 and np.all(np.diff(t2s) > 0)):
         raise ValueError("tau2 values must be nonnegative and strictly ascending")
+    config_at = cache(lambda t1, t2: replace(config, tau1=t1, tau2=t2))  # shared by bases
     first = int(t2s[0] == 0)  # the index of the first ADMM fit
-    quad, start = _stack_chains(quads, count, ys[0].shape[1], k, None if first else warm_starts)
-    for c in range(count if first else 0):
-        basis = _finish(ys[c], replace(config, tau1=float(tau1s[c]), tau2=0.0), start[c], True, 0)
-        yield c, 0, basis
-        start[c] = basis.phi
+    if first == t2s.size:  # closed forms only: each term is read once, and never stacked
+        start = np.array([initial_phi(quad, k) for quad, _ in zip(quads, ys, strict=True)])
+    else:
+        quad, start = _stack_chains(quads, count, ys[0].shape[1], k, None if first else warm_starts)
+    if first:
+        cfgs = [config_at(float(t1), 0.0) for t1 in tau1s]
+        bases = _finish(ys, cfgs, start, [True] * count, [0] * count)
+        yield from ((c, 0, basis) for c, basis in enumerate(bases))
+        start = np.array([basis.phi for basis in bases])
     if first == t2s.size:
         return
     rho0 = _initial_rho(config, quad.lam_max_yty)
@@ -569,47 +609,43 @@ def fit_chains(
     chain = np.arange(count)
     step, iters = np.full(count, first), np.zeros(count, dtype=int)
     tau2 = np.full(count, t2s[first])
-    zeros = np.zeros_like(start)
-    state = AdmmState(
-        phi=start, q=start, r=start.copy(), gamma1=zeros, gamma2=zeros.copy(), rho=rho0.copy()
-    )
+    blocks = [start, start.copy(), start.copy(), np.zeros_like(start), np.zeros_like(start)]
+    prev_phi, rho = np.empty_like(start), rho0.copy()
     active = count
     while active:
-        prev_phi = state.phi
-        state = admm_step(state, quad, tau2)
+        # the new phi goes into the spare buffer, the other blocks are updated in place
+        state = AdmmState(*blocks, rho=rho)
+        blocks[0], prev_phi = prev_phi, blocks[0]
+        state = admm_step(state, quad, tau2, AdmmState(*blocks, rho=rho))
         iters += 1
         converged = _stop_measure(state, prev_phi) <= config.tolerance
-        rho = np.minimum(state.rho * config.rho_growth, rho_cap)
-        blocks = (state.phi, state.q, state.r, state.gamma1, state.gamma2)
-        factors = tuple(getattr(quad, name) for name in quad.BATCHED)
-        members = (rho0, rho_cap, rho, chain, step, iters, tau2)
-        retired = False
-        # descending, so the member moved into a retired slot was already handled
-        for i in np.flatnonzero(converged | (iters >= config.max_iterations))[::-1]:
-            c, j = int(chain[i]), int(step[i])
-            cfg = replace(config, tau1=float(tau1s[c]), tau2=float(tau2_values[j]))
-            basis = _finish(ys[c], cfg, state.q[i], bool(converged[i]), int(iters[i]))
-            yield c, j, basis
-            if j + 1 < len(tau2_values):
-                # as a fresh fit warm started from the basis: phi = q = r = basis,
-                # zero multipliers, rho0
-                for block in blocks[:3]:
-                    block[i] = basis.phi
-                for block in blocks[3:]:
-                    block[i] = 0.0
-                rho[i], iters[i], step[i] = rho0[i], 0, j + 1
-                tau2[i] = tau2_values[j + 1]
-            else:
-                active -= 1
-                if i < active:
-                    for arr in blocks + factors + members:
-                        arr[i] = arr[active]
-                retired = True
-        if retired:
+        rho = np.minimum(rho * config.rho_growth, rho_cap)
+        done = np.flatnonzero(converged | (iters >= config.max_iterations))
+        if not done.size:
+            continue
+        cs, js = chain[done].tolist(), step[done].tolist()
+        cfgs = [config_at(float(tau1s[c]), float(t2s[j])) for c, j in zip(cs, js)]
+        bases = _finish([ys[c] for c in cs], cfgs, blocks[1][done], converged[done], iters[done])
+        yield from zip(cs, js, bases)
+        # each goes on as a fresh fit warm started from its basis: phi = q = r =
+        # basis, zero multipliers, rho0
+        for block, value in zip(blocks, [np.array([b.phi for b in bases])] * 3 + [0.0] * 2):
+            block[done] = value
+        rho[done], iters[done], step[done] = rho0[done], 0, step[done] + 1
+        tau2[done] = t2s[np.minimum(step[done], t2s.size - 1)]
+        retired = done[step[done] == t2s.size]
+        if retired.size:
+            # the active members stay in the leading slots: the last ones move into the gaps
+            active -= retired.size
+            holes = retired[retired < active]
+            movers = np.setdiff1d(np.arange(active, active + retired.size), retired)
+            factors = [getattr(quad, name) for name in quad.BATCHED]
+            members = [rho0, rho_cap, rho, chain, step, iters, tau2]
+            for arr in blocks + factors + members if holes.size else ():
+                arr[holes] = arr[movers]  # a lone chain's term is read in place, never written
             quad = replace(quad, **{name: a[:active] for name, a in zip(quad.BATCHED, factors)})
             rho0, rho_cap, rho, chain, step, iters, tau2 = (a[:active] for a in members)
-            blocks = tuple(block[:active] for block in blocks)
-        state = AdmmState(*blocks, rho=rho)
+            blocks, prev_phi = [block[:active] for block in blocks], prev_phi[:active]
 
 
 def fit(

@@ -46,9 +46,11 @@ __all__ = [
 ]
 
 # cap on the stacked terms of one cv_tau group (solver.stacked_bytes per
-# chain): 51 spectral chains at p = 50, 6 low-rank ones at p = 400 with 48
-# training rows and one tau2 value
-_GROUP_BYTES = 1 << 20
+# chain): 205 spectral chains at p = 50, 3 at p = 400, 27 low-rank ones at
+# p = 400 with 48 training rows.  At 1 MiB cv1d's 55 chains ran as 51 + 4,
+# the 4 paying a whole stack's per-step overhead; as one stack, cv_tau took
+# 0.46 s for 0.53 s (median of 16 alternating runs, one BLAS thread)
+_GROUP_BYTES = 4 << 20
 
 
 def default_log_grid(count: int, low: float = 1.0, high: float = 1e3) -> np.ndarray:
@@ -208,13 +210,14 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     shape = (folds.m, t1s.size, t2s.size)
     loss, conv, iters = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=int)
     config = SolverConfig(k=k)
+    admm_fits = np.count_nonzero(t2s)  # the fits at tau2 > 0, which run the ADMM
     # Y'Y or Y U, and ||Y||_2^2, once per fold; the cells run fold by fold
-    family = lru_cache(maxsize=1)(lambda m: quadratic_family(splits[m][0], penalty, t2s.size))
+    family = lru_cache(maxsize=1)(lambda m: quadratic_family(splits[m][0], penalty, admm_fits))
     # low-rank chains stack only with equal row counts, so folds go by training size
     by_rows = sorted(range(folds.m), key=lambda m: splits[m][0].shape[0])
     for rows, same in groupby(by_rows, key=lambda m: splits[m][0].shape[0]):
         cells = [(m, i) for m in same for i in range(t1s.size)]
-        size = max(1, _GROUP_BYTES // stacked_bytes(rows, p, t2s.size))
+        size = max(1, _GROUP_BYTES // stacked_bytes(rows, p, admm_fits))
         for start in range(0, len(cells), size):
             group = cells[start : start + size]
             ys = [splits[m][0] for m, _ in group]
@@ -353,7 +356,7 @@ def select_and_fit(
         # the refit takes the term of one more cv_tau chain: the choice is
         # monotone in the row count, so it reuses omega's decomposition only
         # where the fold chains already paid for it
-        quad = quadratic_family(y, penalty, grid.tau2_values.size)(t1)
+        quad = quadratic_family(y, penalty, np.count_nonzero(grid.tau2_values))(t1)
     else:
         t1, t2 = float(grid.tau1_values[0]), float(grid.tau2_values[0])
     config = SolverConfig(tau1=t1, tau2=t2, k=k, max_iterations=max_iterations)

@@ -277,7 +277,7 @@ def fit_reference(y, penalty, config, warm_start=None, quad=None):
             phi=state.phi, q=state.q, r=state.r, gamma1=state.gamma1, gamma2=state.gamma2,
             rho=min(state.rho * config.rho_growth, 1e12 * rho0),
         )
-    return _finish(y, config, state.q, converged, iterations)
+    return _finish([y], [config], state.q[None], [converged], [iterations])[0]
 
 
 def cv_tau_reference(y, penalty, k, grid, folds):
@@ -298,12 +298,12 @@ def cv_tau_reference(y, penalty, k, grid, folds):
         y_tr, y_va = y[~mask], y[mask]
         va_sq = float(np.sum(y_va * y_va))
         for i, t1 in enumerate(t1s):
-            quad = quadratic_family(y_tr, penalty, t2s.size)(t1)
+            quad = quadratic_family(y_tr, penalty, np.count_nonzero(t2s))(t1)
             warm = None
             for j, t2 in enumerate(t2s):
                 cfg = SolverConfig(tau1=float(t1), tau2=float(t2), k=k)
                 if t2 == 0:
-                    basis = _finish(y_tr, cfg, initial_phi(quad, k), True, 0)
+                    basis = _finish([y_tr], [cfg], initial_phi(quad, k)[None], [True], [0])[0]
                 else:
                     basis = fit_reference(y_tr, penalty, cfg, warm_start=warm, quad=quad)
                 warm = basis.phi

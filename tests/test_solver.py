@@ -37,7 +37,6 @@ from spatpca.solver import (
     quadratic_family,
     soft_threshold,
     stacked_bytes,
-    _fro,
     _polar,
     _stack_chains,
 )
@@ -52,6 +51,10 @@ from checks import (
     smooth_rank1_data,
     spatpca_objective,
 )
+
+
+def _fro(m):
+    return float(np.sqrt(np.sum(m * m)))
 
 
 def _state_at_eigvecs(y, k, tau2_free=True):
@@ -463,11 +466,13 @@ class TestClosedForm:
         monkeypatch.setattr(spatpca.solver, "admm_step", counting)
         rng = np.random.default_rng(36)
         grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(4)), tau2=0.0)
-        for n in (60, 15):  # spectral and low-rank chains
+        for n in (60, 15):  # low-rank chains: no tau2 value above 0
             y = rng.standard_normal((n, 50))
             tuned = select_and_fit(y, penalty_1d, 2, grid, partition_folds(n, 3, seed=0))
             assert (tuned.basis.converged, tuned.basis.iterations) == (True, 0)
             assert tuned.tau_report.converged.all() and not tuned.tau_report.iterations.any()
+        # a lone fit, on the spectral term
+        assert fit(y, penalty_1d, SolverConfig(tau1=1.0, k=2)).iterations == 0
         assert calls == []
         # the spy sees the steps of a tau2 > 0 fit
         fit(y, penalty_1d, SolverConfig(tau2=1.0, k=2))
@@ -536,6 +541,7 @@ class TestLowRankTerm:
         for n, tau2_count, kind in (
             (18, 1, LowRankTerm), (19, 1, QuadraticTerm),
             (9, 4, LowRankTerm), (10, 4, QuadraticTerm), (60, 1, QuadraticTerm),
+            (60, 0, LowRankTerm),  # tau2 = 0 alone: closed forms, no ADMM step
         ):
             y = rng.standard_normal((n, 50))
             assert type(quadratic_family(y, penalty_1d, tau2_count)(1.0)) is kind
@@ -651,8 +657,9 @@ class TestFitChains:
         rng = np.random.default_rng(33)
         ys = [rng.standard_normal((8, 12)), rng.standard_normal((7, 12))]
         quads = [low_rank_term(y, small_penalty, 1.0) for y in ys]
+        # stacked only when some fit runs the ADMM
         with pytest.raises(ValueError, match="equal row counts"):
-            list(fit_chains(ys, [1.0, 1.0], quads, SolverConfig(k=2), [0.0]))
+            list(fit_chains(ys, [1.0, 1.0], quads, SolverConfig(k=2), [0.0, 1.0]))
 
     def test_stacked_step_reports_first_member_below_floor(self, small_penalty):
         y = np.random.default_rng(32).standard_normal((25, 12))
@@ -731,3 +738,29 @@ def test_polar_factor_is_orthonormal(seed):
     m = rng.standard_normal((8, 3))
     q = _polar(m)
     assert np.abs(q.T @ q - np.eye(3)).max() < 1e-12
+
+
+def _svd_polar(m):
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
+    return u @ vt
+
+
+class TestGramPolar:
+    def test_matches_svd_polar_near_orthonormal_input(self):
+        rng = np.random.default_rng(40)
+        for p, k in ((50, 2), (400, 5), (12, 3)):
+            m = random_orthonormal(rng, p, k) + 1e-3 * rng.standard_normal((p, k))
+            assert np.abs(_polar(m) - _svd_polar(m)).max() < 1e-14
+
+    def test_rank_deficient_member_alone_takes_the_svd(self):
+        rng = np.random.default_rng(41)
+        m = np.stack(
+            [random_orthonormal(rng, 20, 3) + 0.1 * rng.standard_normal((20, 3)) for _ in range(5)]
+        )
+        m[2, :, 1] = 0.5 * m[2, :, 0]  # rank 2: its Gram has a zero eigenvalue
+        q = _polar(m)
+        assert np.array_equal(q[2], _svd_polar(m[2]))
+        assert np.abs(q[2].T @ q[2] - np.eye(3)).max() < 1e-12
+        for i in (0, 1, 3, 4):
+            assert np.array_equal(q[i], _polar(m[i]))
+            assert not np.array_equal(q[i], _svd_polar(m[i]))

@@ -18,7 +18,7 @@ from spatpca import (
     restrict_grid,
     select_and_fit,
 )
-from spatpca.solver import LowRankTerm, fit_chains, quadratic_family, stacked_bytes
+from spatpca.solver import LowRankTerm, QuadraticTerm, fit_chains, quadratic_family, stacked_bytes
 import spatpca.tuning
 from spatpca.covariance import estimate_from_moments
 from spatpca.tuning import _first_minimum, gamma_grid
@@ -257,6 +257,65 @@ class TestCvTauGroups:
         assert np.array_equal(rep.criterion, crit)
         assert np.array_equal(rep.converged, conv)
         assert np.array_equal(rep.iterations, iters)
+
+
+    def test_cv1d_shape_is_one_stack_at_the_default_cap(self, domain_1d, penalty_1d, monkeypatch):
+        # n = 100, p = 50, 5 folds of 80 training rows, the default 11 x 31
+        # grid: the 55 spectral chains of the one training size share a stack
+        y, _ = smooth_rank1_data(np.random.default_rng(6), domain_1d.locations[:, 0], 100)
+        seen = []
+
+        def spy(ys, *args):
+            seen.append(len(ys))
+            yield from fit_chains(ys, *args)
+
+        monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
+        cv_tau(y, penalty_1d, 2, TuningGrid(), partition_folds(100, 5, seed=1))
+        assert seen == [55]
+
+    def test_tau2_zero_grid_builds_no_stack(self, cv_setup, monkeypatch):
+        y, pen = cv_setup
+        folds = partition_folds(y.shape[0], 3, seed=2)
+        grid = TuningGrid(tau1_values=default_log_grid(4), tau2_values=[0.0])
+        stacks = []
+
+        def spy(*args):
+            stacks.append(args[1])
+            return stack_chains(*args)
+
+        stack_chains = spatpca.solver._stack_chains
+        monkeypatch.setattr(spatpca.solver, "_stack_chains", spy)
+        rep = cv_tau(y, pen, 2, grid, folds)
+        assert stacks == []
+        crit, conv, iters = cv_tau_reference(y, pen, 2, grid, folds)
+        assert np.array_equal(rep.criterion, crit)
+        assert rep.converged.all() and not rep.iterations.any()
+        # the spy sees the stack of a grid with a tau2 above 0
+        cv_tau(y, pen, 2, TuningGrid(tau1_values=[1.0], tau2_values=[0.0, 1.0]), folds)
+        assert stacks == [3]
+
+    def test_pinned_tau2_zero_takes_the_low_rank_term(self, penalty_1d, monkeypatch):
+        # 24 rows in 5 folds: 19 or 20 training rows, just above 3p/8 = 18.75,
+        # where a single tau2 value above 0 takes the spectral term
+        y = np.random.default_rng(8).standard_normal((24, 50))
+        assert type(quadratic_family(y[:19], penalty_1d, 1)(1.0)) is QuadraticTerm
+        assert stacked_bytes(19, 50, 0) == 8 * (19 * 50 + 2)
+        chains, refits = [], []
+
+        def chains_spy(ys, tau1s, quads, *args):
+            quads = list(quads)
+            chains.extend(type(quad) for quad in quads)
+            yield from fit_chains(ys, tau1s, quads, *args)
+
+        def refit_spy(*args, quad=None):
+            refits.append(type(quad))
+            return fit(*args, quad=quad)
+
+        monkeypatch.setattr(spatpca.tuning, "fit_chains", chains_spy)
+        monkeypatch.setattr(spatpca.tuning, "fit", refit_spy)
+        grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(3)), tau2=0.0)
+        select_and_fit(y, penalty_1d, 2, grid, partition_folds(24, 5, seed=3), gamma=0.0)
+        assert chains == [LowRankTerm] * 15 and refits == [LowRankTerm]
 
 
 class TestCvGamma:
