@@ -10,7 +10,8 @@ kernel system [[g, e], [e', 0]].  :func:`build_penalty` computes it in
 null-space form from a QR factorization of the affine design ``e`` and never
 assembles the bordered matrix.  Downstream code works with ``omega`` directly
 and only touches spline coefficients when a component has to be evaluated
-off the observation sites.
+off the observation sites; :func:`evaluate` builds that q x p kernel matrix
+in place, in row blocks, and makes one matrix product.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def kernel(r, d: int):
 
     with g(0) = 0 by continuity.  The d = 3 coefficient is negative because
     Gamma(-1/2) < 0; that is the correct bending-energy generator, not a sign
-    slip.  For d = 1 the formula reduces to r^3 / 12.
+    slip.  For d = 1 the formula reduces to r^3 / 12.  The same in-place
+    formula builds the kernel matrices of build_penalty and evaluate.
 
     Parameters
     ----------
@@ -162,23 +164,57 @@ def kernel(r, d: int):
     """
     if d not in (1, 2, 3):
         raise ValueError(f"kernel defined for d in {{1, 2, 3}}, got {d}")
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr = np.array(r, dtype=float, ndmin=1)
     if np.any(arr < 0):
         raise ValueError("distances must be nonnegative")
+    out = _radial(arr, d, np.empty_like(arr))
+    return float(out[0]) if np.ndim(r) == 0 else out
+
+
+# bytes of a _kernel_matrix row block plus its scratch block: evaluate at
+# q = 3600, p = 400, K = 5 took 14.8-15.3 ms median from 256 KiB to 2 MiB,
+# 16.0 at 128 KiB and 16.9 at 4 MiB; at q = 2001, p = 50, K = 2, 0.76 ms at
+# 1 MiB and 1.0-1.1 at 128 KiB and 4 MiB (whole-matrix build: 90 and 1.5 ms;
+# 2-core Xeon with a 2 MiB L2 per core, one BLAS thread)
+_BLOCK_BYTES = 1 << 20
+
+
+def _radial(r: np.ndarray, d: int, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite distances r (nonnegative, unchecked) with g(r); clobbers scratch."""
     if d == 2:
-        safe = np.where(arr > 0.0, arr, 1.0)
-        out = np.where(arr > 0.0, arr * arr * np.log(safe), 0.0) / (16.0 * math.pi)
+        scratch.fill(0.0)  # log(0) is never taken; g(0) is 0 * 0
+        np.log(r, out=scratch, where=r > 0.0)
+        r *= r
+        r *= scratch
+        r /= 16.0 * math.pi
     else:
-        coef = math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0))
-        out = coef * arr ** (4 - d)
-    return float(out[0]) if scalar else out
+        r **= 4 - d
+        r *= math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0))
+    return r
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill out with ||a_i - b_j||, clobbering scratch; the squares are summed
+    in axis order, as np.sum over a difference tensor sums them, for its bits."""
+    np.subtract(a[:, :1], b[:, 0], out=out)
+    out *= out
+    for k in range(1, a.shape[1]):
+        np.subtract(a[:, k : k + 1], b[:, k], out=scratch)
+        scratch *= scratch
+        out += scratch
+    return np.sqrt(out, out=out)
+
+
+def _kernel_matrix(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """g(||a_i - b_j||) built in row blocks; scratch is one block (and a d = 2 mask)."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    rows = max(1, _BLOCK_BYTES // (16 * b.shape[0]))
+    scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for start in range(0, a.shape[0], rows):
+        block = out[start : start + rows]
+        part = scratch[: block.shape[0]]
+        _radial(_distances(a[start : start + rows], b, block, part), d, part)
+    return out
 
 
 def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
@@ -200,16 +236,19 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
     """
     loc = domain.locations
     p, d = loc.shape
-    dist = _pairwise_distances(loc, loc)
-    off = dist + np.diag(np.full(p, np.inf))
-    i, j = np.unravel_index(int(np.argmin(off)), off.shape)
-    if off[i, j] == 0.0:
+    scratch = np.empty((p, p))
+    dist = _distances(loc, loc, np.empty((p, p)), scratch)
+    # the closest distinct pair, first in row-major order; the diagonal is exactly 0
+    np.fill_diagonal(dist, np.inf)
+    i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+    closest = float(dist[i, j])
+    if closest == 0.0:
         raise ConditioningError(
             f"sites {i} and {j} coincide; the interpolation system is singular",
             pair=(i, j),
         )
-
-    g = kernel(dist, d)
+    np.fill_diagonal(dist, 0.0)
+    g = _radial(dist, d, scratch)
     e = np.hstack([np.ones((p, 1)), loc])
     q_full, r_full = np.linalg.qr(e, mode="complete")
     r1 = r_full[: d + 1].copy()
@@ -229,13 +268,13 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ConditioningError(
             f"interpolation system is singular; closest sites are {i} and {j} "
-            f"at distance {off[i, j]:.6g}",
+            f"at distance {closest:.6g}",
             pair=(i, j),
         ) from exc
     if not np.all(np.isfinite(omega)):
         raise ConditioningError(
             f"interpolation system is numerically singular; closest sites are "
-            f"{i} and {j} at distance {off[i, j]:.6g}",
+            f"{i} and {j} at distance {closest:.6g}",
             pair=(i, j),
         )
 
@@ -280,6 +319,9 @@ def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.nda
 
     phi(s) = sum_i a_i g(||s - s_i||) + b_0 + b_{1:}' s
 
+    The q x p kernel matrix, built in place in row blocks with the bits of
+    ``kernel``, multiplies ``a`` in one product: 8qp bytes plus about 1 MiB.
+
     Parameters
     ----------
     query : ndarray
@@ -297,5 +339,5 @@ def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.nda
         raise ValueError(f"query must be q x {domain.d}, got shape {np.shape(query)}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
-    r = _pairwise_distances(q, domain.locations)
-    return kernel(r, domain.d) @ coeffs.a + coeffs.b[0] + q @ coeffs.b[1:]
+    g = _kernel_matrix(q, domain.locations, domain.d)
+    return g @ coeffs.a + coeffs.b[0] + q @ coeffs.b[1:]

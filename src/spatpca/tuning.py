@@ -10,8 +10,8 @@ per-fold pieces shared by the fold's chains), then fits along increasing
 tau2, each warm started from the last.  The fit at tau2 = 0 is the term's
 leading eigenvectors in closed form, so the compute goes into the terms
 and the ADMM fits at tau2 > 0.  cv_tau steps groups of chains together
-through solver.fit_chains; a group holds as many chains as fit in
-_GROUP_BYTES of stacked terms.
+through solver.fit_chains, in as few groups as fit in _GROUP_BYTES of
+stacked terms, their sizes within one of each other.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
 on all rows, gamma by CV, then the covariance step from Y Phi and ||Y||_F^2
@@ -193,11 +193,11 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     smallest (tau1, tau2) in lexicographic order; NaN cells are skipped.
 
     The M x T1 (fold, tau1) chains run in groups of stacked chains through
-    solver.fit_chains, each chain along the whole tau2 grid; a group holds
-    chains of one training row count, as many as fit in _GROUP_BYTES by
-    solver.stacked_bytes.  Every fit is bit-identical to fitting its cell
-    alone, and the folds' terms are summed in fold order, so the grouping
-    never changes a bit of the report.
+    solver.fit_chains, each chain along the whole tau2 grid; the C chains
+    of one training row count run in ceil(C / cap) groups of sizes within
+    one, cap = _GROUP_BYTES // solver.stacked_bytes.  Every fit is
+    bit-identical to fitting its cell alone, and the folds' terms are summed
+    in fold order, so the grouping never changes a bit of the report.
     """
     y = np.asarray(y, dtype=float)
     n, p = y.shape
@@ -217,9 +217,9 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     by_rows = sorted(range(folds.m), key=lambda m: splits[m][0].shape[0])
     for rows, same in groupby(by_rows, key=lambda m: splits[m][0].shape[0]):
         cells = [(m, i) for m in same for i in range(t1s.size)]
-        size = max(1, _GROUP_BYTES // stacked_bytes(rows, p, admm_fits))
-        for start in range(0, len(cells), size):
-            group = cells[start : start + size]
+        cap = max(1, _GROUP_BYTES // stacked_bytes(rows, p, admm_fits))
+        for part in np.array_split(np.arange(len(cells)), -(-len(cells) // cap)):
+            group = [cells[c] for c in part]
             ys = [splits[m][0] for m, _ in group]
             tau1s = [float(t1s[i]) for _, i in group]
             quads = (family(m)(t1) for (m, _), t1 in zip(group, tau1s))

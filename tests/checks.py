@@ -8,6 +8,10 @@ two-block splitting whose Phi update solves K lasso problems by coordinate
 descent, and subspace distances are the norm of a projection residual of the
 QR factors.  Slow and simple on purpose.
 
+evaluate_reference is the whole-matrix formula tps.evaluate used before it
+built its kernel matrix in row blocks, kept so that the blocked build can be
+required to give the same bits.
+
 The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
 time (cv_tau_reference takes the closed form at tau2 = 0), so that the
@@ -229,6 +233,27 @@ def fit_lasso_inner(y, penalty, config) -> LassoInnerFit:
             break
         rho = min(rho * config.rho_growth, 1e12 * rho0)
     return LassoInnerFit(phi=q, converged=converged, iterations=iterations)
+
+
+def kernel_reference(r, d: int) -> np.ndarray:
+    """tps.kernel for an array of distances, by np.where."""
+    if d == 2:
+        safe = np.where(r > 0.0, r, 1.0)
+        return np.where(r > 0.0, r * r * np.log(safe), 0.0) / (16.0 * math.pi)
+    return math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0)) * r ** (4 - d)
+
+
+def kernel_matrix_reference(a, b, d: int) -> np.ndarray:
+    """g(||a_i - b_j||) from an n x m x d difference tensor."""
+    diff = a[:, None, :] - b[None, :, :]
+    return kernel_reference(np.sqrt(np.sum(diff * diff, axis=-1)), d)
+
+
+def evaluate_reference(coeffs, domain, query) -> np.ndarray:
+    """tps.evaluate for a q x d query, with the kernel matrix built whole."""
+    q = np.asarray(query, dtype=float)
+    g = kernel_matrix_reference(q, domain.locations, domain.d)
+    return g @ coeffs.a + coeffs.b[0] + q @ coeffs.b[1:]
 
 
 def low_rank_term(y, penalty, tau1) -> LowRankTerm:

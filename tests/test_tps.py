@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +14,15 @@ from spatpca import (
     evaluate,
     solve_coefficients,
 )
+from spatpca import tps
 from spatpca.tps import SplineCoefficients, kernel
 
-from checks import natural_spline_energy
+from checks import (
+    evaluate_reference,
+    kernel_matrix_reference,
+    kernel_reference,
+    natural_spline_energy,
+)
 
 
 class TestKernel:
@@ -224,6 +232,53 @@ class TestInterpolation:
             evaluate(coeffs, penalty_2d.domain, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             evaluate(coeffs, penalty_2d.domain, np.array([[0.0, np.nan]]))
+
+
+class TestBlockedKernel:
+    # evaluate and build_penalty fill their kernel matrices in place, in row
+    # blocks for evaluate; both must give the whole-matrix formula's bits
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_evaluate_is_bit_identical_to_whole_matrix(self, d):
+        rng = np.random.default_rng(10 + d)
+        dom = SpatialDomain(rng.uniform(-3.0, 3.0, size=(60, d)))
+        coeffs = SplineCoefficients(a=rng.standard_normal((60, 4)), b=rng.standard_normal((d + 1, 4)))
+        height = tps._BLOCK_BYTES // (16 * dom.p)
+        loc = dom.locations
+        for q in (1, height + 7, 3 * height + 11):
+            # the first rows are sites: r = 0 there, which must give g = 0 quietly
+            query = np.vstack([loc, rng.uniform(-4.0, 4.0, size=(q, d))])[:q]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = evaluate(coeffs, dom, query)
+                g = tps._kernel_matrix(query, loc, d)
+            assert np.array_equal(got, evaluate_reference(coeffs, dom, query))
+            sites = np.arange(min(q, dom.p))
+            assert np.all(g[sites, sites] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_penalty_kernel_is_bit_identical_to_whole_matrix(self, d):
+        loc = np.random.default_rng(20 + d).uniform(-3.0, 3.0, size=(40, d))
+        pen = build_penalty(SpatialDomain(loc))
+        assert np.array_equal(pen.g, kernel_matrix_reference(loc, loc, d))
+        r = np.linalg.norm(loc[:7, None, :] - loc[None, :, :], axis=-1)
+        assert np.array_equal(kernel(r, d), kernel_reference(r, d))
+
+    def test_evaluate_peak_memory_is_the_kernel_matrix_and_a_block(self):
+        # q = 3600 queries, p = 400 sites, K = 5: the whole-matrix formula held
+        # about 55 MB of temporaries beside its 11.5 MB kernel matrix
+        axis = np.linspace(-5.0, 5.0, 20)
+        dom = SpatialDomain(np.column_stack([c.ravel() for c in np.meshgrid(axis, axis)]))
+        fine = np.linspace(-5.0, 5.0, 60)
+        query = np.column_stack([c.ravel() for c in np.meshgrid(fine, fine)])
+        rng = np.random.default_rng(30)
+        coeffs = SplineCoefficients(a=rng.standard_normal((400, 5)), b=rng.standard_normal((3, 5)))
+        tracemalloc.start()
+        try:
+            evaluate(coeffs, dom, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * query.shape[0] * dom.p
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

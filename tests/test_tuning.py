@@ -202,10 +202,11 @@ class TestCvTau:
 
 
 class TestCvTauGroups:
-    # 3 folds x 4 tau1 values = 12 chains, each along 6 tau2 values
+    # 3 folds x 4 tau1 values = 12 chains, each along 6 tau2 values, in
+    # ceil(12 / cap) groups whose sizes differ by at most one
     @pytest.mark.parametrize(
         "size, sizes",
-        [(1, [1] * 12), (2, [2] * 6), (5, [5, 5, 2]), (12, [12])],
+        [(1, [1] * 12), (2, [2] * 6), (5, [4, 4, 4]), (12, [12]), (7, [6, 6])],
     )
     def test_grouping_is_bit_identical_to_per_cell_loop(self, cv_setup, monkeypatch, size, sizes):
         y, pen = cv_setup
@@ -235,7 +236,8 @@ class TestCvTauGroups:
 
     def test_low_rank_chains_group_by_row_count(self, domain_1d, penalty_1d, monkeypatch):
         # 13 rows in 3 folds of 5, 4, 4: 8 or 9 training rows, far fewer than
-        # the 50 sites, so the Woodbury chains stack by training row count
+        # the 50 sites, so the Woodbury chains stack by training row count;
+        # a cap of 4 splits the six 9-row chains 3 + 3
         y, _ = smooth_rank1_data(np.random.default_rng(5), domain_1d.locations[:, 0], 13)
         pen = penalty_1d
         p = y.shape[1]
@@ -251,7 +253,7 @@ class TestCvTauGroups:
         monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", 4 * stacked_bytes(9, p, 3))
         monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
         rep = cv_tau(y, pen, 2, grid, folds)
-        assert seen == [[8] * 3, [9] * 4, [9] * 2]
+        assert seen == [[8] * 3, [9] * 3, [9] * 3]
 
         crit, conv, iters = cv_tau_reference(y, pen, 2, grid, folds)
         assert np.array_equal(rep.criterion, crit)
