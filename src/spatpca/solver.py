@@ -13,14 +13,14 @@ returned as the estimate.  At tau2 = 0 the K leading eigenvectors of
 Y'Y - tau1*omega are the exact minimizer (Ky Fan), returned with no iteration.
 
 The shifted solve has two forms.  A QuadraticTerm holds one spectral
-factorization of Y'Y - tau1*omega per tau1 and serves every rho from it; a
-lone fit (precompute_quadratic) always uses it.  A LowRankTerm factors
-nothing per tau1: omega is factored once per domain, each solve is a
-Woodbury update through one n x n Cholesky, and the warm start is a top-K
-subset eigensolve.  It saves a full eigensolve per chain but costs more per
-step, and it pays only where many chains share omega's factorization, so
-quadratic_family, which cv_tau calls once per fold, picks it from the shape
-and the number of tau2 values above 0 alone (_low_rank_pays).
+factorization of Y'Y - tau1*omega per tau1 and serves every rho from it.  A
+LowRankTerm factors nothing per tau1: omega is factored once per domain,
+each solve is a Woodbury update through one n x n Cholesky, and the warm
+start is a top-K subset eigensolve.  It saves a full eigensolve per chain
+but costs more per ADMM step.  precompute_quadratic is the one constructor
+of both, for a lone fit and a cv_tau fold alike, and one rule picks the
+form from the shape and the number of tau2 values above 0 alone
+(_low_rank_pays), never from what ran before.
 
 The polar factor comes from the K x K Gram (Higham 1986): Q = M V
 diag(w)^(-1/2) V' with M'M = V diag(w) V'.  The Gram squares M's condition
@@ -61,7 +61,6 @@ __all__ = [
     "LowRankTerm",
     "soft_threshold",
     "initial_phi",
-    "quadratic_family",
     "precompute_quadratic",
     "stacked_bytes",
     "admm_step",
@@ -88,7 +87,7 @@ class SolverConfig:
     rho0 = "auto" starts the penalty parameter at 10 times the largest
     eigenvalue of Y'Y, which guarantees the positive definiteness the updates
     require.  rho is multiplied by rho_growth each iteration and capped at
-    1e12 * rho0.
+    1e12 * rho0.  Every number must be finite.
     """
 
     tau1: float = 0.0
@@ -100,6 +99,10 @@ class SolverConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
+        rho0 = () if isinstance(self.rho0, str) else (self.rho0,)
+        numbers = (self.tau1, self.tau2, self.rho_growth, self.tolerance, *rho0)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("tau1, tau2, rho0, rho_growth and tolerance must be finite")
         if self.tau1 < 0 or self.tau2 < 0:
             raise ValueError("penalty weights must be nonnegative")
         if self.k < 1:
@@ -164,8 +167,8 @@ class QuadraticTerm:
     (tau1*omega + rho*I - Y'Y)^{-1} x = vectors diag(1/(rho - values)) vectors' x,
     valid whenever rho exceeds values[-1].  lam_max_yty is the largest
     eigenvalue of Y'Y, ||Y||_2^2, used by the rho0 = "auto" rule.  This is
-    the term of every lone fit and, in cv_tau, of data that do not have
-    far fewer rows than sites; see LowRankTerm for the rest.  Both offer
+    the term of data that do not have far fewer rows than sites; see
+    LowRankTerm for the rest.  Both offer
     beta_max, leading(k) and shifted_solve(rho, rhs), which raises
     RhoTooSmallError below the floor.
 
@@ -224,7 +227,8 @@ class LowRankTerm:
     exceed beta_max (or A itself is not positive definite), so it is the rho
     floor check.  leading(k) is a top-k subset eigensolve of B; beta_max is
     a top-1 eigensolve per member, computed on each access.  Both start from
-    gram = (YU)'(YU) when given, formed once per data set by quadratic_family.
+    gram = (YU)'(YU) when given, formed once per data set by
+    precompute_quadratic.
 
     A stack has a leading batch axis on yu (B x n x p, one n for the whole
     stack), tau1 and lam_max_yty; vectors and values are the domain's and
@@ -358,8 +362,8 @@ def _stop_measure(state: AdmmState, prev_phi: np.ndarray) -> np.ndarray:
 
 
 def _low_rank_pays(n: int, p: int, tau2_count: int) -> bool:
-    """Whether cv_tau's chains on n rows and p sites, each along tau2_count
-    tau2 values above 0, run faster on LowRankTerm than on QuadraticTerm.
+    """Whether chains on n rows and p sites, each along tau2_count tau2
+    values above 0, run faster on LowRankTerm than on QuadraticTerm.
 
     Per chain the low-rank term saves a full p x p eigensolve less a top-K
     one, about p^3 flops, and pays about n^2 p more per step, with about 20
@@ -370,9 +374,10 @@ def _low_rank_pays(n: int, p: int, tau2_count: int) -> bool:
     thread, 2-core Xeon) the two terms broke even with one tau2 value at
     0.38 p training rows for p = 400 and 0.37 p for p = 900; with 4 values
     at 0.23 p and 0.18-0.22 p; with 31 at 0.12 p and 0.07 p.  The switch,
-    n sqrt(T2) < 3p/8, is at or below each of these.  A lone fit
-    has no chains to share omega's factorization with, so it never takes
-    the low-rank term.
+    n sqrt(T2) < 3p/8, is at or below each of these.  A lone fit is one
+    chain along its own tau2: on the low-rank term it pays omega's
+    decomposition on first use of a domain, and every later fit on that
+    domain reuses it.
     """
     return 8 * n * math.sqrt(tau2_count) < 3 * p
 
@@ -382,29 +387,19 @@ def _lam_max(y: np.ndarray) -> float:
     return float(np.max(np.linalg.svd(y, compute_uv=False), initial=0.0) ** 2)
 
 
-def _spectral_family(y: np.ndarray, penalty: PenaltyOperator, lam_max: float):
-    yty = y.T @ y
-    yty = 0.5 * (yty + yty.T)
-
-    def spectral(tau1: float) -> QuadraticTerm:
-        b = yty - tau1 * penalty.omega
-        values, vectors = np.linalg.eigh(0.5 * (b + b.T))
-        return QuadraticTerm(vectors=vectors, values=values, lam_max_yty=lam_max)
-
-    return spectral
-
-
-def quadratic_family(
+def precompute_quadratic(
     y, penalty: PenaltyOperator, tau2_count: int
 ) -> Callable[[float], Term]:
     """The Phi-update terms of one data set for chains along tau2_count tau2
     values above 0 (and any at 0): call the result with tau1.
 
-    The work that depends on the rows alone is done here, once: ||Y||_2^2,
-    and Y'Y or Y U (omega = U D U', factored once per penalty).  The shape
-    and tau2_count alone pick the term (_low_rank_pays): a LowRankTerm,
-    no eigendecomposition per tau1, for far fewer rows than sites; a
-    QuadraticTerm, one p x p eigendecomposition per tau1, otherwise.
+    The one constructor of a term, for a lone fit (fit, tau2_count 0 or 1)
+    and each cv_tau fold alike.  The work that depends on the rows alone is
+    done here, once: ||Y||_2^2, and Y'Y or Y U (omega = U D U', factored
+    once per penalty).  The shape and tau2_count alone pick the term
+    (_low_rank_pays): a LowRankTerm, no eigendecomposition per tau1, for far
+    fewer rows than sites; a QuadraticTerm, one p x p eigendecomposition per
+    tau1, otherwise.
     """
     y = _check_data(y, penalty)
     lam_max = _lam_max(y)
@@ -412,23 +407,21 @@ def quadratic_family(
         values, vectors = penalty.spectrum
         yu = y @ vectors
         return partial(LowRankTerm, vectors, values, yu, lam_max_yty=lam_max, gram=yu.T @ yu)
-    return _spectral_family(y, penalty, lam_max)
+    yty = y.T @ y
+    yty = 0.5 * (yty + yty.T)
 
+    def spectral(tau1: float) -> QuadraticTerm:
+        # Y'Y and omega are exactly symmetric, and eigh reads one triangle
+        values, vectors = np.linalg.eigh(yty - tau1 * penalty.omega)
+        return QuadraticTerm(vectors=vectors, values=values, lam_max_yty=lam_max)
 
-def precompute_quadratic(y, penalty: PenaltyOperator, tau1: float) -> QuadraticTerm:
-    """Factor the Phi-update quadratic once; reusable across rho and tau2 values.
-
-    The term of a lone fit: the spectral one whatever the data's shape, since
-    one eigendecomposition of B costs less than omega's plus a subset solve.
-    """
-    y = _check_data(y, penalty)
-    return _spectral_family(y, penalty, _lam_max(y))(tau1)
+    return spectral
 
 
 def stacked_bytes(n: int, p: int, tau2_count: int) -> int:
-    """Bytes one chain's term from quadratic_family(., ., tau2_count) adds to
-    a stack: its p x p factorization, or for a LowRankTerm its n x p rows
-    Y U (the domain's U is shared)."""
+    """Bytes one chain's term from precompute_quadratic(., ., tau2_count)
+    adds to a stack: its p x p factorization, or for a LowRankTerm its n x p
+    rows Y U (the domain's U is shared)."""
     return 8 * (n * p + 2 if _low_rank_pays(n, p, tau2_count) else p * p + p + 1)
 
 
@@ -562,8 +555,8 @@ def fit_chains(
     """Fit B = len(ys) independent chains together, each along all of tau2_values.
 
     Chain c fits the rows ys[c] (read, never copied, so chains may share
-    them) with quads[c], its term at tau1s[c] from precompute_quadratic or
-    quadratic_family, at each tau2 in turn, and yields (c, j, basis) when it
+    them) with quads[c], its term at tau1s[c] from precompute_quadratic,
+    at each tau2 in turn, and yields (c, j, basis) when it
     finishes tau2_values[j], which must be nonnegative and strictly
     ascending; chains finish in any order.  config gives k and the rho
     schedule; each basis carries it with the chain's tau1 and tau2.
@@ -648,27 +641,19 @@ def fit_chains(
             blocks, prev_phi = [block[:active] for block in blocks], prev_phi[:active]
 
 
-def fit(
-    y,
-    penalty: PenaltyOperator,
-    config: SolverConfig,
-    warm_start=None,
-    quad: Term | None = None,
-) -> EigenBasis:
+def fit(y, penalty: PenaltyOperator, config: SolverConfig, warm_start=None) -> EigenBasis:
     """Estimate the regularized eigenbasis at the p sites: the one-chain fit_chains.
 
-    No spline is solved here: a caller that needs the basis off the sites
-    solves its interpolants once, tps.solve_coefficients(penalty, basis.phi).
-    At tau2 = 0 the basis is the closed form (see fit_chains) and warm_start
-    is checked but not used.  Non-convergence within max_iterations is
-    reported through the returned converged flag, never as an exception.
-    quad is a performance hook: the term of y at config.tau1, from
-    precompute_quadratic or quadratic_family (which may give a LowRankTerm),
-    when fitting the same data repeatedly.
+    The term is precompute_quadratic's for one chain along config.tau2, so
+    a lone fit follows the same rule as a cv_tau chain.  No spline is solved
+    here: a caller that needs the basis off the sites solves its
+    interpolants once, tps.solve_coefficients(penalty, basis.phi).  At
+    tau2 = 0 the basis is the closed form (see fit_chains) and warm_start is
+    checked but not used.  Non-convergence within max_iterations is reported
+    through the returned converged flag, never as an exception.
     """
     y = _check_data(y, penalty)
-    if quad is None:
-        quad = precompute_quadratic(y, penalty, config.tau1)
+    quad = precompute_quadratic(y, penalty, int(config.tau2 > 0))(config.tau1)
     warm = None if warm_start is None else [_check_warm(warm_start, y.shape[1], config.k)]
     ((_, _, basis),) = fit_chains([y], [config.tau1], [quad], config, [config.tau2], warm)
     return basis

@@ -123,9 +123,11 @@ class PenaltyOperator:
         """``(values, vectors)`` with ``omega = vectors diag(values) vectors'``,
         values ascending.
 
-        Computed on first use and kept: the solver's Phi update for data with
-        fewer rows than sites reads it on every fit on this domain, so a
-        domain only ever fitted with n >= p never pays for it.
+        Computed on first use and kept, the one eigendecomposition of omega
+        (:func:`build_penalty` checks it with a Cholesky): the solver's
+        low-rank Phi update, for data with far fewer rows than sites, reads
+        it on every fit on this domain, so a domain never fitted that way
+        never pays for it.
         """
         values, vectors = np.linalg.eigh(self.omega)
         values.setflags(write=False)
@@ -224,9 +226,13 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
     system [[g, e], [e', 0]], computed in null-space form: with q2 an
     orthonormal basis of the complement of col(e), omega equals
     q2 (q2' g q2)^{-1} q2', which annihilates affine fields to machine
-    precision.  The result is symmetrized, and its spectrum clipped at zero
-    only if roundoff pushed an eigenvalue below -1e-10.  The reduced factor
-    (q1, r1) of the same QR is kept for :func:`solve_coefficients`.
+    precision.  The result is symmetrized and checked for positive
+    semidefiniteness by a Cholesky of omega + tol*I, tol = 1e-10 max|omega|,
+    which succeeds when every eigenvalue exceeds -tol, up to roundoff; only
+    when it fails is omega decomposed, to clip its spectrum at zero.
+    Otherwise omega's eigenpairs are computed only on demand
+    (``PenaltyOperator.spectrum``).  The reduced factor (q1, r1) of the same
+    QR is kept for :func:`solve_coefficients`.
 
     Raises
     ------
@@ -279,8 +285,15 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
         )
 
     omega = 0.5 * (omega + omega.T)
-    if np.linalg.eigvalsh(omega)[0] < -1e-10:
-        # roundoff produced real negative curvature; project back onto the cone
+    # the PSD check: tol is relative to omega's scale, which grows as the sites
+    # draw together (about 1e8 for 200 sites in [0, 1]), so that its roundoff
+    # passes; omega + tol*I is formed and factored in one p x p buffer
+    shifted = omega.copy()
+    shifted.flat[:: p + 1] += 1e-10 * max(float(omega.max()), -float(omega.min()))
+    try:
+        cho_factor(shifted, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        # real negative curvature; project back onto the cone
         w, u = np.linalg.eigh(omega)
         omega = (u * np.clip(w, 0.0, None)) @ u.T
         omega = 0.5 * (omega + omega.T)

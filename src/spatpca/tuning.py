@@ -5,7 +5,7 @@ fitted on the training folds; the gamma criterion scores how well the fitted
 covariance built from training folds matches the held-out sample covariance.
 Phi is orthonormal, so both scores need only the K basis coordinates Y Phi
 and a few traces: the CV scores form no p x p matrix.  Each (fold, tau1)
-cell is one chain: one Phi-update term (solver.quadratic_family, from
+cell is one chain: one Phi-update term (solver.precompute_quadratic, from
 per-fold pieces shared by the fold's chains), then fits along increasing
 tau2, each warm started from the last.  The fit at tau2 = 0 is the term's
 leading eigenvectors in closed form, so the compute goes into the terms
@@ -14,9 +14,10 @@ through solver.fit_chains, in as few groups as fit in _GROUP_BYTES of
 stacked terms, their sizes within one of each other.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
-on all rows, gamma by CV, then the covariance step from Y Phi and ||Y||_F^2
-(estimate_from_moments), with no p x p sample covariance.  The fold count
-lives only in the FoldAssignment the caller passes.
+on all rows (a plain solver.fit), gamma by CV, then the covariance step from
+Y Phi and ||Y||_F^2 (estimate_from_moments), with no p x p sample
+covariance.  The fold count lives only in the FoldAssignment the caller
+passes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import groupby
 import numpy as np
 
 from .covariance import CovarianceModel, estimate_from_moments
-from .solver import EigenBasis, SolverConfig, fit, fit_chains, quadratic_family, stacked_bytes
+from .solver import EigenBasis, SolverConfig, fit, fit_chains, precompute_quadratic, stacked_bytes
 from .tps import PenaltyOperator
 
 __all__ = [
@@ -212,7 +213,9 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     config = SolverConfig(k=k)
     admm_fits = np.count_nonzero(t2s)  # the fits at tau2 > 0, which run the ADMM
     # Y'Y or Y U, and ||Y||_2^2, once per fold; the cells run fold by fold
-    family = lru_cache(maxsize=1)(lambda m: quadratic_family(splits[m][0], penalty, admm_fits))
+    family = lru_cache(maxsize=1)(
+        lambda m: precompute_quadratic(splits[m][0], penalty, admm_fits)
+    )
     # low-rank chains stack only with equal row counts, so folds go by training size
     by_rows = sorted(range(folds.m), key=lambda m: splits[m][0].shape[0])
     for rows, same in groupby(by_rows, key=lambda m: splits[m][0].shape[0]):
@@ -345,22 +348,18 @@ def select_and_fit(
     covariance step from Z'Z/n and ||Y||_F^2/n with Z = Y Phi.
 
     Pin a penalty axis with restrict_grid.  max_iterations caps the final
-    fit only; the CV fits keep SolverConfig's default cap.  With both axes
-    pinned the refit is a lone fit, on the spectral term.
+    fit only; the CV fits keep SolverConfig's default cap.  The refit is a
+    lone fit at the selection, whose term follows the rule of every chain.
     """
     y = np.asarray(y, dtype=float)
-    tau_report, quad = None, None
+    tau_report = None
     if grid.tau1_values.size * grid.tau2_values.size > 1:
         tau_report = cv_tau(y, penalty, k, grid, folds)
         t1, t2 = tau_report.selected
-        # the refit takes the term of one more cv_tau chain: the choice is
-        # monotone in the row count, so it reuses omega's decomposition only
-        # where the fold chains already paid for it
-        quad = quadratic_family(y, penalty, np.count_nonzero(grid.tau2_values))(t1)
     else:
         t1, t2 = float(grid.tau1_values[0]), float(grid.tau2_values[0])
     config = SolverConfig(tau1=t1, tau2=t2, k=k, max_iterations=max_iterations)
-    basis = fit(y, penalty, config, quad=quad)
+    basis = fit(y, penalty, config)
     gamma_report = None
     if gamma is None:
         gamma_report = cv_gamma(y, basis, grid, folds)

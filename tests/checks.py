@@ -15,8 +15,10 @@ required to give the same bits.
 The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
 time (cv_tau_reference takes the closed form at tau2 = 0), so that the
-stacked chains of solver.fit_chains can be required to match it bit for bit.  low_rank_term builds the package's Woodbury term for
-any data, to be checked against the spectral term of precompute_quadratic.
+stacked chains of solver.fit_chains can be required to match it bit for
+bit.  spectral_term and low_rank_term build the package's two Phi-update
+terms for any data, whatever term precompute_quadratic would pick, and
+fit_on_term fits one chain on a given term.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from spatpca import RhoTooSmallError, SolverConfig
 from spatpca.solver import (
     AdmmState,
     LowRankTerm,
+    QuadraticTerm,
     _finish,
     admm_step,
+    fit_chains,
     initial_phi,
     precompute_quadratic,
-    quadratic_family,
 )
 
 
@@ -256,12 +259,26 @@ def evaluate_reference(coeffs, domain, query) -> np.ndarray:
     return g @ coeffs.a + coeffs.b[0] + q @ coeffs.b[1:]
 
 
+def spectral_term(y, penalty, tau1) -> QuadraticTerm:
+    """The spectral term for Y'Y - tau1*omega, whatever the shape of y."""
+    y = np.asarray(y, dtype=float)
+    values, vectors = np.linalg.eigh(y.T @ y - tau1 * penalty.omega)
+    return QuadraticTerm(vectors, values, float(np.linalg.norm(y, 2) ** 2))
+
+
 def low_rank_term(y, penalty, tau1) -> LowRankTerm:
     """The Woodbury term for Y'Y - tau1*omega, whatever the shape of y
-    (the package builds it only in cv_tau, for far fewer rows than sites)."""
+    (the package builds it for far fewer rows than sites)."""
     y = np.asarray(y, dtype=float)
     values, vectors = penalty.spectrum
     return LowRankTerm(vectors, values, y @ vectors, tau1, float(np.linalg.norm(y, 2) ** 2))
+
+
+def fit_on_term(y, config, quad, warm_start=None):
+    """solver.fit with the term quad in place of the one fit builds."""
+    warm = None if warm_start is None else [np.array(warm_start, dtype=float)]
+    ((_, _, basis),) = fit_chains([y], [config.tau1], [quad], config, [config.tau2], warm)
+    return basis
 
 
 def fit_reference(y, penalty, config, warm_start=None, quad=None):
@@ -271,7 +288,7 @@ def fit_reference(y, penalty, config, warm_start=None, quad=None):
     y = np.asarray(y, dtype=float)
     p = y.shape[1]
     if quad is None:
-        quad = precompute_quadratic(y, penalty, config.tau1)
+        quad = precompute_quadratic(y, penalty, int(config.tau2 > 0))(config.tau1)
     if config.rho0 == "auto":
         rho0 = 10.0 * quad.lam_max_yty if quad.lam_max_yty > 0 else 1.0
     else:
@@ -323,7 +340,7 @@ def cv_tau_reference(y, penalty, k, grid, folds):
         y_tr, y_va = y[~mask], y[mask]
         va_sq = float(np.sum(y_va * y_va))
         for i, t1 in enumerate(t1s):
-            quad = quadratic_family(y_tr, penalty, np.count_nonzero(t2s))(t1)
+            quad = precompute_quadratic(y_tr, penalty, np.count_nonzero(t2s))(t1)
             warm = None
             for j, t2 in enumerate(t2s):
                 cfg = SolverConfig(tau1=float(t1), tau2=float(t2), k=k)

@@ -221,7 +221,7 @@ def test_acceptance_6_update_law_properties(small_penalty):
     # their proximal steps read
     y = rng.standard_normal((25, 12))
     cfg = SolverConfig(tau1=1.0, tau2=0.7, k=2)
-    quad = precompute_quadratic(y, small_penalty, cfg.tau1)
+    quad = precompute_quadratic(y, small_penalty, 1)(cfg.tau1)
     phi0 = initial_phi(quad, cfg.k)
     for i in range(1000):
         state = AdmmState(

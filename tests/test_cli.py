@@ -337,6 +337,19 @@ class TestEvalCommand:
         assert rc == 1
         assert f"lacks field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value", [("tau1", float("nan")), ("tau2", float("inf")), ("rho0", float("inf"))]
+    )
+    def test_non_finite_solver_setting_exits_1(self, fitted_model, tmp_path, capsys, field, value):
+        doc = json.loads(fitted_model.read_text())
+        doc["basis"][field] = value  # written as NaN or Infinity, which json reads back
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["eval", "--model", str(bad), "--grid=-1:1:3",
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [("splines", 3), ("tau1", "1.0")])
     def test_mistyped_model_field_exits_1(self, fitted_model, tmp_path, capsys, field, value):
         doc = json.loads(fitted_model.read_text())

@@ -34,7 +34,6 @@ from spatpca.solver import (
     fit_chains,
     initial_phi,
     precompute_quadratic,
-    quadratic_family,
     soft_threshold,
     stacked_bytes,
     _polar,
@@ -43,6 +42,7 @@ from spatpca.solver import (
 
 from checks import (
     fit_lasso_inner,
+    fit_on_term,
     fit_reference,
     lasso_cd,
     low_rank_term,
@@ -50,6 +50,7 @@ from checks import (
     random_orthonormal,
     smooth_rank1_data,
     spatpca_objective,
+    spectral_term,
 )
 
 
@@ -107,7 +108,7 @@ class TestInitialPhi:
         dom = SpatialDomain(np.array([0.0, 1.0, 2.0]))
         pen = build_penalty(dom)
         y = np.diag(np.sqrt([3.0, 2.0, 1.0]))
-        phi = initial_phi(precompute_quadratic(y, pen, 0.0), 2)
+        phi = initial_phi(spectral_term(y, pen, 0.0), 2)
         assert np.allclose(np.abs(phi), np.eye(3)[:, :2], atol=1e-12)
         # sign convention: the dominant entry is nonnegative
         assert phi[0, 0] > 0 and phi[1, 1] > 0
@@ -115,7 +116,7 @@ class TestInitialPhi:
     def test_matches_dense_eigendecomposition(self, small_penalty):
         rng = np.random.default_rng(4)
         y = rng.standard_normal((20, 12))
-        phi = initial_phi(precompute_quadratic(y, small_penalty, 5.0), 3)
+        phi = initial_phi(spectral_term(y, small_penalty, 5.0), 3)
         a = y.T @ y - 5.0 * small_penalty.omega
         w, v = np.linalg.eigh(0.5 * (a + a.T))
         assert principal_angle(phi, v[:, ::-1][:, :3]) < 1e-8
@@ -128,7 +129,7 @@ class TestInitialPhi:
         y = rng.standard_normal((15, 50))
         for tau1 in (0.0, 10.0, 1000.0):
             quad = low_rank_term(y, penalty_1d, tau1)
-            full = precompute_quadratic(y, penalty_1d, tau1)
+            full = spectral_term(y, penalty_1d, tau1)
             for k in (1, 3):
                 phi = initial_phi(quad, k)
                 assert principal_angle(phi, full.vectors[:, ::-1][:, :k]) < 1e-10
@@ -137,7 +138,7 @@ class TestInitialPhi:
     def test_rejects_bad_rank(self, small_penalty):
         # k > n is rejected by fit (TestFit.test_data_validation)
         y = np.random.default_rng(0).standard_normal((5, 12))
-        quad = precompute_quadratic(y, small_penalty, 0.0)
+        quad = spectral_term(y, small_penalty, 0.0)
         for k in (0, 13):
             with pytest.raises(ValueError):
                 initial_phi(quad, k)
@@ -148,7 +149,7 @@ class TestAdmmStep:
         rng = np.random.default_rng(5)
         y = rng.standard_normal((25, 12))
         cfg = SolverConfig(tau1=1.0, tau2=0.5, k=2)
-        quad = precompute_quadratic(y, small_penalty, 1.0)
+        quad = spectral_term(y, small_penalty, 1.0)
         phi0 = initial_phi(quad, 2)
         state = AdmmState(
             phi=phi0,
@@ -165,14 +166,14 @@ class TestAdmmStep:
         rng = np.random.default_rng(6)
         y = rng.standard_normal((30, 12))
         state = _state_at_eigvecs(y, 2)
-        new = admm_step(state, precompute_quadratic(y, small_penalty, 0.0), 0.0)
+        new = admm_step(state, spectral_term(y, small_penalty, 0.0), 0.0)
         for name in ("phi", "q", "r"):
             assert _fro(getattr(new, name) - getattr(state, name)) < 1e-10
 
     def test_zero_threshold_r_update(self, small_penalty):
         rng = np.random.default_rng(7)
         y = rng.standard_normal((25, 12))
-        quad = precompute_quadratic(y, small_penalty, 2.0)
+        quad = spectral_term(y, small_penalty, 2.0)
         phi0 = initial_phi(quad, 1)
         g1 = rng.standard_normal((12, 1))
         state = AdmmState(
@@ -185,7 +186,7 @@ class TestAdmmStep:
     def test_rho_too_small_raises_with_floor(self, small_penalty):
         rng = np.random.default_rng(8)
         y = rng.standard_normal((25, 12))
-        quad = precompute_quadratic(y, small_penalty, 0.0)
+        quad = spectral_term(y, small_penalty, 0.0)
         phi0 = initial_phi(quad, 1)
         state = AdmmState(
             phi=phi0, q=phi0.copy(), r=phi0.copy(),
@@ -204,7 +205,7 @@ class TestAdmmStep:
         for n in (20, 7):
             y = rng.standard_normal((n, 12))
             rhs = rng.standard_normal((12, 2))
-            for build in (precompute_quadratic, low_rank_term):
+            for build in (spectral_term, low_rank_term):
                 quad = build(y, small_penalty, tau1)
                 rho = 10.0 * quad.lam_max_yty
                 direct = np.linalg.solve(
@@ -216,9 +217,11 @@ class TestAdmmStep:
         rng = np.random.default_rng(24)
         y = rng.standard_normal((20, 12))
         want = np.linalg.eigvalsh(y.T @ y)[-1]
-        for tau1 in (0.0, 3.0):
-            quad = precompute_quadratic(y, small_penalty, tau1)
-            assert quad.lam_max_yty == pytest.approx(want, rel=1e-12)
+        # both terms: the low-rank one with no tau2 above 0, the spectral one with one
+        for tau2_count in (0, 1):
+            for tau1 in (0.0, 3.0):
+                quad = precompute_quadratic(y, small_penalty, tau2_count)(tau1)
+                assert quad.lam_max_yty == pytest.approx(want, rel=1e-12)
 
 
 class TestFit:
@@ -305,7 +308,7 @@ class TestFit:
         basis = fit(y, small_penalty, cfg)
         assert basis.converged
 
-        quad = precompute_quadratic(y, small_penalty, cfg.tau1)
+        quad = precompute_quadratic(y, small_penalty, 1)(cfg.tau1)
         rho0 = 10.0 * quad.lam_max_yty
         phi0 = initial_phi(quad, cfg.k)
         state = AdmmState(
@@ -386,17 +389,24 @@ class TestFit:
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
 
+    @pytest.mark.parametrize("name", ["tau1", "tau2", "rho0", "rho_growth", "tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, name, value):
+        # unchecked, a non-finite setting ends in a LAPACK error or in
+        # max_iterations idle iterations
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**{name: value})
+
     def test_sparsity_count_trends_upward_in_tau2(self, penalty_1d, domain_1d):
         rng = np.random.default_rng(19)
         y, _ = smooth_rank1_data(rng, domain_1d.locations[:, 0], 100)
-        quad = precompute_quadratic(y, penalty_1d, 0.0)
+        quad = spectral_term(y, penalty_1d, 0.0)
         taus = np.concatenate([[0.0], np.geomspace(1.0, 1e3, 30)])
         counts = []
         warm = None
         for t2 in taus:
-            basis = fit(
-                y, penalty_1d, SolverConfig(tau1=0.0, tau2=float(t2), k=1),
-                warm_start=warm, quad=quad,
+            basis = fit_on_term(
+                y, SolverConfig(tau1=0.0, tau2=float(t2), k=1), quad, warm_start=warm
             )
             warm = basis.phi
             counts.append(int(np.sum(np.abs(basis.phi) < 1e-6)))
@@ -417,13 +427,16 @@ class TestClosedForm:
                 b = y.T @ y - tau1 * penalty_1d.omega
                 _, v = np.linalg.eigh(0.5 * (b + b.T))
                 terms = [None, low_rank_term(y, penalty_1d, tau1),
-                         quadratic_family(y, penalty_1d, 1)(tau1)]
+                         spectral_term(y, penalty_1d, tau1)]
                 for k in (1, 3):
                     want = v[:, ::-1][:, :k]
                     cfg = SolverConfig(tau1=tau1, k=k, rho0=1e-9)
                     for quad in terms:
                         for warm in (None, random_orthonormal(rng, 50, k)):
-                            basis = fit(y, penalty_1d, cfg, warm_start=warm, quad=quad)
+                            if quad is None:
+                                basis = fit(y, penalty_1d, cfg, warm_start=warm)
+                            else:
+                                basis = fit_on_term(y, cfg, quad, warm_start=warm)
                             assert (basis.converged, basis.iterations) == (True, 0)
                             # the same columns up to order and sign
                             match = np.argmax(np.abs(want.T @ basis.phi), axis=0)
@@ -471,7 +484,7 @@ class TestClosedForm:
             tuned = select_and_fit(y, penalty_1d, 2, grid, partition_folds(n, 3, seed=0))
             assert (tuned.basis.converged, tuned.basis.iterations) == (True, 0)
             assert tuned.tau_report.converged.all() and not tuned.tau_report.iterations.any()
-        # a lone fit, on the spectral term
+        # a lone fit
         assert fit(y, penalty_1d, SolverConfig(tau1=1.0, k=2)).iterations == 0
         assert calls == []
         # the spy sees the steps of a tau2 > 0 fit
@@ -484,7 +497,7 @@ class TestLowRankTerm:
 
     def test_gram_is_shared_by_a_data_set_never_by_a_stack(self, penalty_1d):
         rng = np.random.default_rng(37)
-        families = [quadratic_family(rng.standard_normal((10, 50)), penalty_1d, 1)
+        families = [precompute_quadratic(rng.standard_normal((10, 50)), penalty_1d, 1)
                     for _ in range(2)]
         terms = [family(t1) for family in families for t1 in (1.0, 50.0)]
         assert type(terms[0]) is LowRankTerm
@@ -505,8 +518,8 @@ class TestLowRankTerm:
             SolverConfig(tau1=10.0, tau2=1.0, k=2),
             SolverConfig(tau1=100.0, tau2=10.0, k=3),
         ):
-            got = fit(y, penalty_1d, cfg, quad=low_rank_term(y, penalty_1d, cfg.tau1))
-            want = fit(y, penalty_1d, cfg)
+            got = fit_on_term(y, cfg, low_rank_term(y, penalty_1d, cfg.tau1))
+            want = fit_on_term(y, cfg, spectral_term(y, penalty_1d, cfg.tau1))
             assert got.converged and want.converged
             assert got.iterations == want.iterations
             assert np.abs(got.phi - want.phi).max() < 1e-10
@@ -516,7 +529,7 @@ class TestLowRankTerm:
         y = rng.standard_normal((15, 50))
         for tau1 in (0.0, 3.0):
             low = low_rank_term(y, penalty_1d, tau1)
-            full = precompute_quadratic(y, penalty_1d, tau1)
+            full = spectral_term(y, penalty_1d, tau1)
             assert low.beta_max == pytest.approx(full.beta_max, rel=1e-12)
             phi0 = initial_phi(full, 2)
             for factor, raises in ((0.5, True), (0.999, True), (1.001, False)):
@@ -534,20 +547,32 @@ class TestLowRankTerm:
                 if raises:
                     assert errors[0] == pytest.approx(errors[1], rel=1e-12)
 
-    def test_term_follows_the_measured_crossover(self, penalty_1d):
-        # p = 50: Woodbury while n sqrt(T2) < 3p/8, spectral from there on and
-        # for every lone fit
+    def test_term_follows_the_measured_crossover(self, penalty_1d, monkeypatch):
+        # p = 50: Woodbury while n sqrt(T2) < 3p/8, spectral from there on; a
+        # lone fit is one chain along its own tau2 and follows the same rule
         rng = np.random.default_rng(29)
+        lone = []
+
+        def spy(ys, tau1s, quads, *args):
+            quads = list(quads)
+            lone.extend(type(quad) for quad in quads)
+            yield from chains(ys, tau1s, quads, *args)
+
+        chains = spatpca.solver.fit_chains
+        monkeypatch.setattr(spatpca.solver, "fit_chains", spy)
         for n, tau2_count, kind in (
             (18, 1, LowRankTerm), (19, 1, QuadraticTerm),
             (9, 4, LowRankTerm), (10, 4, QuadraticTerm), (60, 1, QuadraticTerm),
             (60, 0, LowRankTerm),  # tau2 = 0 alone: closed forms, no ADMM step
         ):
             y = rng.standard_normal((n, 50))
-            assert type(quadratic_family(y, penalty_1d, tau2_count)(1.0)) is kind
+            assert type(precompute_quadratic(y, penalty_1d, tau2_count)(1.0)) is kind
             rows = n * 50 + 2 if kind is LowRankTerm else 50 * 50 + 51
             assert stacked_bytes(n, 50, tau2_count) == 8 * rows
-            assert type(precompute_quadratic(y, penalty_1d, 1.0)) is QuadraticTerm
+            if tau2_count <= 1:
+                fit(y, penalty_1d, SolverConfig(tau1=1.0, tau2=float(tau2_count), k=2))
+                assert lone == [kind]
+                lone.clear()
 
     @staticmethod
     def _count_eigensolves(monkeypatch):
@@ -580,14 +605,58 @@ class TestLowRankTerm:
         assert [shape for shape in full if shape == (p, p)] == [(p, p)]
         assert subset == [((p, p), [p - 2, p - 1])] * 13
 
-    def test_lone_fit_never_decomposes_omega(self, domain_2d, monkeypatch):
-        # a lone fit with n < p pays B's eigendecomposition and nothing else
+    def test_lone_fit_decomposes_omega_once_per_domain(self, domain_2d, monkeypatch):
+        # 8 rows, 36 sites, tau2 = 1: the low-rank term, whose decomposition
+        # of omega the penalty keeps for the next fit; 14 rows (n >= 3p/8):
+        # the spectral term, one eigendecomposition of B, omega's never read
         p = domain_2d.p
         penalty = build_penalty(domain_2d)
         full, subset = self._count_eigensolves(monkeypatch)
-        y = np.random.default_rng(34).standard_normal((8, p))
-        fit(y, penalty, SolverConfig(tau1=1.0, tau2=1.0, k=2))
+        rng = np.random.default_rng(34)
+        cfg = SolverConfig(tau1=1.0, tau2=1.0, k=2)
+        for omega_eighs in ([(p, p)], []):
+            fit(rng.standard_normal((8, p)), penalty, cfg)
+            assert [shape for shape in full if shape == (p, p)] == omega_eighs
+            assert subset == [((p, p), [p - 2, p - 1])]
+            full.clear()
+            subset.clear()
+        fresh = build_penalty(domain_2d)
+        fit(rng.standard_normal((14, p)), fresh, cfg)
         assert [shape for shape in full if shape == (p, p)] == [(p, p)]
+        assert subset == []
+        assert "spectrum" not in vars(fresh)
+
+    def test_holdout_shape_decomposes_omega_once(self, monkeypatch):
+        # 60 rows on a 20 x 20 grid, 5 folds, tau2 pinned at 0: the chains
+        # and the refit all take the low-rank term, so build_penalty and
+        # select_and_fit together make one p x p eigensolve, omega's
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        axis = np.linspace(-5.0, 5.0, 20)
+        domain = SpatialDomain(np.array([(a, b) for a in axis for b in axis]))
+        p = domain.p
+        y = np.random.default_rng(39).standard_normal((60, p))
+        grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(4)), tau2=0.0)
+        select_and_fit(y, build_penalty(domain), 5, grid, partition_folds(60, 5, seed=0))
+        assert [call for call in calls if call[1] == (p, p)] == [("eigh", (p, p))]
+
+    def test_rows_at_least_sites_never_decompose_omega(self, domain_1d, monkeypatch):
+        # n >= p with every tau2 on the grid above 0: spectral chains and a
+        # spectral refit, one eigendecomposition of B each
+        penalty = build_penalty(domain_1d)
+        full, subset = self._count_eigensolves(monkeypatch)
+        y = np.random.default_rng(40).standard_normal((60, penalty.domain.p))
+        grid = TuningGrid(tau1_values=default_log_grid(3), tau2_values=[1.0, 10.0])
+        select_and_fit(y, penalty, 2, grid, partition_folds(60, 5, seed=0), gamma=0.0)
+        p = penalty.domain.p
+        assert [shape for shape in full if shape == (p, p)] == [(p, p)] * (5 * 3 + 1)
         assert subset == []
         assert "spectrum" not in vars(penalty)
 
@@ -614,7 +683,7 @@ class TestFitChains:
         rng = np.random.default_rng(31)
         designs = [
             ([rng.standard_normal((30, 12)), 5.0 * rng.standard_normal((24, 12))],
-             precompute_quadratic),
+             spectral_term),
             ([rng.standard_normal((8, 12)), 5.0 * rng.standard_normal((8, 12))], low_rank_term),
         ]
         for ys, build in designs:
@@ -625,9 +694,9 @@ class TestFitChains:
             for c, (m, t1) in enumerate(chains):
                 warm = None
                 for j, t2 in enumerate(tau2s):
-                    basis = fit(
-                        ys[m], small_penalty, replace(cfg, tau1=t1, tau2=t2), warm_start=warm,
-                        quad=build(ys[m], small_penalty, t1),
+                    basis = fit_on_term(
+                        ys[m], replace(cfg, tau1=t1, tau2=t2), build(ys[m], small_penalty, t1),
+                        warm_start=warm,
                     )
                     expected[c, j] = basis
                     warm = basis.phi
@@ -649,7 +718,7 @@ class TestFitChains:
     def test_rejects_tau2_not_ascending_from_zero(self, small_penalty):
         y = np.random.default_rng(38).standard_normal((30, 12))
         for tau2s in ([1.0, 0.5], [0.0, 0.0], [-1.0], [-1.0, 0.0, 1.0]):
-            quads = [precompute_quadratic(y, small_penalty, 1.0)]
+            quads = [spectral_term(y, small_penalty, 1.0)]
             with pytest.raises(ValueError, match="ascending"):
                 list(fit_chains([y], [1.0], quads, SolverConfig(k=2), tau2s))
 
@@ -663,7 +732,7 @@ class TestFitChains:
 
     def test_stacked_step_reports_first_member_below_floor(self, small_penalty):
         y = np.random.default_rng(32).standard_normal((25, 12))
-        quads = [precompute_quadratic(y, small_penalty, t1) for t1 in (0.0, 5.0)]
+        quads = [spectral_term(y, small_penalty, t1) for t1 in (0.0, 5.0)]
         stack = QuadraticTerm(
             np.stack([q.vectors for q in quads]), np.stack([q.values for q in quads]),
             np.array([q.lam_max_yty for q in quads]),
@@ -725,7 +794,7 @@ class TestLassoVariant:
     def test_rho_too_small_raises(self, small_penalty):
         rng = np.random.default_rng(23)
         y = rng.standard_normal((30, 12))
-        quad = precompute_quadratic(y, small_penalty, 0.0)
+        quad = spectral_term(y, small_penalty, 0.0)
         with pytest.raises(RhoTooSmallError) as err:
             fit_lasso_inner(y, small_penalty, SolverConfig(k=1, rho0=1.5 * quad.beta_max))
         assert err.value.min_rho == pytest.approx(2.0 * quad.beta_max)

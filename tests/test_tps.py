@@ -117,6 +117,36 @@ class TestBuildPenalty:
         assert np.abs(omega - omega.T).max() == 0.0
         assert np.linalg.eigvalsh(omega)[0] >= -1e-10
 
+    def test_psd_check_scales_with_omega(self, monkeypatch):
+        # 200 sites in [0, 1]: omega's largest eigenvalue is about 4e8 and its
+        # roundoff about 1e-8, far beyond an absolute 1e-10; the check must
+        # pass it with no eigendecomposition
+        domain = SpatialDomain(np.linspace(0.0, 1.0, 200))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        omega = build_penalty(domain).omega
+        assert calls == []
+        monkeypatch.undo()
+        w = np.linalg.eigvalsh(omega)
+        assert w[0] >= -1e-10 * w[-1]
+
+    def test_indefinite_omega_is_clipped(self, small_domain, monkeypatch):
+        # a negated core makes omega negative semidefinite: the Cholesky check
+        # fails and the spectrum is clipped at zero
+        scale = np.abs(build_penalty(small_domain).omega).max()
+        solve = tps.cho_solve
+        monkeypatch.setattr(tps, "cho_solve", lambda *args: -solve(*args))
+        omega = build_penalty(small_domain).omega
+        assert np.abs(omega - omega.T).max() == 0.0
+        assert np.abs(omega).max() < 1e-10 * scale
+
     def test_omega_annihilates_affine_fields(self, penalty_1d, penalty_2d):
         for pen in (penalty_1d, penalty_2d):
             assert np.abs(pen.omega @ pen.e).max() < 1e-8

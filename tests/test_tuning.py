@@ -18,7 +18,10 @@ from spatpca import (
     restrict_grid,
     select_and_fit,
 )
-from spatpca.solver import LowRankTerm, QuadraticTerm, fit_chains, quadratic_family, stacked_bytes
+from spatpca.solver import (
+    LowRankTerm, QuadraticTerm, fit_chains, precompute_quadratic, stacked_bytes
+)
+import spatpca.solver
 import spatpca.tuning
 from spatpca.covariance import estimate_from_moments
 from spatpca.tuning import _first_minimum, gamma_grid
@@ -249,7 +252,7 @@ class TestCvTauGroups:
             seen.append([y_tr.shape[0] for y_tr in ys])
             yield from fit_chains(ys, *args)
 
-        assert type(quadratic_family(y[:9], pen, 3)(1.0)) is LowRankTerm
+        assert type(precompute_quadratic(y[:9], pen, 3)(1.0)) is LowRankTerm
         monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", 4 * stacked_bytes(9, p, 3))
         monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
         rep = cv_tau(y, pen, 2, grid, folds)
@@ -300,21 +303,21 @@ class TestCvTauGroups:
         # 24 rows in 5 folds: 19 or 20 training rows, just above 3p/8 = 18.75,
         # where a single tau2 value above 0 takes the spectral term
         y = np.random.default_rng(8).standard_normal((24, 50))
-        assert type(quadratic_family(y[:19], penalty_1d, 1)(1.0)) is QuadraticTerm
+        assert type(precompute_quadratic(y[:19], penalty_1d, 1)(1.0)) is QuadraticTerm
         assert stacked_bytes(19, 50, 0) == 8 * (19 * 50 + 2)
         chains, refits = [], []
 
-        def chains_spy(ys, tau1s, quads, *args):
-            quads = list(quads)
-            chains.extend(type(quad) for quad in quads)
-            yield from fit_chains(ys, tau1s, quads, *args)
+        def spy(terms):
+            def chains_spy(ys, tau1s, quads, *args):
+                quads = list(quads)
+                terms.extend(type(quad) for quad in quads)
+                yield from fit_chains(ys, tau1s, quads, *args)
+            return chains_spy
 
-        def refit_spy(*args, quad=None):
-            refits.append(type(quad))
-            return fit(*args, quad=quad)
-
-        monkeypatch.setattr(spatpca.tuning, "fit_chains", chains_spy)
-        monkeypatch.setattr(spatpca.tuning, "fit", refit_spy)
+        # cv_tau's chains go through the name tuning binds, the refit's
+        # through solver.fit's
+        monkeypatch.setattr(spatpca.tuning, "fit_chains", spy(chains))
+        monkeypatch.setattr(spatpca.solver, "fit_chains", spy(refits))
         grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(3)), tau2=0.0)
         select_and_fit(y, penalty_1d, 2, grid, partition_folds(24, 5, seed=3), gamma=0.0)
         assert chains == [LowRankTerm] * 15 and refits == [LowRankTerm]
