@@ -12,15 +12,16 @@ and a soft threshold for sparsity.  The exactly orthonormal block is
 returned as the estimate.  At tau2 = 0 the K leading eigenvectors of
 Y'Y - tau1*omega are the exact minimizer (Ky Fan), returned with no iteration.
 
-The shifted solve has two forms.  A QuadraticTerm holds one spectral
-factorization of Y'Y - tau1*omega per tau1 and serves every rho from it.  A
-LowRankTerm factors nothing per tau1: omega is factored once per domain,
-each solve is a Woodbury update through one n x n Cholesky, and the warm
-start is a top-K subset eigensolve.  It saves a full eigensolve per chain
-but costs more per ADMM step.  precompute_quadratic is the one constructor
-of both, for a lone fit and a cv_tau fold alike, and one rule picks the
-form from the shape and the number of tau2 values above 0 alone
-(_low_rank_pays), never from what ran before.
+A term holds B = Y'Y - tau1*omega in one of three forms.  A QuadraticTerm
+holds one spectral factorization of B per tau1 and serves every rho's
+shifted solve from it.  A LowRankTerm factors omega once per domain, each
+solve is a Woodbury update through one n x n Cholesky, and the warm start
+a top-K subset eigensolve: it saves a full eigensolve per chain but costs
+more per ADMM step.  A ClosedFormTerm, for chains along tau2 = 0 alone,
+has no shifted solve and decomposes only B's top K, in site coordinates.
+precompute_quadratic is the one constructor, for a lone fit and a cv_tau
+fold alike, and picks the form from the number of tau2 values above 0
+and the shape alone (_low_rank_pays), never from what ran before.
 
 The polar factor comes from the K x K Gram (Higham 1986): Q = M V
 diag(w)^(-1/2) V' with M'M = V diag(w) V'.  The Gram squares M's condition
@@ -59,6 +60,7 @@ __all__ = [
     "EigenBasis",
     "QuadraticTerm",
     "LowRankTerm",
+    "ClosedFormTerm",
     "soft_threshold",
     "initial_phi",
     "precompute_quadratic",
@@ -292,7 +294,34 @@ class LowRankTerm:
         return self.vectors @ ((v + yh_t @ z) / root)
 
 
-Term = QuadraticTerm | LowRankTerm
+@dataclass(frozen=True)
+class ClosedFormTerm:
+    """B = Y'Y - tau1*omega for chains along tau2 = 0 alone, which take no
+    ADMM step, so it has no shifted_solve; yty = Y'Y is formed once per data
+    set.  leading(k) is a top-k subset eigensolve of B in site coordinates,
+    or at tau1 = 0 with k <= n the top k right singular vectors of Y, by a
+    thin SVD."""
+
+    y: np.ndarray
+    yty: np.ndarray
+    omega: np.ndarray
+    tau1: float
+
+    def leading(self, k: int) -> np.ndarray:
+        """The top k eigenvectors of B, in descending order."""
+        if self.tau1 == 0 and k <= len(self.y):
+            return np.linalg.svd(self.y, full_matrices=False)[2][:k].T
+        p = self.omega.shape[0]
+        b = -self.tau1 * self.omega
+        b += self.yty
+        # eigh reads one triangle: b's transpose is Fortran-ordered, so no copy is made
+        _, v = scipy.linalg.eigh(
+            b.T, subset_by_index=[p - k, p - 1], overwrite_a=True, check_finite=False
+        )
+        return v[:, ::-1]
+
+
+Term = QuadraticTerm | LowRankTerm | ClosedFormTerm
 
 
 def _shrink(m: np.ndarray, tau, out: np.ndarray) -> np.ndarray:
@@ -365,19 +394,18 @@ def _low_rank_pays(n: int, p: int, tau2_count: int) -> bool:
     """Whether chains on n rows and p sites, each along tau2_count tau2
     values above 0, run faster on LowRankTerm than on QuadraticTerm.
 
-    Per chain the low-rank term saves a full p x p eigensolve less a top-K
-    one, about p^3 flops, and pays about n^2 p more per step, with about 20
-    steps per tau2 value above 0 and none at 0: it pays while n sqrt(T2)
-    stays below a fixed fraction of p, and always at T2 = 0 (p = 400 with
-    200 training rows: select_and_fit 0.53 s, against 1.32-1.40 s on the
-    spectral term).  On select_and_fit (5 folds, 11 tau1 values, one BLAS
-    thread, 2-core Xeon) the two terms broke even with one tau2 value at
-    0.38 p training rows for p = 400 and 0.37 p for p = 900; with 4 values
-    at 0.23 p and 0.18-0.22 p; with 31 at 0.12 p and 0.07 p.  The switch,
-    n sqrt(T2) < 3p/8, is at or below each of these.  A lone fit is one
-    chain along its own tau2: on the low-rank term it pays omega's
-    decomposition on first use of a domain, and every later fit on that
-    domain reuses it.
+    Asked only when T2 > 0: at T2 = 0 no chain steps, and the term is a
+    ClosedFormTerm.  Per chain the low-rank term saves a full p x p
+    eigensolve less a top-K one, about p^3 flops, and pays about n^2 p more
+    per step, with about 20 steps per tau2 value above 0: it pays while
+    n sqrt(T2) stays below a fixed fraction of p.  On select_and_fit (5
+    folds, 11 tau1 values, one BLAS thread, 2-core Xeon) the two terms
+    broke even with one tau2 value at 0.38 p training rows for p = 400 and
+    0.37 p for p = 900; with 4 values at 0.23 p and 0.18-0.22 p; with 31 at
+    0.12 p and 0.07 p.  The switch, n sqrt(T2) < 3p/8, is at or below each
+    of these.  A lone fit is one chain along its own tau2: on the low-rank
+    term it pays omega's decomposition on first use of a domain, and every
+    later fit on that domain reuses it.
     """
     return 8 * n * math.sqrt(tau2_count) < 3 * p
 
@@ -395,13 +423,15 @@ def precompute_quadratic(
 
     The one constructor of a term, for a lone fit (fit, tau2_count 0 or 1)
     and each cv_tau fold alike.  The work that depends on the rows alone is
-    done here, once: ||Y||_2^2, and Y'Y or Y U (omega = U D U', factored
-    once per penalty).  The shape and tau2_count alone pick the term
-    (_low_rank_pays): a LowRankTerm, no eigendecomposition per tau1, for far
-    fewer rows than sites; a QuadraticTerm, one p x p eigendecomposition per
-    tau1, otherwise.
+    done here, once.  tau2_count = 0 gives a ClosedFormTerm, from Y'Y.
+    Otherwise ||Y||_2^2, and the shape and tau2_count pick the term
+    (_low_rank_pays): a LowRankTerm from Y U (omega = U D U', factored once
+    per penalty), for far fewer rows than sites; a QuadraticTerm from Y'Y,
+    one p x p eigendecomposition per tau1, otherwise.
     """
     y = _check_data(y, penalty)
+    if not tau2_count:
+        return partial(ClosedFormTerm, y, y.T @ y, penalty.omega)
     lam_max = _lam_max(y)
     if _low_rank_pays(*y.shape, tau2_count):
         values, vectors = penalty.spectrum
@@ -421,20 +451,22 @@ def precompute_quadratic(
 def stacked_bytes(n: int, p: int, tau2_count: int) -> int:
     """Bytes one chain's term from precompute_quadratic(., ., tau2_count)
     adds to a stack: its p x p factorization, or for a LowRankTerm its n x p
-    rows Y U (the domain's U is shared)."""
+    rows Y U (the domain's U is shared); tau2_count = 0 stacks nothing."""
+    if not tau2_count:
+        raise ValueError("chains along tau2 = 0 alone are never stacked")
     return 8 * (n * p + 2 if _low_rank_pays(n, p, tau2_count) else p * p + p + 1)
 
 
 def initial_phi(quad: Term, k: int) -> np.ndarray:
     """Leading k eigenvectors of Y'Y - tau1*omega from quad, the no-sparsity warm start."""
-    p = quad.vectors.shape[-1]
+    p = (quad.omega if isinstance(quad, ClosedFormTerm) else quad.vectors).shape[-1]
     if not 1 <= k <= p:
         raise ValueError(f"k must be in [1, p] = [1, {p}], got {k}")
     return _fix_signs(quad.leading(k))
 
 
 def admm_step(state: AdmmState, quad: Term, tau2, out: AdmmState | None = None) -> AdmmState:
-    """One three-block pass at the state's rho against quad, either kind of Term.
+    """One three-block pass at the state's rho against quad, an ADMM term.
 
     For a stack of B chains, state holds B x p x K blocks and a length-B rho,
     quad stacks the B factorizations and tau2 is a scalar or length B; each
@@ -522,6 +554,8 @@ def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts
     stack = None
     c = -1
     for c, quad in enumerate(quads):
+        if isinstance(quad, ClosedFormTerm):
+            raise ValueError("a ClosedFormTerm serves fits at tau2 = 0 alone")
         parts = {name: np.asarray(getattr(quad, name)) for name in quad.BATCHED}
         if stack is None:
             stack = replace(quad, **dict.fromkeys(quad.UNSTACKED), **{
@@ -556,10 +590,10 @@ def fit_chains(
 
     Chain c fits the rows ys[c] (read, never copied, so chains may share
     them) with quads[c], its term at tau1s[c] from precompute_quadratic,
-    at each tau2 in turn, and yields (c, j, basis) when it
-    finishes tau2_values[j], which must be nonnegative and strictly
-    ascending; chains finish in any order.  config gives k and the rho
-    schedule; each basis carries it with the chain's tau1 and tau2.
+    at each tau2 in turn, and yields (c, j, basis) when it finishes
+    tau2_values[j], which must be nonnegative and strictly ascending;
+    chains finish in any order.  config gives k and the rho schedule; each
+    basis carries it with the chain's tau1 and tau2.
 
     At tau2 = 0 the objective on orthonormal Phi is a constant minus
     tr(Phi' B Phi), B = Y'Y - tau1*omega, so by Ky Fan's theorem
@@ -575,7 +609,8 @@ def fit_chains(
     read once, in order (see _stack_chains); the terms must be of one kind,
     and LowRankTerm chains must all have the same number of rows.  With
     tau2 = 0 alone no stack is built: each term gives its closed form and
-    is released.
+    is released; a ClosedFormTerm serves that case only, and raises
+    ValueError with a tau2 above 0.
     """
     count, k = len(ys), config.k
     for y in ys:

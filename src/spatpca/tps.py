@@ -124,10 +124,10 @@ class PenaltyOperator:
         values ascending.
 
         Computed on first use and kept, the one eigendecomposition of omega
-        (:func:`build_penalty` checks it with a Cholesky): the solver's
-        low-rank Phi update, for data with far fewer rows than sites, reads
-        it on every fit on this domain, so a domain never fitted that way
-        never pays for it.
+        (:func:`build_penalty` checks it with a Cholesky): its one reader,
+        the solver's low-rank Phi update of ADMM fits (tau2 > 0) on far
+        fewer rows than sites, reads it on every such fit on this domain,
+        so a domain never fitted that way never pays for it.
         """
         values, vectors = np.linalg.eigh(self.omega)
         values.setflags(write=False)
@@ -334,6 +334,7 @@ def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.nda
 
     The q x p kernel matrix, built in place in row blocks with the bits of
     ``kernel``, multiplies ``a`` in one product: 8qp bytes plus about 1 MiB.
+    A value that overflows, far enough from the sites, raises ValueError.
 
     Parameters
     ----------
@@ -352,5 +353,9 @@ def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.nda
         raise ValueError(f"query must be q x {domain.d}, got shape {np.shape(query)}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
-    g = _kernel_matrix(q, domain.locations, domain.d)
-    return g @ coeffs.a + coeffs.b[0] + q @ coeffs.b[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _kernel_matrix(q, domain.locations, domain.d)
+        out = g @ coeffs.a + coeffs.b[0] + q @ coeffs.b[1:]
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the spline overflows: query points lie too far from the sites")
+    return out

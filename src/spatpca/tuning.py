@@ -196,7 +196,8 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     The M x T1 (fold, tau1) chains run in groups of stacked chains through
     solver.fit_chains, each chain along the whole tau2 grid; the C chains
     of one training row count run in ceil(C / cap) groups of sizes within
-    one, cap = _GROUP_BYTES // solver.stacked_bytes.  Every fit is
+    one, cap = _GROUP_BYTES // solver.stacked_bytes; with no tau2 above 0
+    nothing is stacked, and they run as one group.  Every fit is
     bit-identical to fitting its cell alone, and the folds' terms are summed
     in fold order, so the grouping never changes a bit of the report.
     """
@@ -212,7 +213,7 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     loss, conv, iters = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=int)
     config = SolverConfig(k=k)
     admm_fits = np.count_nonzero(t2s)  # the fits at tau2 > 0, which run the ADMM
-    # Y'Y or Y U, and ||Y||_2^2, once per fold; the cells run fold by fold
+    # the rows' part of the terms once per fold; the cells run fold by fold
     family = lru_cache(maxsize=1)(
         lambda m: precompute_quadratic(splits[m][0], penalty, admm_fits)
     )
@@ -220,7 +221,9 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     by_rows = sorted(range(folds.m), key=lambda m: splits[m][0].shape[0])
     for rows, same in groupby(by_rows, key=lambda m: splits[m][0].shape[0]):
         cells = [(m, i) for m in same for i in range(t1s.size)]
-        cap = max(1, _GROUP_BYTES // stacked_bytes(rows, p, admm_fits))
+        cap = len(cells)  # closed forms alone build no stack
+        if admm_fits:
+            cap = max(1, _GROUP_BYTES // stacked_bytes(rows, p, admm_fits))
         for part in np.array_split(np.arange(len(cells)), -(-len(cells) // cap)):
             group = [cells[c] for c in part]
             ys = [splits[m][0] for m, _ in group]

@@ -16,9 +16,9 @@ The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
 time (cv_tau_reference takes the closed form at tau2 = 0), so that the
 stacked chains of solver.fit_chains can be required to match it bit for
-bit.  spectral_term and low_rank_term build the package's two Phi-update
-terms for any data, whatever term precompute_quadratic would pick, and
-fit_on_term fits one chain on a given term.
+bit.  spectral_term and low_rank_term build the package's two ADMM
+Phi-update terms for any data, whatever term precompute_quadratic would
+pick, and fit_on_term fits one chain on a given term.
 """
 
 from __future__ import annotations
@@ -284,11 +284,13 @@ def fit_on_term(y, config, quad, warm_start=None):
 def fit_reference(y, penalty, config, warm_start=None, quad=None):
     """One chain of the package's ADMM, stepped alone with two-dimensional
     blocks and a scalar rho: the loop solver.fit ran before chains were
-    stacked.  Returns the same EigenBasis as fit."""
+    stacked.  Returns the same EigenBasis as fit at tau2 > 0, and runs the
+    ADMM at tau2 = 0 too, where fit takes the closed form, on the term fit
+    takes at a tau2 above 0."""
     y = np.asarray(y, dtype=float)
     p = y.shape[1]
     if quad is None:
-        quad = precompute_quadratic(y, penalty, int(config.tau2 > 0))(config.tau1)
+        quad = precompute_quadratic(y, penalty, 1)(config.tau1)
     if config.rho0 == "auto":
         rho0 = 10.0 * quad.lam_max_yty if quad.lam_max_yty > 0 else 1.0
     else:

@@ -273,6 +273,15 @@ class TestEvalCommand:
         assert rc == 1
         capsys.readouterr()
 
+    def test_overflowing_grid_fails(self, fitted_model, tmp_path, capsys):
+        # finite grid points far from the sites overflow the kernel: no NaN cells
+        out = tmp_path / "e.csv"
+        rc = main(["eval", "--model", str(fitted_model), "--grid=0:1e308:3",
+                   "--ref", "0.0", "--out", str(out)])
+        assert rc == 1
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_query_dimension_mismatch(self, fitted_model, tmp_path, capsys):
         q = _write_rows(tmp_path / "q.csv", [[0.0, 1.0]])
         rc = main(["eval", "--model", str(fitted_model), "--query", q,

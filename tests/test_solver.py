@@ -28,6 +28,7 @@ from spatpca import (
 )
 from spatpca.solver import (
     AdmmState,
+    ClosedFormTerm,
     LowRankTerm,
     QuadraticTerm,
     admm_step,
@@ -215,12 +216,13 @@ class TestAdmmStep:
 
     def test_lam_max_is_largest_eigenvalue_of_yty(self, small_penalty):
         rng = np.random.default_rng(24)
-        y = rng.standard_normal((20, 12))
-        want = np.linalg.eigvalsh(y.T @ y)[-1]
-        # both terms: the low-rank one with no tau2 above 0, the spectral one with one
-        for tau2_count in (0, 1):
+        # both ADMM terms: the spectral one for 20 rows, the low-rank one for 3
+        for n, kind in ((20, QuadraticTerm), (3, LowRankTerm)):
+            y = rng.standard_normal((n, 12))
+            want = np.linalg.eigvalsh(y.T @ y)[-1]
             for tau1 in (0.0, 3.0):
-                quad = precompute_quadratic(y, small_penalty, tau2_count)(tau1)
+                quad = precompute_quadratic(y, small_penalty, 1)(tau1)
+                assert type(quad) is kind
                 assert quad.lam_max_yty == pytest.approx(want, rel=1e-12)
 
 
@@ -419,7 +421,7 @@ class TestClosedForm:
     """tau2 = 0: the K leading eigenvectors of Y'Y - tau1*omega, with no ADMM step."""
 
     def test_fit_is_leading_eigenvectors_of_b(self, penalty_1d):
-        # both terms, any warm start, and a rho0 far below the floor: no step runs
+        # every term, any warm start, and a rho0 far below the floor: no step runs
         rng = np.random.default_rng(35)
         for n in (60, 15):
             y = rng.standard_normal((n, 50))
@@ -427,7 +429,8 @@ class TestClosedForm:
                 b = y.T @ y - tau1 * penalty_1d.omega
                 _, v = np.linalg.eigh(0.5 * (b + b.T))
                 terms = [None, low_rank_term(y, penalty_1d, tau1),
-                         spectral_term(y, penalty_1d, tau1)]
+                         spectral_term(y, penalty_1d, tau1),
+                         precompute_quadratic(y, penalty_1d, 0)(tau1)]
                 for k in (1, 3):
                     want = v[:, ::-1][:, :k]
                     cfg = SolverConfig(tau1=tau1, k=k, rho0=1e-9)
@@ -468,6 +471,31 @@ class TestClosedForm:
         bound = float(np.sum(y * y)) - float(np.sum(np.linalg.eigvalsh(0.5 * (b + b.T))[-k:]))
         assert got == pytest.approx(bound, rel=1e-10, abs=1e-10 * float(np.sum(y * y)))
 
+    def test_closed_form_term_gives_k_columns_past_the_rank(self, small_penalty):
+        # 3 rows: a thin SVD has 3 right singular vectors, and k = 5 asks for 5
+        y = np.random.default_rng(45).standard_normal((3, 12))
+        for tau1 in (0.0, 1.0):
+            phi = initial_phi(precompute_quadratic(y, small_penalty, 0)(tau1), 5)
+            assert phi.shape == (12, 5)
+            assert np.abs(phi.T @ phi - np.eye(5)).max() < 1e-12
+            want = initial_phi(spectral_term(y, small_penalty, tau1), 3)
+            assert principal_angle(phi[:, :3], want) < 1e-8
+
+    def test_tau1_zero_fit_is_one_thin_svd(self, domain_2d, monkeypatch):
+        # tau1 = tau2 = 0: plain PCA, the top K right singular vectors of Y,
+        # with no p x p eigensolve of either library and no spectrum of omega
+        p = domain_2d.p
+        penalty = build_penalty(domain_2d)
+        y = np.random.default_rng(42).standard_normal((8, p))
+        want = np.linalg.eigh(y.T @ y)[1][:, ::-1][:, :3]
+        full, subset = TestLowRankTerm._count_eigensolves(monkeypatch)
+        svds = TestLowRankTerm._count_svds(monkeypatch)
+        basis = fit(y, penalty, SolverConfig(k=3))
+        assert svds == [((8, p), False)]
+        assert [shape for shape in full if shape == (p, p)] == [] and subset == []
+        assert "spectrum" not in vars(penalty)
+        assert principal_angle(basis.phi, want) < 1e-10
+
     def test_select_and_fit_at_tau2_zero_takes_no_admm_step(self, penalty_1d, monkeypatch):
         calls = []
         original = spatpca.solver.admm_step
@@ -479,7 +507,7 @@ class TestClosedForm:
         monkeypatch.setattr(spatpca.solver, "admm_step", counting)
         rng = np.random.default_rng(36)
         grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(4)), tau2=0.0)
-        for n in (60, 15):  # low-rank chains: no tau2 value above 0
+        for n in (60, 15):  # closed-form chains: no tau2 value above 0
             y = rng.standard_normal((n, 50))
             tuned = select_and_fit(y, penalty_1d, 2, grid, partition_folds(n, 3, seed=0))
             assert (tuned.basis.converged, tuned.basis.iterations) == (True, 0)
@@ -548,8 +576,10 @@ class TestLowRankTerm:
                     assert errors[0] == pytest.approx(errors[1], rel=1e-12)
 
     def test_term_follows_the_measured_crossover(self, penalty_1d, monkeypatch):
-        # p = 50: Woodbury while n sqrt(T2) < 3p/8, spectral from there on; a
-        # lone fit is one chain along its own tau2 and follows the same rule
+        # p = 50: Woodbury while n sqrt(T2) < 3p/8, spectral from there on, and
+        # along tau2 = 0 alone the closed-form term whatever the shape, never
+        # stacked; a lone fit is one chain along its own tau2 and follows the
+        # same rule
         rng = np.random.default_rng(29)
         lone = []
 
@@ -563,12 +593,16 @@ class TestLowRankTerm:
         for n, tau2_count, kind in (
             (18, 1, LowRankTerm), (19, 1, QuadraticTerm),
             (9, 4, LowRankTerm), (10, 4, QuadraticTerm), (60, 1, QuadraticTerm),
-            (60, 0, LowRankTerm),  # tau2 = 0 alone: closed forms, no ADMM step
+            (60, 0, ClosedFormTerm), (9, 0, ClosedFormTerm),  # tau2 = 0 alone: no ADMM step
         ):
             y = rng.standard_normal((n, 50))
             assert type(precompute_quadratic(y, penalty_1d, tau2_count)(1.0)) is kind
-            rows = n * 50 + 2 if kind is LowRankTerm else 50 * 50 + 51
-            assert stacked_bytes(n, 50, tau2_count) == 8 * rows
+            if kind is ClosedFormTerm:
+                with pytest.raises(ValueError, match="never stacked"):
+                    stacked_bytes(n, 50, tau2_count)
+            else:
+                rows = n * 50 + 2 if kind is LowRankTerm else 50 * 50 + 51
+                assert stacked_bytes(n, 50, tau2_count) == 8 * rows
             if tau2_count <= 1:
                 fit(y, penalty_1d, SolverConfig(tau1=1.0, tau2=float(tau2_count), k=2))
                 assert lone == [kind]
@@ -590,6 +624,18 @@ class TestLowRankTerm:
         monkeypatch.setattr(np.linalg, "eigh", counting_numpy)
         monkeypatch.setattr(scipy.linalg, "eigh", counting_scipy)
         return full, subset
+
+    @staticmethod
+    def _count_svds(monkeypatch):
+        svds = []
+        numpy_svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            svds.append((np.shape(a), kwargs.get("full_matrices")))
+            return numpy_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return svds
 
     def test_select_and_fit_decomposes_omega_once(self, domain_2d, monkeypatch):
         # 6 training rows, 36 sites: neither the (fold, tau1) chains nor the
@@ -626,10 +672,11 @@ class TestLowRankTerm:
         assert subset == []
         assert "spectrum" not in vars(fresh)
 
-    def test_holdout_shape_decomposes_omega_once(self, monkeypatch):
+    def test_holdout_shape_never_decomposes_omega(self, monkeypatch):
         # 60 rows on a 20 x 20 grid, 5 folds, tau2 pinned at 0: the chains
-        # and the refit all take the low-rank term, so build_penalty and
-        # select_and_fit together make one p x p eigensolve, omega's
+        # and the refit all take the closed-form term, so build_penalty and
+        # select_and_fit together make no numpy p x p eigensolve, and omega's
+        # spectrum is never computed
         calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
@@ -644,8 +691,28 @@ class TestLowRankTerm:
         p = domain.p
         y = np.random.default_rng(39).standard_normal((60, p))
         grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(4)), tau2=0.0)
-        select_and_fit(y, build_penalty(domain), 5, grid, partition_folds(60, 5, seed=0))
-        assert [call for call in calls if call[1] == (p, p)] == [("eigh", (p, p))]
+        penalty = build_penalty(domain)
+        select_and_fit(y, penalty, 5, grid, partition_folds(60, 5, seed=0))
+        assert [call for call in calls if call[1] == (p, p)] == []
+        assert "spectrum" not in vars(penalty)
+
+    def test_holdout_shape_solves_one_subset_per_cell_above_tau1_zero(
+        self, domain_2d, monkeypatch
+    ):
+        # tau2 pinned at 0, 5 folds, 4 tau1 values: each (fold, tau1 > 0) cell
+        # and a refit at tau1 > 0 make one top-K subset eigensolve of B; each
+        # tau1 = 0 cell, and a refit there, one thin SVD of its rows
+        p, k = domain_2d.p, 2
+        penalty = build_penalty(domain_2d)
+        full, subset = self._count_eigensolves(monkeypatch)
+        svds = self._count_svds(monkeypatch)
+        y = np.random.default_rng(41).standard_normal((20, p))
+        grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(4)), tau2=0.0)
+        tuned = select_and_fit(y, penalty, k, grid, partition_folds(20, 5, seed=0), gamma=0.0)
+        refit_subset = tuned.tau_report.selected[0] > 0
+        assert [shape for shape in full if shape == (p, p)] == []
+        assert subset == [((p, p), [p - k, p - 1])] * (5 * 3 + refit_subset)
+        assert svds == [((16, p), False)] * 5 + [((20, p), False)] * (not refit_subset)
 
     def test_rows_at_least_sites_never_decompose_omega(self, domain_1d, monkeypatch):
         # n >= p with every tau2 on the grid above 0: spectral chains and a
@@ -662,6 +729,15 @@ class TestLowRankTerm:
 
 
 class TestFitChains:
+    def test_closed_form_term_refuses_a_tau2_above_zero(self, small_penalty):
+        y = np.random.default_rng(43).standard_normal((8, 12))
+        for tau1 in (0.0, 1.0):
+            quad = precompute_quadratic(y, small_penalty, 0)(tau1)
+            assert not hasattr(quad, "shifted_solve")
+            for t2s in ([1.0], [0.0, 1.0]):
+                with pytest.raises(ValueError, match="tau2 = 0 alone"):
+                    list(fit_chains([y], [tau1], [quad], SolverConfig(k=2), t2s))
+
     def test_fit_matches_lone_chain_reference_bitwise(self, small_penalty):
         y = np.random.default_rng(30).standard_normal((30, 12))
         for cfg in (

@@ -263,6 +263,14 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             evaluate(coeffs, penalty_2d.domain, np.array([[0.0, np.nan]]))
 
+    def test_evaluate_rejects_an_overflowing_query(self, penalty_1d, penalty_2d):
+        # finite points far enough from the sites overflow the kernel
+        rng = np.random.default_rng(44)
+        for pen, far in ((penalty_1d, [[1e308]]), (penalty_2d, [[0.0, 1e200]])):
+            coeffs = solve_coefficients(pen, rng.standard_normal(pen.domain.p))
+            with pytest.raises(ValueError, match="overflows"):
+                evaluate(coeffs, pen.domain, np.array([[0.5] * pen.domain.d, *far]))
+
 
 class TestBlockedKernel:
     # evaluate and build_penalty fill their kernel matrices in place, in row

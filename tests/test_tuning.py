@@ -19,7 +19,7 @@ from spatpca import (
     select_and_fit,
 )
 from spatpca.solver import (
-    LowRankTerm, QuadraticTerm, fit_chains, precompute_quadratic, stacked_bytes
+    ClosedFormTerm, LowRankTerm, QuadraticTerm, fit_chains, precompute_quadratic, stacked_bytes
 )
 import spatpca.solver
 import spatpca.tuning
@@ -299,12 +299,14 @@ class TestCvTauGroups:
         cv_tau(y, pen, 2, TuningGrid(tau1_values=[1.0], tau2_values=[0.0, 1.0]), folds)
         assert stacks == [3]
 
-    def test_pinned_tau2_zero_takes_the_low_rank_term(self, penalty_1d, monkeypatch):
+    def test_pinned_tau2_zero_takes_the_closed_form_term(self, penalty_1d, monkeypatch):
         # 24 rows in 5 folds: 19 or 20 training rows, just above 3p/8 = 18.75,
-        # where a single tau2 value above 0 takes the spectral term
+        # where a single tau2 value above 0 takes the spectral term; along
+        # tau2 = 0 alone nothing is stacked, and the shape picks nothing
         y = np.random.default_rng(8).standard_normal((24, 50))
         assert type(precompute_quadratic(y[:19], penalty_1d, 1)(1.0)) is QuadraticTerm
-        assert stacked_bytes(19, 50, 0) == 8 * (19 * 50 + 2)
+        with pytest.raises(ValueError, match="never stacked"):
+            stacked_bytes(19, 50, 0)
         chains, refits = [], []
 
         def spy(terms):
@@ -320,7 +322,7 @@ class TestCvTauGroups:
         monkeypatch.setattr(spatpca.solver, "fit_chains", spy(refits))
         grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(3)), tau2=0.0)
         select_and_fit(y, penalty_1d, 2, grid, partition_folds(24, 5, seed=3), gamma=0.0)
-        assert chains == [LowRankTerm] * 15 and refits == [LowRankTerm]
+        assert chains == [ClosedFormTerm] * 15 and refits == [ClosedFormTerm]
 
 
 class TestCvGamma:
