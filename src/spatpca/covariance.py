@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import EigenBasis, _fix_signs
+from .solver import EigenBasis, _check_data, _fix_signs
 from .tps import PenaltyOperator, SplineCoefficients, evaluate, solve_coefficients
 
 __all__ = [
@@ -209,10 +209,8 @@ def predict(model: CovarianceModel, penalty: PenaltyOperator, y, query) -> np.nd
     psi is the spline interpolant of the basis, solved from penalty in one
     p x K solve per call.  Returns an n x q matrix, one row per observation.
     """
-    y = np.asarray(y, dtype=float)
+    y = _check_data(y, penalty)  # n x p and finite, as fit requires
     phi = model.basis.phi
-    if y.ndim != 2 or y.shape[1] != phi.shape[0]:
-        raise ValueError(f"data must be n x {phi.shape[0]}, got {y.shape}")
     psi = evaluate(solve_coefficients(penalty, phi), penalty.domain, query)
     lam_star = model.lambda_star
     keep = lam_star > 1e-12 * max(1.0, float(lam_star.max(initial=0.0)))

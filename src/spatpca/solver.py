@@ -297,13 +297,13 @@ class LowRankTerm:
 @dataclass(frozen=True)
 class ClosedFormTerm:
     """B = Y'Y - tau1*omega for chains along tau2 = 0 alone, which take no
-    ADMM step, so it has no shifted_solve; yty = Y'Y is formed once per data
-    set.  leading(k) is a top-k subset eigensolve of B in site coordinates,
-    or at tau1 = 0 with k <= n the top k right singular vectors of Y, by a
-    thin SVD."""
+    ADMM step, so it has no shifted_solve; yty() is Y'Y, formed once per data
+    set when first read.  leading(k) is a top-k subset eigensolve of B in
+    site coordinates; at tau1 = 0 with k <= n it is the top k right singular
+    vectors of Y, by a thin SVD, and reads no Y'Y."""
 
     y: np.ndarray
-    yty: np.ndarray
+    yty: Callable[[], np.ndarray]
     omega: np.ndarray
     tau1: float
 
@@ -313,7 +313,7 @@ class ClosedFormTerm:
             return np.linalg.svd(self.y, full_matrices=False)[2][:k].T
         p = self.omega.shape[0]
         b = -self.tau1 * self.omega
-        b += self.yty
+        b += self.yty()
         # eigh reads one triangle: b's transpose is Fortran-ordered, so no copy is made
         _, v = scipy.linalg.eigh(
             b.T, subset_by_index=[p - k, p - 1], overwrite_a=True, check_finite=False
@@ -423,7 +423,7 @@ def precompute_quadratic(
 
     The one constructor of a term, for a lone fit (fit, tau2_count 0 or 1)
     and each cv_tau fold alike.  The work that depends on the rows alone is
-    done here, once.  tau2_count = 0 gives a ClosedFormTerm, from Y'Y.
+    done here, once.  tau2_count = 0 gives a ClosedFormTerm (Y'Y on demand).
     Otherwise ||Y||_2^2, and the shape and tau2_count pick the term
     (_low_rank_pays): a LowRankTerm from Y U (omega = U D U', factored once
     per penalty), for far fewer rows than sites; a QuadraticTerm from Y'Y,
@@ -431,17 +431,16 @@ def precompute_quadratic(
     """
     y = _check_data(y, penalty)
     if not tau2_count:
-        return partial(ClosedFormTerm, y, y.T @ y, penalty.omega)
+        return partial(ClosedFormTerm, y, cache(lambda: y.T @ y), penalty.omega)
     lam_max = _lam_max(y)
     if _low_rank_pays(*y.shape, tau2_count):
         values, vectors = penalty.spectrum
         yu = y @ vectors
         return partial(LowRankTerm, vectors, values, yu, lam_max_yty=lam_max, gram=yu.T @ yu)
     yty = y.T @ y
-    yty = 0.5 * (yty + yty.T)
 
     def spectral(tau1: float) -> QuadraticTerm:
-        # Y'Y and omega are exactly symmetric, and eigh reads one triangle
+        # eigh reads one triangle; omega and Y'Y (by SYRK) are exactly symmetric
         values, vectors = np.linalg.eigh(yty - tau1 * penalty.omega)
         return QuadraticTerm(vectors=vectors, values=values, lam_max_yty=lam_max)
 

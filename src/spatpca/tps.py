@@ -7,11 +7,11 @@ of the spline interpolating it.  That energy is a quadratic form
 
 where ``omega`` is the upper-left p x p block of the inverse of the bordered
 kernel system [[g, e], [e', 0]].  :func:`build_penalty` computes it in
-null-space form from a QR factorization of the affine design ``e`` and never
-assembles the bordered matrix.  Downstream code works with ``omega`` directly
-and only touches spline coefficients when a component has to be evaluated
-off the observation sites; :func:`evaluate` builds that q x p kernel matrix
-in place, in row blocks, and makes one matrix product.
+null-space form from a QR factorization of the affine design ``e``, never
+assembles the bordered matrix, and keeps no p x p array but omega.  Code
+downstream works with ``omega`` directly and only touches spline coefficients
+when a component is evaluated off the observation sites; :func:`evaluate`
+builds that q x p kernel matrix in place, in row blocks, for one product.
 """
 
 from __future__ import annotations
@@ -101,22 +101,19 @@ class PenaltyOperator:
     domain : SpatialDomain
     omega : ndarray, shape (p, p)
         Symmetric positive semidefinite; annihilates affine fields
-        (``omega @ e == 0``) and satisfies ``v' omega v == a' g a`` for the
-        radial coefficients ``a`` interpolating ``v``.
-    g : ndarray, shape (p, p)
-        Kernel Gram matrix g(||s_i - s_j||).
-    e : ndarray, shape (p, d + 1)
-        Affine design, row i equal to (1, s_i').
-    affine_qr : tuple
-        Reduced QR factorization ``(q1, r1)`` of ``e``, reused by
-        :func:`solve_coefficients`.
+        (``omega @ e == 0`` for the affine design e, row i equal to
+        (1, s_i')) and satisfies ``v' omega v == a' g a`` for the radial
+        coefficients ``a`` interpolating ``v``, g the kernel matrix
+        g(||s_i - s_j||).
+    affine : tuple
+        ``(q1, r1, g q1)``: the reduced QR factorization e = q1 r1 and the
+        p x (d + 1) product of g with q1, all that :func:`solve_coefficients`
+        needs besides omega.
     """
 
     domain: SpatialDomain
     omega: np.ndarray
-    g: np.ndarray
-    e: np.ndarray
-    affine_qr: tuple
+    affine: tuple
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +229,7 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
     when it fails is omega decomposed, to clip its spectrum at zero.
     Otherwise omega's eigenpairs are computed only on demand
     (``PenaltyOperator.spectrum``).  The reduced factor (q1, r1) of the same
-    QR is kept for :func:`solve_coefficients`.
+    QR and g q1 are kept for :func:`solve_coefficients`; g itself is not.
 
     Raises
     ------
@@ -267,6 +264,7 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
             f"the sites lie {shape}; the affine part of the spline is not identifiable"
         )
     q1, q2 = q_full[:, : d + 1].copy(), q_full[:, d + 1 :]
+    gq1 = g @ q1
     core = q2.T @ g @ q2
     core = 0.5 * (core + core.T)
     try:
@@ -298,9 +296,9 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
         omega = (u * np.clip(w, 0.0, None)) @ u.T
         omega = 0.5 * (omega + omega.T)
 
-    for arr in (omega, g, e, q1, r1):
+    for arr in (omega, q1, r1, gq1):
         arr.setflags(write=False)
-    return PenaltyOperator(domain=domain, omega=omega, g=g, e=e, affine_qr=(q1, r1))
+    return PenaltyOperator(domain=domain, omega=omega, affine=(q1, r1, gq1))
 
 
 def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
@@ -308,8 +306,8 @@ def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
 
     With e = q1 r1 and c = q1'v, the radial weights are a = omega (v - q1 c);
     projecting out col(e) first leaves a at roundoff level for affine fields.
-    The affine part solves r1 b = c - q1' g a.  ``values`` is a length-p
-    vector or a p x K matrix of K fields, all solved at once.
+    The affine part solves r1 b = c - (g q1)' a: no p x p kernel matrix is
+    read.  ``values`` is a length-p vector or a p x K matrix, solved at once.
     """
     p = penalty.domain.p
     v = np.asarray(values, dtype=float)
@@ -317,11 +315,11 @@ def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
         raise ValueError(f"values must have p = {p} rows, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    q1, r1 = penalty.affine_qr
+    q1, r1, gq1 = penalty.affine
     c = q1.T @ v
     a = penalty.omega @ (v - q1 @ c)
     # r1 and the right-hand side are finite by construction; the outputs are checked below
-    b = solve_triangular(r1, c - q1.T @ (penalty.g @ a), check_finite=False)
+    b = solve_triangular(r1, c - gq1.T @ a, check_finite=False)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ConditioningError("interpolation solve produced non-finite coefficients")
     return SplineCoefficients(a=a, b=b)

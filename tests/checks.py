@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles with different
 algorithms than the package uses: spline energies come from scipy's natural
-cubic spline and an exact piecewise integral, the covariance-parameter
+cubic spline and an exact piecewise integral, spline coefficients from a
+dense solve of the bordered kernel system, the covariance-parameter
 minimizer is a projected gradient method, the eigenbasis oracle is a
 two-block splitting whose Phi update solves K lasso problems by coordinate
 descent, and subspace distances are the norm of a projection residual of the
@@ -257,6 +258,24 @@ def evaluate_reference(coeffs, domain, query) -> np.ndarray:
     q = np.asarray(query, dtype=float)
     g = kernel_matrix_reference(q, domain.locations, domain.d)
     return g @ coeffs.a + coeffs.b[0] + q @ coeffs.b[1:]
+
+
+def affine_design(locations) -> np.ndarray:
+    """The p x (d + 1) affine design e, row i equal to (1, s_i')."""
+    loc = np.asarray(locations, dtype=float)
+    return np.column_stack([np.ones(len(loc)), loc])
+
+
+def bordered_coefficients_reference(domain, values) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the interpolating spline from one dense solve of the bordered
+    system [[G, E], [E', 0]] [a; b] = [v; 0], G and E built from the sites."""
+    loc = domain.locations
+    v = np.asarray(values, dtype=float)
+    e = affine_design(loc)
+    m = e.shape[1]
+    system = np.block([[kernel_matrix_reference(loc, loc, domain.d), e], [e.T, np.zeros((m, m))]])
+    solution = np.linalg.solve(system, np.concatenate([v, np.zeros((m, *v.shape[1:]))]))
+    return solution[: len(loc)], solution[len(loc) :]
 
 
 def spectral_term(y, penalty, tau1) -> QuadraticTerm:

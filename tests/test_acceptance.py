@@ -39,6 +39,7 @@ from spatpca.tuning import default_log_grid
 
 from checks import (
     fit_lasso_inner,
+    kernel_matrix_reference,
     minimize_shrinkage_objective,
     principal_angle,
     random_orthonormal,
@@ -122,12 +123,13 @@ def test_acceptance_3_penalty_operator_correctness():
         affine_err = np.abs(got - want).max()
         assert affine_err < 1e-10, f"d={d}: affine reproduction error {affine_err:.3e}"
 
+        g = kernel_matrix_reference(dom.locations, dom.locations, d)
         energy_rel = 0.0
         for _ in range(20):
             v = rng.standard_normal(p)
             cv = solve_coefficients(pen, v)
             quad = float(v @ pen.omega @ v)
-            energy = float(cv.a @ pen.g @ cv.a)
+            energy = float(cv.a @ g @ cv.a)
             energy_rel = max(energy_rel, abs(quad - energy) / max(abs(energy), 1e-12))
         assert energy_rel < 1e-8, f"d={d}: energy identity off by {energy_rel:.3e} relative"
 

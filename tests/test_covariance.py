@@ -241,3 +241,11 @@ class TestPredict:
         _, _, _, model = fitted
         with pytest.raises(ValueError):
             predict(model, penalty_1d_module, np.ones((4, 7)), [0.0])
+
+    def test_rejects_non_finite_data(self, fitted, penalty_1d_module):
+        y, _, _, model = fitted
+        for bad in (np.nan, np.inf):
+            data = y.copy()
+            data[1, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                predict(model, penalty_1d_module, data, [0.0, 0.5])

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -495,6 +496,26 @@ class TestClosedForm:
         assert [shape for shape in full if shape == (p, p)] == [] and subset == []
         assert "spectrum" not in vars(penalty)
         assert principal_angle(basis.phi, want) < 1e-10
+
+    def test_yty_is_formed_only_when_a_tau1_above_zero_reads_it(self):
+        # p = 400, 8 rows: a lone fit at tau1 = tau2 = 0 reads the thin SVD
+        # alone, and the p x p Y'Y (8p^2 bytes) is never formed
+        axis = np.linspace(0.0, 1.0, 20)
+        penalty = build_penalty(SpatialDomain(np.column_stack([c.ravel() for c in np.meshgrid(axis, axis)])))
+        p = penalty.domain.p
+        y = np.random.default_rng(46).standard_normal((8, p))
+        tracemalloc.start()
+        try:
+            fit(y, penalty, SolverConfig(k=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * p * p / 4
+        # formed once, on first use, and shared by the data set's tau1 values
+        family = precompute_quadratic(y, penalty, 0)
+        first, second = family(1.0), family(2.0)
+        assert first.yty() is second.yty()
+        assert np.array_equal(first.yty(), y.T @ y)
 
     def test_select_and_fit_at_tau2_zero_takes_no_admm_step(self, penalty_1d, monkeypatch):
         calls = []

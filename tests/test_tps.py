@@ -18,6 +18,8 @@ from spatpca import tps
 from spatpca.tps import SplineCoefficients, kernel
 
 from checks import (
+    affine_design,
+    bordered_coefficients_reference,
     evaluate_reference,
     kernel_matrix_reference,
     kernel_reference,
@@ -110,7 +112,22 @@ class TestBuildPenalty:
         grid_2d = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
         for loc in (grid_3d, grid_2d + 1e4):
             pen = build_penalty(SpatialDomain(loc))
-            assert np.abs(pen.omega @ pen.e).max() < 1e-8 * max(1.0, np.abs(pen.e).max())
+            e = affine_design(loc)
+            assert np.abs(pen.omega @ e).max() < 1e-8 * max(1.0, np.abs(e).max())
+
+    def test_penalty_keeps_omega_and_no_kernel_matrix(self):
+        # p = 900: omega is the one p x p array a built penalty keeps; the
+        # kernel matrix g was a second one (about 2 x 8p^2 bytes in all)
+        axis = np.linspace(0.0, 1.0, 30)
+        domain = SpatialDomain(np.column_stack([c.ravel() for c in np.meshgrid(axis, axis)]))
+        tracemalloc.start()
+        try:
+            pen = build_penalty(domain)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pen.omega.shape == (900, 900)
+        assert kept < 1.1 * 8 * domain.p**2
 
     def test_omega_symmetric_psd(self, penalty_1d):
         omega = penalty_1d.omega
@@ -149,16 +166,18 @@ class TestBuildPenalty:
 
     def test_omega_annihilates_affine_fields(self, penalty_1d, penalty_2d):
         for pen in (penalty_1d, penalty_2d):
-            assert np.abs(pen.omega @ pen.e).max() < 1e-8
+            assert np.abs(pen.omega @ affine_design(pen.domain.locations)).max() < 1e-8
 
     def test_energy_matches_radial_coefficients(self, penalty_1d):
         # v' omega v == a' G a for the interpolating coefficients a
+        loc = penalty_1d.domain.locations
+        g = kernel_matrix_reference(loc, loc, 1)
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = rng.standard_normal(penalty_1d.domain.p)
             coeffs = solve_coefficients(penalty_1d, v)
             lhs = float(v @ penalty_1d.omega @ v)
-            rhs = float(coeffs.a @ penalty_1d.g @ coeffs.a)
+            rhs = float(coeffs.a @ g @ coeffs.a)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
     def test_energy_matches_natural_cubic_spline(self, domain_1d, penalty_1d):
@@ -206,6 +225,18 @@ class TestInterpolation:
         query = np.array([[0.31, -1.47], [2.9, 2.9], [-0.01, 0.02]])
         expected = 2.0 + 3.0 * query[:, 0] - 0.5 * query[:, 1]
         assert np.abs(evaluate(coeffs, penalty_2d.domain, query) - expected).max() < 1e-10
+
+    def test_coefficients_match_bordered_solve(self, penalty_1d, penalty_2d):
+        rng = np.random.default_rng(12)
+        penalty_3d = build_penalty(SpatialDomain(rng.uniform(-2.0, 2.0, size=(40, 3))))
+        for pen in (penalty_1d, penalty_2d, penalty_3d):
+            for shape in ((pen.domain.p,), (pen.domain.p, 5)):
+                v = rng.standard_normal(shape)
+                got = solve_coefficients(pen, v)
+                want_a, want_b = bordered_coefficients_reference(pen.domain, v)
+                scale = max(np.abs(want_a).max(), np.abs(want_b).max())
+                assert np.abs(got.a - want_a).max() <= 1e-9 * scale
+                assert np.abs(got.b - want_b).max() <= 1e-9 * scale
 
     def test_affine_field_has_zero_energy(self, penalty_1d, domain_1d):
         v = -1.0 + 0.25 * domain_1d.locations[:, 0]
@@ -296,8 +327,9 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_penalty_kernel_is_bit_identical_to_whole_matrix(self, d):
         loc = np.random.default_rng(20 + d).uniform(-3.0, 3.0, size=(40, d))
-        pen = build_penalty(SpatialDomain(loc))
-        assert np.array_equal(pen.g, kernel_matrix_reference(loc, loc, d))
+        # g itself is not kept: its product g q1 is that of the whole matrix
+        q1, _, gq1 = build_penalty(SpatialDomain(loc)).affine
+        assert np.array_equal(gq1, kernel_matrix_reference(loc, loc, d) @ q1)
         r = np.linalg.norm(loc[:7, None, :] - loc[None, :, :], axis=-1)
         assert np.array_equal(kernel(r, d), kernel_reference(r, d))
 
