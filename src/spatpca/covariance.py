@@ -124,8 +124,8 @@ def _shrink(d: np.ndarray, tr: float, p: int, gamma: float) -> tuple[float, int,
 def estimate_from_moments(m, tr: float, basis: EigenBasis, gammas) -> list[CovarianceModel]:
     """The rule of estimate_parameters at each of gammas from M = Phi' S Phi (K x K,
     symmetrized here, one eigendecomposition) and tr(S), e.g. Z'Z/n and ||Y||_F^2/n."""
-    if any(gamma < 0 for gamma in gammas):
-        raise ValueError("gamma must be nonnegative")
+    if not all(0 <= gamma < np.inf for gamma in gammas):
+        raise ValueError("gamma must be finite and nonnegative")
     p, k = basis.phi.shape
     if k >= p:
         raise ValueError(f"need k < p to identify the noise variance, got k = {k}, p = {p}")

@@ -19,21 +19,23 @@ solve is a Woodbury update through one n x n Cholesky, and the warm start
 a top-K subset eigensolve: it saves a full eigensolve per chain but costs
 more per ADMM step.  A ClosedFormTerm, for chains along tau2 = 0 alone,
 has no shifted solve and decomposes only B's top K, in site coordinates.
-precompute_quadratic is the one constructor, for a lone fit and a cv_tau
-fold alike, and picks the form from the number of tau2 values above 0
-and the shape alone (_low_rank_pays), never from what ran before.
+precompute_quadratic is the one constructor, called once per data set,
+and picks the form from the number of tau2 values above 0 and the shape
+alone (_low_rank_pays), never from what ran before.
 
 The polar factor comes from the K x K Gram (Higham 1986): Q = M V
 diag(w)^(-1/2) V' with M'M = V diag(w) V'.  The Gram squares M's condition
 number, so a member with w_min <= w_max/100 takes the SVD instead; the test
 is made per member, and no member's bits depend on another's.
 
-The iteration lives in fit_chains, which steps B independent chains as
+fit_chains takes data sets and (data set, tau1) chains and alone builds,
+groups and stacks their terms: groups of one row count, as many as fit in
+_GROUP_BYTES of stacked terms.  _fit_group steps a group of B chains as
 B x p x K arrays against a stack of B terms; admm_step takes that leading
 batch axis with a rho and a tau2 per member.  Each member gets exactly the
 arithmetic of a lone chain, so batching changes no bit and only spreads the
 per-call overhead of the small products over the members.  fit is the
-one-chain case.
+one-chain case, and cv_tau one call over its folds.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache, lru_cache, partial
+from itertools import groupby
 from typing import ClassVar
 
 import numpy as np
@@ -64,7 +67,6 @@ __all__ = [
     "soft_threshold",
     "initial_phi",
     "precompute_quadratic",
-    "stacked_bytes",
     "admm_step",
     "fit_chains",
     "fit",
@@ -344,7 +346,8 @@ def soft_threshold(m, tau: float):
 
 
 def _check_data(y, penalty: PenaltyOperator) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
+    # C order: Y'Y of a column-strided view is not exactly symmetric
+    y = np.ascontiguousarray(y, dtype=float)
     if y.ndim != 2:
         raise ValueError("data must be an n x p matrix")
     if not np.all(np.isfinite(y)):
@@ -447,12 +450,18 @@ def precompute_quadratic(
     return spectral
 
 
-def stacked_bytes(n: int, p: int, tau2_count: int) -> int:
-    """Bytes one chain's term from precompute_quadratic(., ., tau2_count)
+# cap on the stacked terms of one group of fit_chains (_stacked_bytes per
+# chain): 205 spectral chains at p = 50, 3 at p = 400, 27 low-rank ones at
+# p = 400 with 48 training rows.  At 1 MiB cv1d's 55 chains ran as 51 + 4,
+# the 4 paying a whole stack's per-step overhead; as one stack, cv_tau took
+# 0.46 s for 0.53 s (median of 16 alternating runs, one BLAS thread)
+_GROUP_BYTES = 4 << 20
+
+
+def _stacked_bytes(n: int, p: int, tau2_count: int) -> int:
+    """Bytes one chain's term from precompute_quadratic(., ., tau2_count > 0)
     adds to a stack: its p x p factorization, or for a LowRankTerm its n x p
-    rows Y U (the domain's U is shared); tau2_count = 0 stacks nothing."""
-    if not tau2_count:
-        raise ValueError("chains along tau2 = 0 alone are never stacked")
+    rows Y U (the domain's U is shared)."""
     return 8 * (n * p + 2 if _low_rank_pays(n, p, tau2_count) else p * p + p + 1)
 
 
@@ -541,7 +550,8 @@ def _finish(ys, configs, qs: np.ndarray, converged, iterations) -> list[EigenBas
 
 
 def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts):
-    """The count terms as one stack, and each chain's starting basis.
+    """The count ADMM terms, of one kind and shape, as one stack, and each
+    chain's starting basis.
 
     Each term's BATCHED arrays are copied into one preallocated stack and
     the term is released, so a generator of quads keeps a single unstacked
@@ -551,77 +561,89 @@ def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts
     """
     start = np.empty((count, p, k))
     stack = None
-    c = -1
     for c, quad in enumerate(quads):
-        if isinstance(quad, ClosedFormTerm):
-            raise ValueError("a ClosedFormTerm serves fits at tau2 = 0 alone")
         parts = {name: np.asarray(getattr(quad, name)) for name in quad.BATCHED}
         if stack is None:
             stack = replace(quad, **dict.fromkeys(quad.UNSTACKED), **{
                 name: a[None] if count == 1 else np.empty((count, *a.shape))
                 for name, a in parts.items()
             })
-        elif type(quad) is not type(stack) or any(
-            getattr(stack, name).shape[1:] != a.shape for name, a in parts.items()
-        ):
-            raise ValueError(
-                "chains stacked together need terms of one kind and shape: "
-                "low-rank terms need equal row counts"
-            )
         if count > 1:
             for name, a in parts.items():
                 getattr(stack, name)[c] = a
         start[c] = initial_phi(quad, k) if warm_starts is None else warm_starts[c]
-    if c + 1 != count:
-        raise ValueError(f"expected {count} factorizations, one per chain")
     return stack, start
 
 
 def fit_chains(
-    ys: Sequence[np.ndarray],
-    tau1s: Sequence[float],
-    quads: Iterable[Term],
+    data: Sequence[np.ndarray],
+    chains: Sequence[tuple[int, float]],
+    penalty: PenaltyOperator,
     config: SolverConfig,
     tau2_values: Sequence[float],
     warm_starts: Sequence[np.ndarray] | None = None,
 ) -> Iterator[tuple[int, int, EigenBasis]]:
-    """Fit B = len(ys) independent chains together, each along all of tau2_values.
+    """Fit independent chains, each along all of tau2_values.
 
-    Chain c fits the rows ys[c] (read, never copied, so chains may share
-    them) with quads[c], its term at tau1s[c] from precompute_quadratic,
-    at each tau2 in turn, and yields (c, j, basis) when it finishes
-    tau2_values[j], which must be nonnegative and strictly ascending;
-    chains finish in any order.  config gives k and the rho schedule; each
-    basis carries it with the chain's tau1 and tau2.
+    Chain c = (d, tau1) fits the rows data[d] at tau1 and at each tau2 in
+    turn, and yields (c, j, basis) when it finishes tau2_values[j], which
+    must be nonempty, nonnegative and strictly ascending; chains finish in
+    any order.  config gives k and the rho schedule; each basis carries it
+    with the chain's tau1 and tau2.
 
     At tau2 = 0 the objective on orthonormal Phi is a constant minus
-    tr(Phi' B Phi), B = Y'Y - tau1*omega, so by Ky Fan's theorem
-    initial_phi(quads[c], k) minimizes it exactly: that fit takes no ADMM
-    step, ignores warm_starts and comes with converged=True, iterations=0.
-    Every other fit runs the ADMM from the previous basis, the first from
-    warm_starts[c] or initial_phi(quads[c], k), at rho0 with zero
-    multipliers, until its own stop test or config.max_iterations, with
-    results bit-identical to running the chain alone; the members are
-    stepped as one stack through admm_step, updated in place.  The members
-    that finish in one step are finished together, and those past their last
-    tau2 retire, the last active members moving into their slots.  quads is
-    read once, in order (see _stack_chains); the terms must be of one kind,
-    and LowRankTerm chains must all have the same number of rows.  With
-    tau2 = 0 alone no stack is built: each term gives its closed form and
-    is released; a ClosedFormTerm serves that case only, and raises
-    ValueError with a tau2 above 0.
+    tr(Phi' B Phi), B = Y'Y - tau1*omega, so by Ky Fan's theorem the
+    chain's initial_phi minimizes it exactly: that fit takes no ADMM step,
+    ignores warm_starts and comes with converged=True, iterations=0.  Every
+    other fit runs the ADMM from the previous basis, the first from
+    warm_starts[c] or initial_phi, at rho0 with zero multipliers, until its
+    own stop test or config.max_iterations, bit-identical to the chain alone.
+
+    Each data set's terms come from one precompute_quadratic call, made at
+    its first chain; chains run by row count, then data set, so one data
+    set's terms are alive at a time.  The C chains of one row count run in
+    ceil(C / cap) groups of sizes within one, cap = _GROUP_BYTES //
+    _stacked_bytes; along tau2 = 0 alone they run as one, and unstacked.
     """
-    count, k = len(ys), config.k
-    for y in ys:
+    data = [_check_data(y, penalty) for y in data]
+    k, p = config.k, penalty.domain.p
+    for y in data:
         if k > min(y.shape):
             raise ValueError(f"k = {k} exceeds min(n, p) = {min(y.shape)}")
     t2s = np.asarray(tau2_values, dtype=float)
-    if not (t2s[0] >= 0 and np.all(np.diff(t2s) > 0)):
-        raise ValueError("tau2 values must be nonnegative and strictly ascending")
+    if not (t2s.size and t2s[0] >= 0 and np.all(np.diff(t2s) > 0)):
+        raise ValueError("tau2 values must be nonempty, nonnegative and strictly ascending")
+    warm = None if warm_starts is None else [_check_warm(w, p, k) for w in warm_starts]
+    admm_fits = int(np.count_nonzero(t2s))
+    family = lru_cache(maxsize=1)(lambda d: precompute_quadratic(data[d], penalty, admm_fits))
+    rows = [len(data[d]) for d, _ in chains]
+    order = sorted(range(len(chains)), key=lambda c: (rows[c], chains[c][0]))
+    for n, same in groupby(order, key=rows.__getitem__):
+        same = list(same)
+        cap = max(1, _GROUP_BYTES // _stacked_bytes(n, p, admm_fits)) if admm_fits else len(same)
+        for part in np.array_split(same, -(-len(same) // cap)):
+            group = [chains[c] for c in part]
+            quads = (family(d)(t1) for d, t1 in group)
+            members = _fit_group(
+                [data[d] for d, _ in group], [t1 for _, t1 in group], quads, config, t2s,
+                None if warm is None else [warm[c] for c in part],
+            )
+            yield from ((int(part[b]), j, basis) for b, j, basis in members)
+
+
+def _fit_group(ys, tau1s, quads: Iterable[Term], config: SolverConfig, t2s: np.ndarray,
+               warm_starts=None) -> Iterator[tuple[int, int, EigenBasis]]:
+    """fit_chains on given terms, one per chain: chain b fits the rows ys[b]
+    (read, never copied) with quads[b], of one kind and row count, at
+    tau1s[b], stepped as one stack through admm_step, updated in place.
+    Members finishing in one step are finished together; those past their
+    last tau2 retire, the last active members moving into their slots.
+    """
+    count, k = len(ys), config.k
     config_at = cache(lambda t1, t2: replace(config, tau1=t1, tau2=t2))  # shared by bases
     first = int(t2s[0] == 0)  # the index of the first ADMM fit
     if first == t2s.size:  # closed forms only: each term is read once, and never stacked
-        start = np.array([initial_phi(quad, k) for quad, _ in zip(quads, ys, strict=True)])
+        start = np.array([initial_phi(quad, k) for quad in quads])
     else:
         quad, start = _stack_chains(quads, count, ys[0].shape[1], k, None if first else warm_starts)
     if first:
@@ -686,8 +708,6 @@ def fit(y, penalty: PenaltyOperator, config: SolverConfig, warm_start=None) -> E
     checked but not used.  Non-convergence within max_iterations is reported
     through the returned converged flag, never as an exception.
     """
-    y = _check_data(y, penalty)
-    quad = precompute_quadratic(y, penalty, int(config.tau2 > 0))(config.tau1)
-    warm = None if warm_start is None else [_check_warm(warm_start, y.shape[1], config.k)]
-    ((_, _, basis),) = fit_chains([y], [config.tau1], [quad], config, [config.tau2], warm)
+    warm = None if warm_start is None else [warm_start]
+    ((_, _, basis),) = fit_chains([y], [(0, config.tau1)], penalty, config, [config.tau2], warm)
     return basis

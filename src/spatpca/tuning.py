@@ -5,13 +5,10 @@ fitted on the training folds; the gamma criterion scores how well the fitted
 covariance built from training folds matches the held-out sample covariance.
 Phi is orthonormal, so both scores need only the K basis coordinates Y Phi
 and a few traces: the CV scores form no p x p matrix.  Each (fold, tau1)
-cell is one chain: one Phi-update term (solver.precompute_quadratic, from
-per-fold pieces shared by the fold's chains), then fits along increasing
-tau2, each warm started from the last.  The fit at tau2 = 0 is the term's
-leading eigenvectors in closed form, so the compute goes into the terms
-and the ADMM fits at tau2 > 0.  cv_tau steps groups of chains together
-through solver.fit_chains, in as few groups as fit in _GROUP_BYTES of
-stacked terms, their sizes within one of each other.
+cell is one chain of solver.fit_chains on the fold's training rows: fits
+along increasing tau2, each warm started from the last, the one at
+tau2 = 0 in closed form.  cv_tau makes one fit_chains call over all of
+them, which builds, groups and stacks their terms.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
 on all rows (a plain solver.fit), gamma by CV, then the covariance step from
@@ -23,13 +20,11 @@ passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
 from .covariance import CovarianceModel, estimate_from_moments
-from .solver import EigenBasis, SolverConfig, fit, fit_chains, precompute_quadratic, stacked_bytes
+from .solver import EigenBasis, SolverConfig, fit, fit_chains
 from .tps import PenaltyOperator
 
 __all__ = [
@@ -45,14 +40,6 @@ __all__ = [
     "restrict_grid",
     "select_and_fit",
 ]
-
-# cap on the stacked terms of one cv_tau group (solver.stacked_bytes per
-# chain): 205 spectral chains at p = 50, 3 at p = 400, 27 low-rank ones at
-# p = 400 with 48 training rows.  At 1 MiB cv1d's 55 chains ran as 51 + 4,
-# the 4 paying a whole stack's per-step overhead; as one stack, cv_tau took
-# 0.46 s for 0.53 s (median of 16 alternating runs, one BLAS thread)
-_GROUP_BYTES = 4 << 20
-
 
 def default_log_grid(count: int, low: float = 1.0, high: float = 1e3) -> np.ndarray:
     """{0} followed by count-1 log-spaced values in [low, high], endpoints exact."""
@@ -193,48 +180,26 @@ def cv_tau(y, penalty: PenaltyOperator, k: int, grid: TuningGrid, folds: FoldAss
     ||Y_m||^2 - ||Y_m Phi||^2 since Phi is orthonormal.  Ties select the
     smallest (tau1, tau2) in lexicographic order; NaN cells are skipped.
 
-    The M x T1 (fold, tau1) chains run in groups of stacked chains through
-    solver.fit_chains, each chain along the whole tau2 grid; the C chains
-    of one training row count run in ceil(C / cap) groups of sizes within
-    one, cap = _GROUP_BYTES // solver.stacked_bytes; with no tau2 above 0
-    nothing is stacked, and they run as one group.  Every fit is
-    bit-identical to fitting its cell alone, and the folds' terms are summed
-    in fold order, so the grouping never changes a bit of the report.
+    The M x T1 (fold, tau1) chains run through one solver.fit_chains
+    call, each along the whole tau2 grid.  Every fit is bit-identical to
+    fitting its cell alone, and the folds' terms are summed in fold order,
+    so how fit_chains groups the chains never changes a bit of the report.
     """
     y = np.asarray(y, dtype=float)
-    n, p = y.shape
-    _check_folds(folds, n)
+    _check_folds(folds, y.shape[0])
     t1s, t2s = grid.tau1_values, grid.tau2_values
-    splits = [
-        (y[folds.assignment != m], y[folds.assignment == m]) for m in range(1, folds.m + 1)
-    ]
-    va_sq = [float(np.sum(y_va * y_va)) for _, y_va in splits]
+    trains = [y[folds.assignment != m] for m in range(1, folds.m + 1)]
+    valids = [y[folds.assignment == m] for m in range(1, folds.m + 1)]
+    va_sq = [float(np.sum(y_va * y_va)) for y_va in valids]
     shape = (folds.m, t1s.size, t2s.size)
     loss, conv, iters = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=int)
-    config = SolverConfig(k=k)
-    admm_fits = np.count_nonzero(t2s)  # the fits at tau2 > 0, which run the ADMM
-    # the rows' part of the terms once per fold; the cells run fold by fold
-    family = lru_cache(maxsize=1)(
-        lambda m: precompute_quadratic(splits[m][0], penalty, admm_fits)
-    )
-    # low-rank chains stack only with equal row counts, so folds go by training size
-    by_rows = sorted(range(folds.m), key=lambda m: splits[m][0].shape[0])
-    for rows, same in groupby(by_rows, key=lambda m: splits[m][0].shape[0]):
-        cells = [(m, i) for m in same for i in range(t1s.size)]
-        cap = len(cells)  # closed forms alone build no stack
-        if admm_fits:
-            cap = max(1, _GROUP_BYTES // stacked_bytes(rows, p, admm_fits))
-        for part in np.array_split(np.arange(len(cells)), -(-len(cells) // cap)):
-            group = [cells[c] for c in part]
-            ys = [splits[m][0] for m, _ in group]
-            tau1s = [float(t1s[i]) for _, i in group]
-            quads = (family(m)(t1) for (m, _), t1 in zip(group, tau1s))
-            for c, j, basis in fit_chains(ys, tau1s, quads, config, t2s):
-                m, i = group[c]
-                proj = splits[m][1] @ basis.phi
-                loss[m, i, j] = va_sq[m] - float(np.sum(proj * proj))
-                conv[m, i, j] = basis.converged
-                iters[m, i, j] = basis.iterations
+    chains = [(m, float(t1)) for m in range(folds.m) for t1 in t1s]
+    for c, j, basis in fit_chains(trains, chains, penalty, SolverConfig(k=k), t2s):
+        m, i = divmod(c, t1s.size)
+        proj = valids[m] @ basis.phi
+        loss[m, i, j] = va_sq[m] - float(np.sum(proj * proj))
+        conv[m, i, j] = basis.converged
+        iters[m, i, j] = basis.iterations
     crit = np.zeros(shape[1:])
     for fold_loss in loss:
         crit += fold_loss

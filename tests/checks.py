@@ -19,7 +19,8 @@ time (cv_tau_reference takes the closed form at tau2 = 0), so that the
 stacked chains of solver.fit_chains can be required to match it bit for
 bit.  spectral_term and low_rank_term build the package's two ADMM
 Phi-update terms for any data, whatever term precompute_quadratic would
-pick, and fit_on_term fits one chain on a given term.
+pick, and fit_on_term fits one chain on a given term (solver._fit_group,
+the loop fit_chains runs on the terms it builds).
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from spatpca.solver import (
     LowRankTerm,
     QuadraticTerm,
     _finish,
+    _fit_group,
     admm_step,
-    fit_chains,
     initial_phi,
     precompute_quadratic,
 )
@@ -296,7 +297,8 @@ def low_rank_term(y, penalty, tau1) -> LowRankTerm:
 def fit_on_term(y, config, quad, warm_start=None):
     """solver.fit with the term quad in place of the one fit builds."""
     warm = None if warm_start is None else [np.array(warm_start, dtype=float)]
-    ((_, _, basis),) = fit_chains([y], [config.tau1], [quad], config, [config.tau2], warm)
+    t2s = np.array([config.tau2])
+    ((_, _, basis),) = _fit_group([y], [config.tau1], [quad], config, t2s, warm)
     return basis
 
 

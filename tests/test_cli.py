@@ -166,6 +166,13 @@ class TestFitCommand:
         assert "iteration cap" in capsys.readouterr().err
         assert not load_model(out).basis.converged
 
+    def test_non_finite_gamma_exits_1_and_writes_nothing(self, dataset, tmp_path, capsys):
+        for value in ("nan", "inf"):
+            out = tmp_path / "model.json"
+            assert main(self._fit_args(dataset, out, extra=["--gamma", value])) == 1
+            assert "gamma must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_file_exits_1(self, dataset, tmp_path, capsys):
         _, loc, _, _ = dataset
         rc = main([

@@ -37,9 +37,10 @@ from spatpca.solver import (
     initial_phi,
     precompute_quadratic,
     soft_threshold,
-    stacked_bytes,
+    _fit_group,
     _polar,
     _stack_chains,
+    _stacked_bytes,
 )
 
 from checks import (
@@ -378,6 +379,14 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.ones((3, 12)), small_penalty, SolverConfig(k=5))
 
+    def test_strided_view_fits_as_its_contiguous_copy(self, small_penalty):
+        y = np.random.default_rng(39).standard_normal((60, 36))[:, ::3]
+        for tau1, tau2 in ((10.0, 0.0), (10.0, 1.0), (0.0, 0.5)):
+            cfg = SolverConfig(tau1=tau1, tau2=tau2, k=3)
+            got, want = fit(y, small_penalty, cfg), fit(y.copy(), small_penalty, cfg)
+            assert np.array_equal(got.phi, want.phi)
+            assert np.array_equal(got.sample_variances, want.sample_variances)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tau1=-1.0)
@@ -607,10 +616,10 @@ class TestLowRankTerm:
         def spy(ys, tau1s, quads, *args):
             quads = list(quads)
             lone.extend(type(quad) for quad in quads)
-            yield from chains(ys, tau1s, quads, *args)
+            yield from group(ys, tau1s, quads, *args)
 
-        chains = spatpca.solver.fit_chains
-        monkeypatch.setattr(spatpca.solver, "fit_chains", spy)
+        group = spatpca.solver._fit_group
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
         for n, tau2_count, kind in (
             (18, 1, LowRankTerm), (19, 1, QuadraticTerm),
             (9, 4, LowRankTerm), (10, 4, QuadraticTerm), (60, 1, QuadraticTerm),
@@ -618,12 +627,9 @@ class TestLowRankTerm:
         ):
             y = rng.standard_normal((n, 50))
             assert type(precompute_quadratic(y, penalty_1d, tau2_count)(1.0)) is kind
-            if kind is ClosedFormTerm:
-                with pytest.raises(ValueError, match="never stacked"):
-                    stacked_bytes(n, 50, tau2_count)
-            else:
+            if kind is not ClosedFormTerm:
                 rows = n * 50 + 2 if kind is LowRankTerm else 50 * 50 + 51
-                assert stacked_bytes(n, 50, tau2_count) == 8 * rows
+                assert _stacked_bytes(n, 50, tau2_count) == 8 * rows
             if tau2_count <= 1:
                 fit(y, penalty_1d, SolverConfig(tau1=1.0, tau2=float(tau2_count), k=2))
                 assert lone == [kind]
@@ -750,15 +756,6 @@ class TestLowRankTerm:
 
 
 class TestFitChains:
-    def test_closed_form_term_refuses_a_tau2_above_zero(self, small_penalty):
-        y = np.random.default_rng(43).standard_normal((8, 12))
-        for tau1 in (0.0, 1.0):
-            quad = precompute_quadratic(y, small_penalty, 0)(tau1)
-            assert not hasattr(quad, "shifted_solve")
-            for t2s in ([1.0], [0.0, 1.0]):
-                with pytest.raises(ValueError, match="tau2 = 0 alone"):
-                    list(fit_chains([y], [tau1], [quad], SolverConfig(k=2), t2s))
-
     def test_fit_matches_lone_chain_reference_bitwise(self, small_penalty):
         y = np.random.default_rng(30).standard_normal((30, 12))
         for cfg in (
@@ -802,7 +799,7 @@ class TestFitChains:
             members = [ys[m] for m, _ in chains]
             tau1s = [t1 for _, t1 in chains]
             quads = (build(y, small_penalty, t1) for y, t1 in zip(members, tau1s))
-            results = list(fit_chains(members, tau1s, quads, cfg, tau2s))
+            results = list(_fit_group(members, tau1s, quads, cfg, np.array(tau2s)))
             got = {(c, j): b for c, j, b in results}
             assert len(results) == len(got) and got.keys() == expected.keys()
             for key, want in expected.items():
@@ -814,18 +811,37 @@ class TestFitChains:
 
     def test_rejects_tau2_not_ascending_from_zero(self, small_penalty):
         y = np.random.default_rng(38).standard_normal((30, 12))
-        for tau2s in ([1.0, 0.5], [0.0, 0.0], [-1.0], [-1.0, 0.0, 1.0]):
-            quads = [spectral_term(y, small_penalty, 1.0)]
-            with pytest.raises(ValueError, match="ascending"):
-                list(fit_chains([y], [1.0], quads, SolverConfig(k=2), tau2s))
+        for tau2s in ([], [1.0, 0.5], [0.0, 0.0], [-1.0], [-1.0, 0.0, 1.0], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="nonempty, nonnegative and strictly ascending"):
+                list(fit_chains([y], [(0, 1.0)], small_penalty, SolverConfig(k=2), tau2s))
 
-    def test_low_rank_stack_needs_equal_row_counts(self, small_penalty):
+    def test_low_rank_stack_needs_equal_row_counts(self, penalty_1d, monkeypatch):
+        # data sets of 8, 7 and 8 rows on 50 sites: Woodbury terms, which
+        # fit_chains stacks by row count (then data set), each chain getting
+        # the bits it gets alone, under its own index
         rng = np.random.default_rng(33)
-        ys = [rng.standard_normal((8, 12)), rng.standard_normal((7, 12))]
-        quads = [low_rank_term(y, small_penalty, 1.0) for y in ys]
-        # stacked only when some fit runs the ADMM
-        with pytest.raises(ValueError, match="equal row counts"):
-            list(fit_chains(ys, [1.0, 1.0], quads, SolverConfig(k=2), [0.0, 1.0]))
+        data = [rng.standard_normal((n, 50)) for n in (8, 7, 8)]
+        chains = [(0, 1.0), (1, 1.0), (2, 5.0), (1, 10.0), (0, 0.0)]
+        cfg, tau2s = SolverConfig(k=2), [0.0, 1.0, 10.0]
+        assert type(precompute_quadratic(data[1], penalty_1d, 2)(1.0)) is LowRankTerm
+        seen = []
+
+        def spy(ys, tau1s, *args):
+            seen.append([(len(y), t1) for y, t1 in zip(ys, tau1s)])
+            yield from group(ys, tau1s, *args)
+
+        group = spatpca.solver._fit_group
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
+        got = {(c, j): b for c, j, b in fit_chains(data, chains, penalty_1d, cfg, tau2s)}
+        assert seen == [[(7, 1.0), (7, 10.0)], [(8, 1.0), (8, 0.0), (8, 5.0)]]
+        assert got.keys() == {(c, j) for c in range(5) for j in range(3)}
+        for c, (d, t1) in enumerate(chains):
+            for _, j, want in fit_chains([data[d]], [(0, t1)], penalty_1d, cfg, tau2s):
+                assert np.array_equal(got[c, j].phi, want.phi)
+                assert (got[c, j].converged, got[c, j].iterations) == (
+                    want.converged, want.iterations
+                )
+                assert got[c, j].config == want.config
 
     def test_stacked_step_reports_first_member_below_floor(self, small_penalty):
         y = np.random.default_rng(32).standard_normal((25, 12))

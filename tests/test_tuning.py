@@ -19,7 +19,7 @@ from spatpca import (
     select_and_fit,
 )
 from spatpca.solver import (
-    ClosedFormTerm, LowRankTerm, QuadraticTerm, fit_chains, precompute_quadratic, stacked_bytes
+    ClosedFormTerm, LowRankTerm, QuadraticTerm, _fit_group, _stacked_bytes, precompute_quadratic
 )
 import spatpca.solver
 import spatpca.tuning
@@ -222,11 +222,11 @@ class TestCvTauGroups:
 
         def spy(ys, *args):
             seen.append(len(ys))
-            yield from fit_chains(ys, *args)
+            yield from _fit_group(ys, *args)
 
         # 24 training rows per fold, more than p = 14: spectral terms
-        monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", size * stacked_bytes(24, p, 6))
-        monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
+        monkeypatch.setattr(spatpca.solver, "_GROUP_BYTES", size * _stacked_bytes(24, p, 6))
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
         rep = cv_tau(y, pen, 2, grid, folds)
         assert seen == sizes
 
@@ -250,11 +250,11 @@ class TestCvTauGroups:
 
         def spy(ys, *args):
             seen.append([y_tr.shape[0] for y_tr in ys])
-            yield from fit_chains(ys, *args)
+            yield from _fit_group(ys, *args)
 
         assert type(precompute_quadratic(y[:9], pen, 3)(1.0)) is LowRankTerm
-        monkeypatch.setattr(spatpca.tuning, "_GROUP_BYTES", 4 * stacked_bytes(9, p, 3))
-        monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
+        monkeypatch.setattr(spatpca.solver, "_GROUP_BYTES", 4 * _stacked_bytes(9, p, 3))
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
         rep = cv_tau(y, pen, 2, grid, folds)
         assert seen == [[8] * 3, [9] * 3, [9] * 3]
 
@@ -272,9 +272,9 @@ class TestCvTauGroups:
 
         def spy(ys, *args):
             seen.append(len(ys))
-            yield from fit_chains(ys, *args)
+            yield from _fit_group(ys, *args)
 
-        monkeypatch.setattr(spatpca.tuning, "fit_chains", spy)
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
         cv_tau(y, penalty_1d, 2, TuningGrid(), partition_folds(100, 5, seed=1))
         assert seen == [55]
 
@@ -305,24 +305,18 @@ class TestCvTauGroups:
         # tau2 = 0 alone nothing is stacked, and the shape picks nothing
         y = np.random.default_rng(8).standard_normal((24, 50))
         assert type(precompute_quadratic(y[:19], penalty_1d, 1)(1.0)) is QuadraticTerm
-        with pytest.raises(ValueError, match="never stacked"):
-            stacked_bytes(19, 50, 0)
-        chains, refits = [], []
+        groups = []
 
-        def spy(terms):
-            def chains_spy(ys, tau1s, quads, *args):
-                quads = list(quads)
-                terms.extend(type(quad) for quad in quads)
-                yield from fit_chains(ys, tau1s, quads, *args)
-            return chains_spy
+        def spy(ys, tau1s, quads, *args):
+            quads = list(quads)
+            groups.append([type(quad) for quad in quads])
+            yield from _fit_group(ys, tau1s, quads, *args)
 
-        # cv_tau's chains go through the name tuning binds, the refit's
-        # through solver.fit's
-        monkeypatch.setattr(spatpca.tuning, "fit_chains", spy(chains))
-        monkeypatch.setattr(spatpca.solver, "fit_chains", spy(refits))
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
         grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(3)), tau2=0.0)
         select_and_fit(y, penalty_1d, 2, grid, partition_folds(24, 5, seed=3), gamma=0.0)
-        assert chains == [ClosedFormTerm] * 15 and refits == [ClosedFormTerm]
+        # cv_tau's chains, one group per training row count, then the refit
+        assert groups == [[ClosedFormTerm] * 12, [ClosedFormTerm] * 3, [ClosedFormTerm]]
 
 
 class TestCvGamma:
