@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import traceback
@@ -182,45 +183,79 @@ def save_model(path, bundle: ModelBundle):
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _field(doc, path: str, kind):
-    """The entry at a dotted path of a model document; ValueError naming it if
-    absent or not of type kind (a JSON boolean is only a bool)."""
+def _field(doc, path: str, kind, name: str | None = None):
+    """The entry at a dotted path of a model document; ValueError naming it
+    (as name, if given) if absent or not of type kind (a JSON boolean is only
+    a bool)."""
+    name = name or path
     for key in path.split("."):
         if not isinstance(doc, dict) or key not in doc:
-            raise ValueError(f"model file lacks field {path!r}")
+            raise ValueError(f"model file lacks field {name!r}")
         doc = doc[key]
     if not isinstance(doc, kind) or isinstance(doc, bool) is not (kind is bool):
-        raise ValueError(f"model file field {path!r} has the wrong type {type(doc).__name__}")
+        raise ValueError(f"model file field {name!r} has the wrong type {type(doc).__name__}")
     return doc
 
 
+def _array(value: list, name: str, *shape) -> np.ndarray:
+    """A model-file list as a finite float array of the given shape (None
+    matches any length); ValueError naming the field otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)  # a JSON null reads as NaN
+    except (TypeError, ValueError):
+        raise ValueError(f"model file field {name!r} is not an array of numbers") from None
+    if arr.ndim != len(shape) or any(w not in (None, n) for n, w in zip(arr.shape, shape)):
+        want = " x ".join("any" if w is None else str(w) for w in shape)
+        raise ValueError(f"model file field {name!r} has shape {arr.shape}, expected {want}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"model file field {name!r} holds a value that is not finite")
+    return arr
+
+
 def load_model(path) -> ModelBundle:
+    """Read a model file, checking every field's type and every array's shape
+    against the domain's p and d and phi's K; ValueError naming the field."""
     with open(path) as fh:
         doc = json.load(fh)
     version = _field(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version: {version!r}")
-    def array(path):
-        return np.asarray(_field(doc, path, list), dtype=float)
-    domain = SpatialDomain(array("domain.locations"))
+    def array(path, *shape):
+        return _array(_field(doc, path, list), path, *shape)
+    domain = SpatialDomain(array("domain.locations", None, None))
+    p, d = domain.p, domain.d
+    phi = array("basis.phi", p, None)
+    k = phi.shape[1]
     # typed as the defaults, rho0 also a number; other keys (an old "variant") are ignored
     kinds = {int: int, float: (int, float), str: (int, float, str)}
     config = SolverConfig(**{f.name: _field(doc, f"basis.{f.name}", kinds[type(f.default)])
                              for f in fields(SolverConfig)})
+    if config.k != k:
+        raise ValueError(f"model file field 'basis.k' is {config.k}, but phi has {k} columns")
     # one {"a", "b"} entry per column on file, one p x K object in memory
     columns = _field(doc, "basis.splines", list)
-    splines = SplineCoefficients(
-        a=np.asarray([_field(c, "a", list) for c in columns], dtype=float).T,
-        b=np.asarray([_field(c, "b", list) for c in columns], dtype=float).T,
-    )
-    basis = EigenBasis(phi=array("basis.phi"), sample_variances=array("basis.sample_variances"),
+    if len(columns) != k:
+        raise ValueError(
+            f"model file field 'basis.splines' has {len(columns)} entries, expected {k}"
+        )
+    def column(i, key, n):
+        name = f"basis.splines[{i}].{key}"
+        return _array(_field(columns[i], key, list, name), name, n)
+    splines = SplineCoefficients(a=np.asarray([column(i, "a", p) for i in range(k)]).T,
+                                 b=np.asarray([column(i, "b", d + 1) for i in range(k)]).T)
+    basis = EigenBasis(phi=phi, sample_variances=array("basis.sample_variances", k),
                        config=config, converged=_field(doc, "basis.converged", bool),
                        iterations=_field(doc, "basis.iterations", int))
     covariance = None
     if doc.get("covariance") is not None:
+        sigma2 = _field(doc, "covariance.sigma2", (int, float))
+        if not 0.0 <= sigma2 < math.inf:
+            raise ValueError(
+                f"model file field 'covariance.sigma2' must be finite and at least 0, got {sigma2!r}"
+            )
         covariance = CovarianceModel(
-            sigma2=_field(doc, "covariance.sigma2", (int, float)), lam=array("covariance.lambda"),
-            vhat=array("covariance.vhat"), lambda_star=array("covariance.lambda_star"),
+            sigma2=sigma2, lam=array("covariance.lambda", k, k),
+            vhat=array("covariance.vhat", k, k), lambda_star=array("covariance.lambda_star", k),
             l_hat=_field(doc, "covariance.l_hat", int),
             gamma=_field(doc, "covariance.gamma", (int, float)), basis=basis,
         )
@@ -305,13 +340,17 @@ def _parse_grid_spec(text: str, d: int) -> np.ndarray:
     if len(parts) != d:
         raise ValueError(f"--grid needs {d} axis specs (lo:hi:count), got {len(parts)}")
     axes = []
-    for part in parts:
+    for i, part in enumerate(parts, start=1):
+        where = f"--grid axis {i} spec {part!r}"
         pieces = part.split(":")
         if len(pieces) != 3:
-            raise ValueError(f"bad grid axis {part!r}, expected lo:hi:count")
-        lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+            raise ValueError(f"{where}: expected lo:hi:count")
+        try:
+            lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        except ValueError:
+            raise ValueError(f"{where}: lo and hi must be numbers, count an integer") from None
         if count < 2 or not lo < hi:
-            raise ValueError(f"bad grid axis {part!r}: need lo < hi and count >= 2")
+            raise ValueError(f"{where}: need lo < hi and count >= 2")
         axes.append(np.linspace(lo, hi, count))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
@@ -339,7 +378,10 @@ def cmd_eval(args) -> int:
     if args.ref is not None:
         if bundle.covariance is None:
             raise ValueError("--ref needs a model file with a covariance estimate")
-        ref = np.array([float(v) for v in args.ref.split(",")])
+        try:
+            ref = np.array([float(v) for v in args.ref.split(",")])
+        except ValueError:
+            raise ValueError(f"--ref {args.ref!r}: coordinates must be numbers") from None
         if ref.shape != (d,):
             raise ValueError(f"--ref needs {d} comma-separated coordinates")
         psi_ref = evaluate(bundle.splines, bundle.domain, ref[None, :])[0]

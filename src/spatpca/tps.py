@@ -11,7 +11,7 @@ null-space form from a QR factorization of the affine design ``e``, never
 assembles the bordered matrix, and keeps no p x p array but omega.  Code
 downstream works with ``omega`` directly and only touches spline coefficients
 when a component is evaluated off the observation sites; :func:`evaluate`
-builds that q x p kernel matrix in place, in row blocks, for one product.
+builds that q x p kernel matrix from squared distances, in place, in blocks.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def kernel(r, d: int):
 
     with g(0) = 0 by continuity.  The d = 3 coefficient is negative because
     Gamma(-1/2) < 0; that is the correct bending-energy generator, not a sign
-    slip.  For d = 1 the formula reduces to r^3 / 12.  The same in-place
-    formula builds the kernel matrices of build_penalty and evaluate.
+    slip.  For d = 1 the formula reduces to r^3 / 12.  g is computed from r^2
+    (``_radial``, as in build_penalty and evaluate), so r^2 must not overflow.
 
     Parameters
     ----------
@@ -166,34 +166,34 @@ def kernel(r, d: int):
     arr = np.array(r, dtype=float, ndmin=1)
     if np.any(arr < 0):
         raise ValueError("distances must be nonnegative")
-    out = _radial(arr, d, np.empty_like(arr))
+    out = _radial(arr * arr, d, np.empty_like(arr))
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
 # bytes of a _kernel_matrix row block plus its scratch block: evaluate at
-# q = 3600, p = 400, K = 5 took 14.8-15.3 ms median from 256 KiB to 2 MiB,
-# 16.0 at 128 KiB and 16.9 at 4 MiB; at q = 2001, p = 50, K = 2, 0.76 ms at
-# 1 MiB and 1.0-1.1 at 128 KiB and 4 MiB (whole-matrix build: 90 and 1.5 ms;
-# 2-core Xeon with a 2 MiB L2 per core, one BLAS thread)
+# q = 3600, p = 400, K = 5 took 14.7-15.0 ms median from 512 KiB to 2 MiB, 16.1
+# at 256 KiB and 15.8 at 4 MiB; at q = 2001, p = 50, K = 2, 0.53-0.56 ms from
+# 256 KiB to 4 MiB (2-core Xeon with a 2 MiB L2 per core, one BLAS thread)
 _BLOCK_BYTES = 1 << 20
 
 
-def _radial(r: np.ndarray, d: int, scratch: np.ndarray) -> np.ndarray:
-    """Overwrite distances r (nonnegative, unchecked) with g(r); clobbers scratch."""
+def _radial(s: np.ndarray, d: int, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite squared distances s (nonnegative, unchecked) with g; clobbers
+    scratch.  d = 2: s log(s) / (32 pi), the log of max(s, 5e-324) so that s = 0
+    gives 0 unmasked; d = 1, 3: kernel's coefficient times s sqrt(s) or sqrt(s)."""
     if d == 2:
-        scratch.fill(0.0)  # log(0) is never taken; g(0) is 0 * 0
-        np.log(r, out=scratch, where=r > 0.0)
-        r *= r
-        r *= scratch
-        r /= 16.0 * math.pi
-    else:
-        r **= 4 - d
-        r *= math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0))
-    return r
+        s *= np.log(np.maximum(s, 5e-324, out=scratch), out=scratch)
+        s /= 32.0 * math.pi
+        return s
+    r = np.sqrt(s, out=scratch if d == 1 else s)
+    if d == 1:
+        s *= r
+    s *= math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0))
+    return s
 
 
 def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Fill out with ||a_i - b_j||, clobbering scratch; the squares are summed
+    """Fill out with ||a_i - b_j||^2, clobbering scratch; the squares are summed
     in axis order, as np.sum over a difference tensor sums them, for its bits."""
     np.subtract(a[:, :1], b[:, 0], out=out)
     out *= out
@@ -201,11 +201,11 @@ def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarra
         np.subtract(a[:, k : k + 1], b[:, k], out=scratch)
         scratch *= scratch
         out += scratch
-    return np.sqrt(out, out=out)
+    return out
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """g(||a_i - b_j||) built in row blocks; scratch is one block (and a d = 2 mask)."""
+    """g(||a_i - b_j||) built in row blocks; scratch is one block."""
     out = np.empty((a.shape[0], b.shape[0]))
     rows = max(1, _BLOCK_BYTES // (16 * b.shape[0]))
     scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
@@ -240,18 +240,18 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
     loc = domain.locations
     p, d = loc.shape
     scratch = np.empty((p, p))
-    dist = _distances(loc, loc, np.empty((p, p)), scratch)
+    sq = _distances(loc, loc, np.empty((p, p)), scratch)
     # the closest distinct pair, first in row-major order; the diagonal is exactly 0
-    np.fill_diagonal(dist, np.inf)
-    i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
-    closest = float(dist[i, j])
+    np.fill_diagonal(sq, np.inf)
+    i, j = np.unravel_index(int(np.argmin(sq)), sq.shape)
+    closest = math.sqrt(sq[i, j])
     if closest == 0.0:
         raise ConditioningError(
             f"sites {i} and {j} coincide; the interpolation system is singular",
             pair=(i, j),
         )
-    np.fill_diagonal(dist, 0.0)
-    g = _radial(dist, d, scratch)
+    np.fill_diagonal(sq, 0.0)
+    g = _radial(sq, d, scratch)
     e = np.hstack([np.ones((p, 1)), loc])
     q_full, r_full = np.linalg.qr(e, mode="complete")
     r1 = r_full[: d + 1].copy()
@@ -330,8 +330,8 @@ def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.nda
 
     phi(s) = sum_i a_i g(||s - s_i||) + b_0 + b_{1:}' s
 
-    The q x p kernel matrix, built in place in row blocks with the bits of
-    ``kernel``, multiplies ``a`` in one product: 8qp bytes plus about 1 MiB.
+    The q x p kernel matrix, built in place in row blocks from squared
+    distances, multiplies ``a`` in one product: 8qp bytes plus about 1 MiB.
     A value that overflows, far enough from the sites, raises ValueError.
 
     Parameters

@@ -9,9 +9,11 @@ two-block splitting whose Phi update solves K lasso problems by coordinate
 descent, and subspace distances are the norm of a projection residual of the
 QR factors.  Slow and simple on purpose.
 
-evaluate_reference is the whole-matrix formula tps.evaluate used before it
-built its kernel matrix in row blocks, kept so that the blocked build can be
-required to give the same bits.
+evaluate_reference is tps.evaluate with its kernel matrix built whole, by
+array expressions from squared distances (radial_reference, in the order of
+tps._radial), so that the blocked, in-place build can be required to give
+the same bits; the kernel's accuracy is tested against the r-based formulas
+in extended precision instead.
 
 The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
@@ -240,18 +242,25 @@ def fit_lasso_inner(y, penalty, config) -> LassoInnerFit:
     return LassoInnerFit(phi=q, converged=converged, iterations=iterations)
 
 
-def kernel_reference(r, d: int) -> np.ndarray:
-    """tps.kernel for an array of distances, by np.where."""
+def radial_reference(s, d: int) -> np.ndarray:
+    """g from squared distances s, by whole-array expressions in the order of
+    tps._radial: s log(max(s, 5e-324)) / (32 pi) for d = 2, else the d = 1
+    coefficient times s sqrt(s) or the d = 3 one times sqrt(s)."""
     if d == 2:
-        safe = np.where(r > 0.0, r, 1.0)
-        return np.where(r > 0.0, r * r * np.log(safe), 0.0) / (16.0 * math.pi)
-    return math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0)) * r ** (4 - d)
+        return s * np.log(np.maximum(s, 5e-324)) / (32.0 * math.pi)
+    coeff = math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0))
+    return (s * np.sqrt(s) if d == 1 else np.sqrt(s)) * coeff
+
+
+def kernel_reference(r, d: int) -> np.ndarray:
+    """tps.kernel for an array of distances r, from s = r * r."""
+    return radial_reference(r * r, d)
 
 
 def kernel_matrix_reference(a, b, d: int) -> np.ndarray:
-    """g(||a_i - b_j||) from an n x m x d difference tensor."""
+    """g(||a_i - b_j||) from the squared norms of an n x m x d difference tensor."""
     diff = a[:, None, :] - b[None, :, :]
-    return kernel_reference(np.sqrt(np.sum(diff * diff, axis=-1)), d)
+    return radial_reference(np.sum(diff * diff, axis=-1), d)
 
 
 def evaluate_reference(coeffs, domain, query) -> np.ndarray:

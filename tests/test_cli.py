@@ -280,6 +280,19 @@ class TestEvalCommand:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec", ["-5:5:3.5", "a:5:3", "-5:5:x"])
+    def test_unparseable_grid_axis_is_named(self, fitted_model, tmp_path, capsys, spec):
+        rc = main(["eval", "--model", str(fitted_model), f"--grid={spec}",
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert f"--grid axis 1 spec '{spec}'" in capsys.readouterr().err
+
+    def test_unparseable_ref_is_named(self, fitted_model, tmp_path, capsys):
+        rc = main(["eval", "--model", str(fitted_model), "--grid=-1:1:3",
+                   "--ref", "0,x", "--out", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert "--ref '0,x'" in capsys.readouterr().err
+
     def test_overflowing_grid_fails(self, fitted_model, tmp_path, capsys):
         # finite grid points far from the sites overflow the kernel: no NaN cells
         out = tmp_path / "e.csv"
@@ -376,6 +389,99 @@ class TestEvalCommand:
                    "--out", str(tmp_path / "e.csv")])
         assert rc == 1
         assert f"field 'basis.{field}' has the wrong type" in capsys.readouterr().err
+
+
+def _drop_phi_column(doc):
+    doc["basis"]["phi"] = [row[:1] for row in doc["basis"]["phi"]]
+
+
+def _extra_spline(doc):
+    doc["basis"]["splines"].append(doc["basis"]["splines"][0])
+
+
+def _null_in_spline(doc):
+    doc["basis"]["splines"][1]["a"][2] = None
+
+
+def _short_spline_b(doc):
+    doc["basis"]["splines"][0]["b"].pop()
+
+
+def _drop_phi_row(doc):
+    doc["basis"]["phi"].pop()
+
+
+def _short_variances(doc):
+    doc["basis"]["sample_variances"].pop()
+
+
+def _vhat_one_row(doc):
+    doc["covariance"]["vhat"] = doc["covariance"]["vhat"][:1]
+
+
+def _ragged_lambda(doc):
+    doc["covariance"]["lambda"][0].pop()
+
+
+def _nan_lambda_star(doc):
+    doc["covariance"]["lambda_star"][0] = float("nan")
+
+
+def _negative_sigma2(doc):
+    doc["covariance"]["sigma2"] = -1.0
+
+
+def _infinite_sigma2(doc):
+    doc["covariance"]["sigma2"] = float("inf")
+
+
+class TestModelCrossChecks:
+    # every shape is checked against the domain's p and d and phi's K, and
+    # every number must be finite: a corrupt model file exits 1 naming the
+    # field and writes nothing
+    @pytest.fixture()
+    def two_component_model(self, dataset, tmp_path):
+        data, loc, _, _ = dataset
+        out = tmp_path / "model2.json"
+        assert main(["fit", "--data", data, "--locations", loc, "--k", "2", "--tau1", "1.0",
+                     "--tau2", "0.0", "--gamma", "0.1", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("corrupt, field", [
+        (_drop_phi_column, "basis.k"),
+        (_extra_spline, "basis.splines"),
+        (_null_in_spline, "basis.splines[1].a"),
+        (_short_spline_b, "basis.splines[0].b"),
+        (_drop_phi_row, "basis.phi"),
+        (_short_variances, "basis.sample_variances"),
+        (_vhat_one_row, "covariance.vhat"),
+        (_ragged_lambda, "covariance.lambda"),
+        (_nan_lambda_star, "covariance.lambda_star"),
+        (_negative_sigma2, "covariance.sigma2"),
+        (_infinite_sigma2, "covariance.sigma2"),
+    ])
+    def test_corrupt_model_exits_1_naming_the_field(
+        self, two_component_model, tmp_path, capsys, corrupt, field
+    ):
+        doc = json.loads(two_component_model.read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # NaN and Infinity as json writes and reads them
+        out = tmp_path / "e.csv"
+        rc = main(["eval", "--model", str(bad), "--grid=-1:1:3", "--ref", "0.0",
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_intact_model_loads(self, two_component_model, tmp_path, capsys):
+        bundle = load_model(two_component_model)
+        assert bundle.basis.phi.shape[1] == 2 and bundle.splines.a.shape[1] == 2
+        out = tmp_path / "e.csv"
+        assert main(["eval", "--model", str(two_component_model), "--grid=-1:1:3",
+                     "--ref", "0.0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text().splitlines()[0] == "x1,phi_1,phi_2,phi_rot_1,phi_rot_2,cov_ref"
 
 
 class TestScreeCommand:

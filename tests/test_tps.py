@@ -57,6 +57,29 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(1.0, 4)
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is float64"
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_squared_distance_form_is_accurate(self, d):
+        # g is built from s = r^2; the r-based formulas, evaluated in extended
+        # precision, must agree within a few ulp from 1e-8 to 1e8 and near
+        # r = 1, where the 2-d kernel changes sign
+        rng = np.random.default_rng(50 + d)
+        r = np.concatenate([np.logspace(-8.0, 8.0, 4001), 1.0 + np.linspace(-1e-3, 1e-3, 401),
+                            1.0 + rng.uniform(-1e-12, 1e-12, 200)])
+        x = r.astype(np.longdouble)
+        pi = 4 * np.arctan(np.longdouble(1))
+        if d == 2:
+            exact = x * x * np.log(x) / (16 * pi)
+            scale = x * x * (1 + np.abs(np.log(x))) / (16 * pi)
+        else:
+            # Gamma(-3/2) / (16 pi^(1/2)) = 1/12 and Gamma(-1/2) / (16 pi^(3/2)) = -1/(8 pi)
+            exact = x**3 / 12 if d == 1 else -x / (8 * pi)
+            scale = np.abs(exact)
+        err = np.abs(kernel(r, d).astype(np.longdouble) - exact)
+        assert np.all(err <= 4 * np.spacing(scale.astype(float)))
+
 
 class TestSpatialDomain:
     def test_one_dimensional_array_becomes_column(self):
@@ -304,8 +327,9 @@ class TestInterpolation:
 
 
 class TestBlockedKernel:
-    # evaluate and build_penalty fill their kernel matrices in place, in row
-    # blocks for evaluate; both must give the whole-matrix formula's bits
+    # evaluate and build_penalty fill their kernel matrices in place, from
+    # squared distances, in row blocks for evaluate; both must give the
+    # whole-matrix formula's bits
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_evaluate_is_bit_identical_to_whole_matrix(self, d):
         rng = np.random.default_rng(10 + d)
