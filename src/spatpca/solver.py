@@ -15,10 +15,11 @@ Y'Y - tau1*omega are the exact minimizer (Ky Fan), returned with no iteration.
 A term holds B = Y'Y - tau1*omega in one of three forms.  A QuadraticTerm
 holds one spectral factorization of B per tau1 and serves every rho's
 shifted solve from it.  A LowRankTerm factors omega once per domain, each
-solve is a Woodbury update through one n x n Cholesky, and the warm start
-a top-K subset eigensolve: it saves a full eigensolve per chain but costs
-more per ADMM step.  A ClosedFormTerm, for chains along tau2 = 0 alone,
-has no shifted solve and decomposes only B's top K, in site coordinates.
+solve is a Woodbury update through one n x n Cholesky, and the starting
+basis a top-K subset eigensolve: it saves a full eigensolve per chain but
+costs more per ADMM step.  A ClosedFormTerm, for chains along tau2 = 0
+alone, has no shifted solve and decomposes only B's top K, in site
+coordinates.
 precompute_quadratic is the one constructor, called once per data set,
 and picks the form from the number of tau2 values above 0 and the shape
 alone (_low_rank_pays), never from what ran before.
@@ -29,13 +30,15 @@ number, so a member with w_min <= w_max/100 takes the SVD instead; the test
 is made per member, and no member's bits depend on another's.
 
 fit_chains takes data sets and (data set, tau1) chains and alone builds,
-groups and stacks their terms: groups of one row count, as many as fit in
-_GROUP_BYTES of stacked terms.  _fit_group steps a group of B chains as
-B x p x K arrays against a stack of B terms; admm_step takes that leading
-batch axis with a rho and a tau2 per member.  Each member gets exactly the
-arithmetic of a lone chain, so batching changes no bit and only spreads the
-per-call overhead of the small products over the members.  fit is the
-one-chain case, and cv_tau one call over its folds.
+groups and stacks their terms: groups of one term layout (low-rank chains
+of one row count, spectral chains of any), as many as fit in _GROUP_BYTES
+of stacked terms.  Every chain starts from its own initial_phi at rho0.
+_fit_group steps a group of B chains as B x p x K arrays against a stack
+of B terms; admm_step takes that leading batch axis with a rho and a tau2
+per member.  Each member gets exactly the arithmetic of a lone chain, so
+batching changes no bit and only spreads the per-call overhead of the
+small products over the members.  fit is the one-chain case, and cv_tau
+one call over its folds.
 """
 
 from __future__ import annotations
@@ -466,7 +469,7 @@ def _stacked_bytes(n: int, p: int, tau2_count: int) -> int:
 
 
 def initial_phi(quad: Term, k: int) -> np.ndarray:
-    """Leading k eigenvectors of Y'Y - tau1*omega from quad, the no-sparsity warm start."""
+    """Leading k eigenvectors of Y'Y - tau1*omega from quad, every chain's starting basis."""
     p = (quad.omega if isinstance(quad, ClosedFormTerm) else quad.vectors).shape[-1]
     if not 1 <= k <= p:
         raise ValueError(f"k must be in [1, p] = [1, {p}], got {k}")
@@ -521,15 +524,6 @@ def _initial_rho(config: SolverConfig, lam_max_yty: np.ndarray) -> np.ndarray:
     return np.full(lam_max_yty.shape, float(config.rho0))
 
 
-def _check_warm(warm_start, p: int, k: int) -> np.ndarray:
-    w = np.asarray(warm_start, dtype=float)
-    if w.shape != (p, k):
-        raise ValueError(f"warm start must be {p} x {k}, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("warm start must be finite")
-    return w.copy()
-
-
 def _finish(ys, configs, qs: np.ndarray, converged, iterations) -> list[EigenBasis]:
     """The bases of the B finished members of a stack at once: member b's
     columns qs[b] in descending order of sample variance on ys[b], signs fixed."""
@@ -549,9 +543,9 @@ def _finish(ys, configs, qs: np.ndarray, converged, iterations) -> list[EigenBas
     ]
 
 
-def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts):
-    """The count ADMM terms, of one kind and shape, as one stack, and each
-    chain's starting basis.
+def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int):
+    """The count ADMM terms, of one kind and layout, as one stack, and each
+    chain's starting basis, its initial_phi.
 
     Each term's BATCHED arrays are copied into one preallocated stack and
     the term is released, so a generator of quads keeps a single unstacked
@@ -571,17 +565,13 @@ def _stack_chains(quads: Iterable[Term], count: int, p: int, k: int, warm_starts
         if count > 1:
             for name, a in parts.items():
                 getattr(stack, name)[c] = a
-        start[c] = initial_phi(quad, k) if warm_starts is None else warm_starts[c]
+        start[c] = initial_phi(quad, k)
     return stack, start
 
 
 def fit_chains(
-    data: Sequence[np.ndarray],
-    chains: Sequence[tuple[int, float]],
-    penalty: PenaltyOperator,
-    config: SolverConfig,
-    tau2_values: Sequence[float],
-    warm_starts: Sequence[np.ndarray] | None = None,
+    data: Sequence[np.ndarray], chains: Sequence[tuple[int, float]], penalty: PenaltyOperator,
+    config: SolverConfig, tau2_values: Sequence[float],
 ) -> Iterator[tuple[int, int, EigenBasis]]:
     """Fit independent chains, each along all of tau2_values.
 
@@ -593,17 +583,22 @@ def fit_chains(
 
     At tau2 = 0 the objective on orthonormal Phi is a constant minus
     tr(Phi' B Phi), B = Y'Y - tau1*omega, so by Ky Fan's theorem the
-    chain's initial_phi minimizes it exactly: that fit takes no ADMM step,
-    ignores warm_starts and comes with converged=True, iterations=0.  Every
-    other fit runs the ADMM from the previous basis, the first from
-    warm_starts[c] or initial_phi, at rho0 with zero multipliers, until its
-    own stop test or config.max_iterations, bit-identical to the chain alone.
+    chain's initial_phi minimizes it exactly: that fit takes no ADMM step
+    and comes with converged=True, iterations=0.  Every other fit runs the
+    ADMM from the previous basis, the first from initial_phi, at rho0 with
+    zero multipliers, until its own stop test or config.max_iterations,
+    bit-identical to the chain alone.  A chain is thus fixed by its rows,
+    tau1 and tau2_values, and its fit at tau2_values[j] is the last of the
+    chain along tau2_values[:j + 1] whenever both take the same kind of
+    term (precompute_quadratic's pick depends on the count above 0).
 
     Each data set's terms come from one precompute_quadratic call, made at
-    its first chain; chains run by row count, then data set, so one data
-    set's terms are alive at a time.  The C chains of one row count run in
-    ceil(C / cap) groups of sizes within one, cap = _GROUP_BYTES //
-    _stacked_bytes; along tau2 = 0 alone they run as one, and unstacked.
+    its first chain.  Chains stack by term layout: low-rank ones by row
+    count, as their Y U rows are stacked, spectral ones all together; then
+    by data set, so one data set's terms are alive at a time.  The C chains
+    of one layout run in ceil(C / cap) groups of sizes within one, cap =
+    _GROUP_BYTES // _stacked_bytes; along tau2 = 0 alone they run as one,
+    and unstacked.
     """
     data = [_check_data(y, penalty) for y in data]
     k, p = config.k, penalty.domain.p
@@ -613,31 +608,33 @@ def fit_chains(
     t2s = np.asarray(tau2_values, dtype=float)
     if not (t2s.size and t2s[0] >= 0 and np.all(np.diff(t2s) > 0)):
         raise ValueError("tau2 values must be nonempty, nonnegative and strictly ascending")
-    warm = None if warm_starts is None else [_check_warm(w, p, k) for w in warm_starts]
     admm_fits = int(np.count_nonzero(t2s))
     family = lru_cache(maxsize=1)(lambda d: precompute_quadratic(data[d], penalty, admm_fits))
+    # the stack key: a low-rank chain's row count, 0 for every other chain
     rows = [len(data[d]) for d, _ in chains]
-    order = sorted(range(len(chains)), key=lambda c: (rows[c], chains[c][0]))
-    for n, same in groupby(order, key=rows.__getitem__):
+    layout = [n if admm_fits and _low_rank_pays(n, p, admm_fits) else 0 for n in rows]
+    order = sorted(range(len(chains)), key=lambda c: (layout[c], chains[c][0]))
+    for _, same in groupby(order, key=layout.__getitem__):
         same = list(same)
+        n = rows[same[0]]
         cap = max(1, _GROUP_BYTES // _stacked_bytes(n, p, admm_fits)) if admm_fits else len(same)
         for part in np.array_split(same, -(-len(same) // cap)):
             group = [chains[c] for c in part]
             quads = (family(d)(t1) for d, t1 in group)
             members = _fit_group(
-                [data[d] for d, _ in group], [t1 for _, t1 in group], quads, config, t2s,
-                None if warm is None else [warm[c] for c in part],
+                [data[d] for d, _ in group], [t1 for _, t1 in group], quads, config, t2s
             )
             yield from ((int(part[b]), j, basis) for b, j, basis in members)
 
 
-def _fit_group(ys, tau1s, quads: Iterable[Term], config: SolverConfig, t2s: np.ndarray,
-               warm_starts=None) -> Iterator[tuple[int, int, EigenBasis]]:
+def _fit_group(
+    ys, tau1s, quads: Iterable[Term], config: SolverConfig, t2s: np.ndarray
+) -> Iterator[tuple[int, int, EigenBasis]]:
     """fit_chains on given terms, one per chain: chain b fits the rows ys[b]
-    (read, never copied) with quads[b], of one kind and row count, at
-    tau1s[b], stepped as one stack through admm_step, updated in place.
-    Members finishing in one step are finished together; those past their
-    last tau2 retire, the last active members moving into their slots.
+    (read, never copied) with quads[b], of one kind and layout, at tau1s[b],
+    stepped as one stack through admm_step, updated in place.  Members
+    finishing in one step are finished together; those past their last
+    tau2 retire, the last active members moving into their slots.
     """
     count, k = len(ys), config.k
     config_at = cache(lambda t1, t2: replace(config, tau1=t1, tau2=t2))  # shared by bases
@@ -645,7 +642,7 @@ def _fit_group(ys, tau1s, quads: Iterable[Term], config: SolverConfig, t2s: np.n
     if first == t2s.size:  # closed forms only: each term is read once, and never stacked
         start = np.array([initial_phi(quad, k) for quad in quads])
     else:
-        quad, start = _stack_chains(quads, count, ys[0].shape[1], k, None if first else warm_starts)
+        quad, start = _stack_chains(quads, count, ys[0].shape[1], k)
     if first:
         cfgs = [config_at(float(t1), 0.0) for t1 in tau1s]
         bases = _finish(ys, cfgs, start, [True] * count, [0] * count)
@@ -697,17 +694,16 @@ def _fit_group(ys, tau1s, quads: Iterable[Term], config: SolverConfig, t2s: np.n
             blocks, prev_phi = [block[:active] for block in blocks], prev_phi[:active]
 
 
-def fit(y, penalty: PenaltyOperator, config: SolverConfig, warm_start=None) -> EigenBasis:
+def fit(y, penalty: PenaltyOperator, config: SolverConfig) -> EigenBasis:
     """Estimate the regularized eigenbasis at the p sites: the one-chain fit_chains.
 
     The term is precompute_quadratic's for one chain along config.tau2, so
     a lone fit follows the same rule as a cv_tau chain.  No spline is solved
     here: a caller that needs the basis off the sites solves its
     interpolants once, tps.solve_coefficients(penalty, basis.phi).  At
-    tau2 = 0 the basis is the closed form (see fit_chains) and warm_start is
-    checked but not used.  Non-convergence within max_iterations is reported
-    through the returned converged flag, never as an exception.
+    tau2 = 0 the basis is the closed form (see fit_chains); otherwise the
+    ADMM starts from initial_phi.  Non-convergence within max_iterations is
+    reported through the returned converged flag, never as an exception.
     """
-    warm = None if warm_start is None else [warm_start]
-    ((_, _, basis),) = fit_chains([y], [(0, config.tau1)], penalty, config, [config.tau2], warm)
+    ((_, _, basis),) = fit_chains([y], [(0, config.tau1)], penalty, config, [config.tau2])
     return basis

@@ -318,8 +318,11 @@ def select_and_fit(
     Pin a penalty axis with restrict_grid.  max_iterations caps the final
     fit only; the CV fits keep SolverConfig's default cap.  The refit is a
     lone fit at the selection, whose term follows the rule of every chain.
+    k >= p, which leaves no noise variance to estimate, is refused up front.
     """
-    y = np.asarray(y, dtype=float)
+    y, p = np.asarray(y, dtype=float), penalty.domain.p
+    if k >= p:
+        raise ValueError(f"need k < p to identify the noise variance, got k = {k}, p = {p}")
     tau_report = None
     if grid.tau1_values.size * grid.tau2_values.size > 1:
         tau_report = cv_tau(y, penalty, k, grid, folds)

@@ -303,12 +303,16 @@ def low_rank_term(y, penalty, tau1) -> LowRankTerm:
     return LowRankTerm(vectors, values, y @ vectors, tau1, float(np.linalg.norm(y, 2) ** 2))
 
 
-def fit_on_term(y, config, quad, warm_start=None):
+def chain_on_term(y, config, quad, tau2_values):
+    """The bases of one fit_chains chain at config.tau1 along tau2_values, in
+    order, with the term quad in place of the one fit_chains builds."""
+    t2s = np.asarray(tau2_values, dtype=float)
+    return [basis for _, _, basis in _fit_group([y], [config.tau1], [quad], config, t2s)]
+
+
+def fit_on_term(y, config, quad):
     """solver.fit with the term quad in place of the one fit builds."""
-    warm = None if warm_start is None else [np.array(warm_start, dtype=float)]
-    t2s = np.array([config.tau2])
-    ((_, _, basis),) = _fit_group([y], [config.tau1], [quad], config, t2s, warm)
-    return basis
+    return chain_on_term(y, config, quad, [config.tau2])[0]
 
 
 def fit_reference(y, penalty, config, warm_start=None, quad=None):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import spatpca.tuning
 from spatpca import SolverConfig, build_penalty, covariance_at, fit
 from spatpca.cli import SCHEMA_VERSION, ingest, load_model, main, model_to_dict
 from spatpca.tps import evaluate
@@ -172,6 +173,20 @@ class TestFitCommand:
             assert main(self._fit_args(dataset, out, extra=["--gamma", value])) == 1
             assert "gamma must be finite" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_k_at_least_p_exits_1_before_cross_validation(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cross-validation ran for k >= p")
+
+        data, loc, _, _ = dataset
+        monkeypatch.setattr(spatpca.tuning, "cv_tau", forbidden)
+        out = tmp_path / "model.json"
+        rc = main(["fit", "--data", data, "--locations", loc, "--k", "10", "--out", str(out)])
+        assert rc == 1
+        assert "need k < p" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_1(self, dataset, tmp_path, capsys):
         _, loc, _, _ = dataset

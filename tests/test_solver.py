@@ -44,6 +44,7 @@ from spatpca.solver import (
 )
 
 from checks import (
+    chain_on_term,
     fit_lasso_inner,
     fit_on_term,
     fit_reference,
@@ -357,18 +358,6 @@ class TestFit:
         with pytest.raises(RhoTooSmallError):
             fit(y, small_penalty, SolverConfig(tau2=0.5, k=1, rho0=1e-6))
 
-    def test_warm_start_validation_and_use(self, small_penalty):
-        rng = np.random.default_rng(18)
-        y = rng.standard_normal((30, 12))
-        cfg = SolverConfig(tau1=1.0, k=2)
-        basis = fit(y, small_penalty, cfg)
-        again = fit(y, small_penalty, cfg, warm_start=basis.phi)
-        assert again.converged and again.iterations <= basis.iterations
-        with pytest.raises(ValueError):
-            fit(y, small_penalty, cfg, warm_start=np.ones((12, 3)))
-        with pytest.raises(ValueError):
-            fit(y, small_penalty, cfg, warm_start=np.full((12, 2), np.nan))
-
     def test_data_validation(self, small_penalty):
         bad = np.ones((10, 12))
         bad[0, 0] = np.nan
@@ -414,14 +403,12 @@ class TestFit:
         y, _ = smooth_rank1_data(rng, domain_1d.locations[:, 0], 100)
         quad = spectral_term(y, penalty_1d, 0.0)
         taus = np.concatenate([[0.0], np.geomspace(1.0, 1e3, 30)])
-        counts = []
-        warm = None
-        for t2 in taus:
-            basis = fit_on_term(
-                y, SolverConfig(tau1=0.0, tau2=float(t2), k=1), quad, warm_start=warm
-            )
-            warm = basis.phi
-            counts.append(int(np.sum(np.abs(basis.phi) < 1e-6)))
+        cfg = SolverConfig(tau1=0.0, k=1)
+        bases = chain_on_term(y, cfg, quad, taus)
+        # the path's fit at taus[j] is the last of the chain along taus[:j + 1]
+        for j in (0, 1, 15):
+            assert np.array_equal(chain_on_term(y, cfg, quad, taus[: j + 1])[-1].phi, bases[j].phi)
+        counts = [int(np.sum(np.abs(basis.phi) < 1e-6)) for basis in bases]
         inversions = sum(1 for a, b in zip(counts, counts[1:]) if b < a)
         assert inversions <= 2
         assert counts[-1] > counts[0]
@@ -431,7 +418,7 @@ class TestClosedForm:
     """tau2 = 0: the K leading eigenvectors of Y'Y - tau1*omega, with no ADMM step."""
 
     def test_fit_is_leading_eigenvectors_of_b(self, penalty_1d):
-        # every term, any warm start, and a rho0 far below the floor: no step runs
+        # every term, and a rho0 far below the floor: no step runs
         rng = np.random.default_rng(35)
         for n in (60, 15):
             y = rng.standard_normal((n, 50))
@@ -445,17 +432,21 @@ class TestClosedForm:
                     want = v[:, ::-1][:, :k]
                     cfg = SolverConfig(tau1=tau1, k=k, rho0=1e-9)
                     for quad in terms:
-                        for warm in (None, random_orthonormal(rng, 50, k)):
-                            if quad is None:
-                                basis = fit(y, penalty_1d, cfg, warm_start=warm)
-                            else:
-                                basis = fit_on_term(y, cfg, quad, warm_start=warm)
-                            assert (basis.converged, basis.iterations) == (True, 0)
-                            # the same columns up to order and sign
-                            match = np.argmax(np.abs(want.T @ basis.phi), axis=0)
-                            assert sorted(match) == list(range(k))
-                            signs = np.sign(np.sum(want[:, match] * basis.phi, axis=0))
-                            assert np.abs(basis.phi - want[:, match] * signs).max() < 1e-10
+                        if quad is None:
+                            basis = fit(y, penalty_1d, cfg)
+                        else:
+                            basis = fit_on_term(y, cfg, quad)
+                        assert (basis.converged, basis.iterations) == (True, 0)
+                        # the same columns up to order and sign
+                        match = np.argmax(np.abs(want.T @ basis.phi), axis=0)
+                        assert sorted(match) == list(range(k))
+                        signs = np.sign(np.sum(want[:, match] * basis.phi, axis=0))
+                        assert np.abs(basis.phi - want[:, match] * signs).max() < 1e-10
+                        if isinstance(quad, (LowRankTerm, QuadraticTerm)):
+                            # the first fit of a chain on to a tau2 above 0
+                            path = replace(cfg, rho0="auto")
+                            first = chain_on_term(y, path, quad, [0.0, 1.0])[0]
+                            assert np.array_equal(first.phi, basis.phi)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -468,10 +459,9 @@ class TestClosedForm:
         rng = np.random.default_rng(seed)
         pen = build_penalty(SpatialDomain(np.sort(rng.uniform(-5.0, 5.0, 12))))
         y = rng.standard_normal((n, 12)) * rng.uniform(0.2, 3.0, 12)
-        warm = random_orthonormal(rng, 12, k)
         cfg = SolverConfig(tau1=tau1, k=k)
-        closed = fit(y, pen, cfg, warm_start=warm)
-        admm = fit_reference(y, pen, cfg, warm_start=warm)
+        closed = fit(y, pen, cfg)
+        admm = fit_reference(y, pen, cfg, warm_start=random_orthonormal(rng, 12, k))
         assert closed.iterations == 0
         got = spatpca_objective(y, pen, closed.phi, tau1, 0.0)
         other = spatpca_objective(y, pen, admm.phi, tau1, 0.0)
@@ -564,7 +554,7 @@ class TestLowRankTerm:
             alone = replace(term, gram=None)
             assert np.array_equal(initial_phi(term, 3), initial_phi(alone, 3))
             assert term.beta_max == alone.beta_max
-        stack, _ = _stack_chains(iter(terms), len(terms), 50, 3, None)
+        stack, _ = _stack_chains(iter(terms), len(terms), 50, 3)
         assert stack.gram is None
         np.testing.assert_allclose(stack.beta_max, [t.beta_max for t in terms], rtol=1e-12)
 
@@ -784,16 +774,13 @@ class TestFitChains:
             chains = [(m, t1) for t1 in (0.0, 10.0, 100.0) for m in (0, 1)]
             tau2s = [1.0, 30.0, 300.0]
             cfg = SolverConfig(k=2, max_iterations=24)
-            expected = {}
-            for c, (m, t1) in enumerate(chains):
-                warm = None
-                for j, t2 in enumerate(tau2s):
-                    basis = fit_on_term(
-                        ys[m], replace(cfg, tau1=t1, tau2=t2), build(ys[m], small_penalty, t1),
-                        warm_start=warm,
-                    )
-                    expected[c, j] = basis
-                    warm = basis.phi
+            # (chain, j) alone: the last fit of the chain along tau2s[:j + 1]
+            expected = {
+                (c, j): chain_on_term(
+                    ys[m], replace(cfg, tau1=t1), build(ys[m], small_penalty, t1), tau2s[: j + 1]
+                )[-1]
+                for c, (m, t1) in enumerate(chains) for j in range(len(tau2s))
+            }
             assert {b.converged for b in expected.values()} == {True, False}
 
             members = [ys[m] for m, _ in chains]

@@ -278,6 +278,75 @@ class TestCvTauGroups:
         cv_tau(y, penalty_1d, 2, TuningGrid(), partition_folds(100, 5, seed=1))
         assert seen == [55]
 
+    def test_spectral_chains_stack_across_row_counts(self, domain_1d, penalty_1d, monkeypatch):
+        # the cv1d shape at n = 101: 80 or 81 training rows, spectral terms
+        # whose stack holds no rows, so all 55 chains share one stack
+        y, _ = smooth_rank1_data(np.random.default_rng(7), domain_1d.locations[:, 0], 101)
+        folds = partition_folds(101, 5, seed=1)
+        seen = []
+
+        def spy(ys, *args):
+            seen.append(sorted({y_tr.shape[0] for y_tr in ys}) + [len(ys)])
+            yield from _fit_group(ys, *args)
+
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
+        rep = cv_tau(y, penalty_1d, 2, TuningGrid(), folds)
+        assert seen == [[80, 81, 55]]
+        crit, conv, iters = cv_tau_reference(y, penalty_1d, 2, TuningGrid(), folds)
+        assert np.array_equal(rep.criterion, crit)
+        assert np.array_equal(rep.converged, conv)
+        assert np.array_equal(rep.iterations, iters)
+
+    @pytest.mark.parametrize(
+        "n, tau2_values, groups",
+        [
+            # 26 or 27 training rows: spectral terms, one stack
+            (33, [0.5, 5.0, 50.0], [15]),
+            # the same with a leading 0, whose closed form alone takes another term
+            (33, [0.0, 0.5, 5.0], [15]),
+            # 8 or 9 training rows: low-rank terms, one stack per row count
+            (11, [1.0, 3.0, 10.0], [3, 12]),
+            # tau2 = 0 alone: closed forms, unstacked
+            (33, [0.0], [15]),
+        ],
+    )
+    def test_cell_is_the_last_fit_of_its_chain_prefix(
+        self, domain_1d, penalty_1d, monkeypatch, n, tau2_values, groups
+    ):
+        # 5 folds of unequal size; cell (i, j) of fold m is the last basis of
+        # the chain (fold m, tau1_i) along tau2_values[:j + 1] alone
+        y, _ = smooth_rank1_data(np.random.default_rng(9), domain_1d.locations[:, 0], n)
+        grid = TuningGrid(tau1_values=default_log_grid(3), tau2_values=tau2_values)
+        cfg, t2s = SolverConfig(k=2), grid.tau2_values
+        cells, seen = {}, []
+
+        def spy_group(ys, *args):
+            seen.append(len(ys))
+            yield from _fit_group(ys, *args)
+
+        def spy_chains(data, chains, *args):
+            for c, j, basis in spatpca.solver.fit_chains(data, chains, *args):
+                m, t1 = chains[c]
+                cells[m, t1, j] = data[m], basis
+                yield c, j, basis
+
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy_group)
+        monkeypatch.setattr(spatpca.tuning, "fit_chains", spy_chains)
+        cv_tau(y, penalty_1d, 2, grid, partition_folds(n, 5, seed=3))
+        assert seen == groups and len(cells) == 5 * 3 * t2s.size
+        for (m, t1, j), (y_tr, got) in cells.items():
+            *_, (_, _, want) = spatpca.solver.fit_chains(
+                [y_tr], [(0, t1)], penalty_1d, cfg, t2s[: j + 1]
+            )
+            assert (got.converged, got.iterations, got.config) == (
+                want.converged, want.iterations, want.config
+            )
+            if j == 0 and t2s[0] == 0 and t2s.size > 1:
+                # the prefix [0] takes the ClosedFormTerm, the chain its ADMM term
+                assert np.abs(got.phi - want.phi).max() < 1e-10
+            else:
+                assert np.array_equal(got.phi, want.phi)
+
     def test_tau2_zero_grid_builds_no_stack(self, cv_setup, monkeypatch):
         y, pen = cv_setup
         folds = partition_folds(y.shape[0], 3, seed=2)
@@ -315,8 +384,8 @@ class TestCvTauGroups:
         monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
         grid = restrict_grid(TuningGrid(tau1_values=default_log_grid(3)), tau2=0.0)
         select_and_fit(y, penalty_1d, 2, grid, partition_folds(24, 5, seed=3), gamma=0.0)
-        # cv_tau's chains, one group per training row count, then the refit
-        assert groups == [[ClosedFormTerm] * 12, [ClosedFormTerm] * 3, [ClosedFormTerm]]
+        # cv_tau's chains, whatever their training row counts, then the refit
+        assert groups == [[ClosedFormTerm] * 15, [ClosedFormTerm]]
 
 
 class TestCvGamma:
@@ -456,6 +525,17 @@ class TestSelectAndFit:
         tuned = select_and_fit(y, pen, 2, pinned, folds, gamma=0.25)
         assert tuned.gamma_report is None
         assert tuned.model.gamma == 0.25
+
+    def test_rejects_k_at_least_p_before_cross_validation(self, cv_setup, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cross-validation ran for k >= p")
+
+        y, pen = cv_setup
+        p = pen.domain.p
+        monkeypatch.setattr(spatpca.tuning, "cv_tau", forbidden)
+        for k in (p, p + 1):
+            with pytest.raises(ValueError, match="need k < p to identify the noise variance"):
+                select_and_fit(y, pen, k, self.GRID, partition_folds(y.shape[0], 3, seed=6))
 
     def test_iteration_cap_reaches_final_fit_only(self, cv_setup):
         y, pen = cv_setup
