@@ -60,7 +60,7 @@ class IngestReport:
 def _read_matrix(path, what: str, allow_missing: bool) -> np.ndarray:
     rows = []
     width = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         for r, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

@@ -121,11 +121,16 @@ def _shrink(d: np.ndarray, tr: float, p: int, gamma: float) -> tuple[float, int,
     return sigma2, l_hat, np.maximum(d - sigma2 - gamma, 0.0)
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0 <= gamma < np.inf:
+        raise ValueError("gamma must be finite and nonnegative")
+
+
 def estimate_from_moments(m, tr: float, basis: EigenBasis, gammas) -> list[CovarianceModel]:
     """The rule of estimate_parameters at each of gammas from M = Phi' S Phi (K x K,
     symmetrized here, one eigendecomposition) and tr(S), e.g. Z'Z/n and ||Y||_F^2/n."""
-    if not all(0 <= gamma < np.inf for gamma in gammas):
-        raise ValueError("gamma must be finite and nonnegative")
+    for gamma in gammas:
+        _check_gamma(gamma)
     p, k = basis.phi.shape
     if k >= p:
         raise ValueError(f"need k < p to identify the noise variance, got k = {k}, p = {p}")

@@ -15,11 +15,11 @@ Y'Y - tau1*omega are the exact minimizer (Ky Fan), returned with no iteration.
 A term holds B = Y'Y - tau1*omega in one of three forms.  A QuadraticTerm
 holds one spectral factorization of B per tau1 and serves every rho's
 shifted solve from it.  A LowRankTerm factors omega once per domain, each
-solve is a Woodbury update through one n x n Cholesky, and the starting
-basis a top-K subset eigensolve: it saves a full eigensolve per chain but
-costs more per ADMM step.  A ClosedFormTerm, for chains along tau2 = 0
-alone, has no shifted solve and decomposes only B's top K, in site
-coordinates.
+solve is a Woodbury update through one n x n Cholesky, and its starting
+basis is the closed form's: it saves a full eigensolve per chain but costs
+more per ADMM step.  A ClosedFormTerm, for chains along tau2 = 0 alone and
+a LowRankTerm's start, has no shifted solve and decomposes only B's top K,
+in site coordinates.
 precompute_quadratic is the one constructor, called once per data set,
 and picks the form from the number of tau2 values above 0 and the shape
 alone (_low_rank_pays), never from what ran before.
@@ -210,14 +210,6 @@ class QuadraticTerm:
         return self.vectors @ ((np.swapaxes(self.vectors, -1, -2) @ rhs) / shift[..., None])
 
 
-def _rotated_b(yu: np.ndarray, gram, tau1, values: np.ndarray) -> np.ndarray:
-    """U'BU = (YU)'(YU) - tau1*diag(values): B in omega's eigenbasis, same spectrum;
-    gram is (YU)'(YU) when already formed."""
-    b = yu.T @ yu if gram is None else gram.copy()
-    b[np.diag_indices_from(b)] -= tau1 * values
-    return b
-
-
 @dataclass(frozen=True)
 class LowRankTerm:
     """B = Y'Y - tau1*omega for data with far fewer rows than sites.
@@ -232,14 +224,13 @@ class LowRankTerm:
     which costs one n x n Cholesky per solve and no factorization per tau1.
     By the Schur complement that Cholesky fails exactly when rho does not
     exceed beta_max (or A itself is not positive definite), so it is the rho
-    floor check.  leading(k) is a top-k subset eigensolve of B; beta_max is
-    a top-1 eigensolve per member, computed on each access.  Both start from
-    gram = (YU)'(YU) when given, formed once per data set by
-    precompute_quadratic.
+    floor check.  leading(k) is closed's, the ClosedFormTerm of the same
+    rows and tau1; beta_max, read only to report a rho below the floor, is
+    a top-1 eigensolve of U'BU = (YU)'(YU) - tau1*diag(d) per member.
 
     A stack has a leading batch axis on yu (B x n x p, one n for the whole
     stack), tau1 and lam_max_yty; vectors and values are the domain's and
-    shared by every member; gram is dropped, as members may differ in data.
+    shared by every member; closed is dropped, as a stack takes no start.
     """
 
     vectors: np.ndarray
@@ -247,33 +238,27 @@ class LowRankTerm:
     yu: np.ndarray
     tau1: float | np.ndarray
     lam_max_yty: float | np.ndarray
-    gram: np.ndarray | None = None
+    closed: ClosedFormTerm | None = None
 
     BATCHED: ClassVar[tuple[str, ...]] = ("yu", "tau1", "lam_max_yty")
-    UNSTACKED: ClassVar[tuple[str, ...]] = ("gram",)
+    UNSTACKED: ClassVar[tuple[str, ...]] = ("closed",)
 
     @property
     def beta_max(self) -> float | np.ndarray:
         """Largest eigenvalue of Y'Y - tau1*omega, one per member of a stack."""
         p = self.vectors.shape[-1]
-        yus = self.yu.reshape(-1, *self.yu.shape[-2:])
         tops = [
             scipy.linalg.eigh(
-                _rotated_b(yu, self.gram, tau1, self.values), eigvals_only=True,
+                yu.T @ yu - np.diag(tau1 * self.values), eigvals_only=True,
                 subset_by_index=[p - 1, p - 1], overwrite_a=True, check_finite=False,
             )[0]
-            for yu, tau1 in zip(yus, np.ravel(self.tau1))
+            for yu, tau1 in zip(self.yu.reshape(-1, *self.yu.shape[-2:]), np.ravel(self.tau1))
         ]
         return np.reshape(tops, np.shape(self.tau1))[()]
 
     def leading(self, k: int) -> np.ndarray:
         """The top k eigenvectors of B, in descending order (one term, no stack)."""
-        p = self.vectors.shape[-1]
-        _, v = scipy.linalg.eigh(
-            _rotated_b(self.yu, self.gram, self.tau1, self.values),
-            subset_by_index=[p - k, p - 1], overwrite_a=True, check_finite=False,
-        )
-        return self.vectors @ v[:, ::-1]
+        return self.closed.leading(k)
 
     def shifted_solve(self, rho, rhs: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho)
@@ -302,10 +287,11 @@ class LowRankTerm:
 @dataclass(frozen=True)
 class ClosedFormTerm:
     """B = Y'Y - tau1*omega for chains along tau2 = 0 alone, which take no
-    ADMM step, so it has no shifted_solve; yty() is Y'Y, formed once per data
-    set when first read.  leading(k) is a top-k subset eigensolve of B in
-    site coordinates; at tau1 = 0 with k <= n it is the top k right singular
-    vectors of Y, by a thin SVD, and reads no Y'Y."""
+    ADMM step, and for a LowRankTerm's start, so it has no shifted_solve;
+    yty() is Y'Y, formed once per data set when first read.  leading(k) is
+    a top-k subset eigensolve of B in site coordinates; at tau1 = 0 with
+    k <= n it is the top k right singular vectors of Y, by a thin SVD, and
+    reads no Y'Y."""
 
     y: np.ndarray
     yty: Callable[[], np.ndarray]
@@ -429,25 +415,27 @@ def precompute_quadratic(
 
     The one constructor of a term, for a lone fit (fit, tau2_count 0 or 1)
     and each cv_tau fold alike.  The work that depends on the rows alone is
-    done here, once.  tau2_count = 0 gives a ClosedFormTerm (Y'Y on demand).
-    Otherwise ||Y||_2^2, and the shape and tau2_count pick the term
-    (_low_rank_pays): a LowRankTerm from Y U (omega = U D U', factored once
-    per penalty), for far fewer rows than sites; a QuadraticTerm from Y'Y,
-    one p x p eigendecomposition per tau1, otherwise.
+    done here, once, and Y'Y at its first read.  tau2_count = 0 gives a
+    ClosedFormTerm.  Otherwise ||Y||_2^2, and the shape and tau2_count pick
+    the term (_low_rank_pays): a LowRankTerm from Y U (omega = U D U',
+    factored once per penalty) and its ClosedFormTerm, for far fewer rows
+    than sites; a QuadraticTerm, one p x p eigendecomposition per tau1,
+    otherwise.
     """
     y = _check_data(y, penalty)
+    yty = cache(lambda: y.T @ y)
+    closed = partial(ClosedFormTerm, y, yty, penalty.omega)
     if not tau2_count:
-        return partial(ClosedFormTerm, y, cache(lambda: y.T @ y), penalty.omega)
+        return closed
     lam_max = _lam_max(y)
     if _low_rank_pays(*y.shape, tau2_count):
         values, vectors = penalty.spectrum
         yu = y @ vectors
-        return partial(LowRankTerm, vectors, values, yu, lam_max_yty=lam_max, gram=yu.T @ yu)
-    yty = y.T @ y
+        return lambda tau1: LowRankTerm(vectors, values, yu, tau1, lam_max, closed(tau1))
 
     def spectral(tau1: float) -> QuadraticTerm:
         # eigh reads one triangle; omega and Y'Y (by SYRK) are exactly symmetric
-        values, vectors = np.linalg.eigh(yty - tau1 * penalty.omega)
+        values, vectors = np.linalg.eigh(yty() - tau1 * penalty.omega)
         return QuadraticTerm(vectors=vectors, values=values, lam_max_yty=lam_max)
 
     return spectral
@@ -590,7 +578,8 @@ def fit_chains(
     bit-identical to the chain alone.  A chain is thus fixed by its rows,
     tau1 and tau2_values, and its fit at tau2_values[j] is the last of the
     chain along tau2_values[:j + 1] whenever both take the same kind of
-    term (precompute_quadratic's pick depends on the count above 0).
+    term (precompute_quadratic's pick depends on the count above 0), and
+    at j = 0 on a low-rank chain, whose start is its closed form's.
 
     Each data set's terms come from one precompute_quadratic call, made at
     its first chain.  Chains stack by term layout: low-rank ones by row

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import CovarianceModel, estimate_from_moments
+from .covariance import CovarianceModel, _check_gamma, estimate_from_moments
 from .solver import EigenBasis, SolverConfig, fit, fit_chains
 from .tps import PenaltyOperator
 
@@ -318,19 +318,22 @@ def select_and_fit(
     Pin a penalty axis with restrict_grid.  max_iterations caps the final
     fit only; the CV fits keep SolverConfig's default cap.  The refit is a
     lone fit at the selection, whose term follows the rule of every chain.
-    k >= p, which leaves no noise variance to estimate, is refused up front.
+    k >= p, which leaves no noise variance to estimate, is refused up front,
+    as are a bad max_iterations or gamma.
     """
     y, p = np.asarray(y, dtype=float), penalty.domain.p
     if k >= p:
         raise ValueError(f"need k < p to identify the noise variance, got k = {k}, p = {p}")
+    config = SolverConfig(k=k, max_iterations=max_iterations)
+    if gamma is not None:
+        _check_gamma(gamma)
     tau_report = None
     if grid.tau1_values.size * grid.tau2_values.size > 1:
         tau_report = cv_tau(y, penalty, k, grid, folds)
         t1, t2 = tau_report.selected
     else:
         t1, t2 = float(grid.tau1_values[0]), float(grid.tau2_values[0])
-    config = SolverConfig(tau1=t1, tau2=t2, k=k, max_iterations=max_iterations)
-    basis = fit(y, penalty, config)
+    basis = fit(y, penalty, replace(config, tau1=t1, tau2=t2))
     gamma_report = None
     if gamma is None:
         gamma_report = cv_gamma(y, basis, grid, folds)

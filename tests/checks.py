@@ -297,10 +297,13 @@ def spectral_term(y, penalty, tau1) -> QuadraticTerm:
 
 def low_rank_term(y, penalty, tau1) -> LowRankTerm:
     """The Woodbury term for Y'Y - tau1*omega, whatever the shape of y
-    (the package builds it for far fewer rows than sites)."""
+    (the package builds it for far fewer rows than sites), with the
+    package's closed form of y at tau1 for its start."""
     y = np.asarray(y, dtype=float)
     values, vectors = penalty.spectrum
-    return LowRankTerm(vectors, values, y @ vectors, tau1, float(np.linalg.norm(y, 2) ** 2))
+    closed = precompute_quadratic(y, penalty, 0)(tau1)
+    lam_max = float(np.linalg.norm(y, 2) ** 2)
+    return LowRankTerm(vectors, values, y @ vectors, tau1, lam_max, closed)
 
 
 def chain_on_term(y, config, quad, tau2_values):

@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spatpca.solver
 import spatpca.tuning
 from spatpca import SolverConfig, build_penalty, covariance_at, fit
 from spatpca.cli import SCHEMA_VERSION, ingest, load_model, main, model_to_dict
+from spatpca.solver import LowRankTerm
 from spatpca.tps import evaluate
 
 from checks import smooth_rank1_data
@@ -78,6 +81,18 @@ class TestIngest:
         loc = _write_rows(tmp_path / "l.csv", [[0.0]])
         with pytest.raises(ValueError, match="empty"):
             ingest(data, loc)
+
+    def test_byte_order_mark_is_skipped(self, dataset, tmp_path):
+        # spreadsheet "CSV UTF-8" exports begin with U+FEFF
+        data, loc, _, _ = dataset
+        marked = [
+            _write(tmp_path / f"bom_{name}.csv", "\ufeff" + Path(path).read_text())
+            for name, path in (("data", data), ("loc", loc))
+        ]
+        y, domain, _ = ingest(*marked)
+        want_y, want_domain, _ = ingest(data, loc)
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(domain.locations, want_domain.locations)
 
     def test_deseasonalize_subtracts_phase_means(self, tmp_path):
         base = np.array([1.0, 3.0, 5.0, 7.0])
@@ -277,12 +292,16 @@ class TestEvalCommand:
         assert np.array_equal(got, want)
 
     def test_query_file(self, fitted_model, tmp_path, capsys):
-        q = _write_rows(tmp_path / "q.csv", [[-1.5], [0.25]])
-        out = tmp_path / "eval.csv"
-        assert main(["eval", "--model", str(fitted_model), "--query", q,
-                     "--out", str(out)]) == 0
+        # a byte-order mark, as spreadsheet "CSV UTF-8" exports write, is skipped
+        outs = []
+        for name, mark in (("plain", ""), ("bom", "\ufeff")):
+            q = _write(tmp_path / f"q_{name}.csv", mark + "-1.5\n0.25\n")
+            outs.append(tmp_path / f"eval_{name}.csv")
+            assert main(["eval", "--model", str(fitted_model), "--query", q,
+                         "--out", str(outs[-1])]) == 0
         capsys.readouterr()
-        assert len(out.read_text().splitlines()) == 3
+        assert len(outs[0].read_text().splitlines()) == 3
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_needs_query_or_grid(self, fitted_model, tmp_path, capsys):
         rc = main(["eval", "--model", str(fitted_model), "--out", str(tmp_path / "e.csv")])
@@ -567,6 +586,46 @@ class TestCvCommand:
         assert tuple(doc["tau"]["selected"]) == (config.tau1, config.tau2)
         assert doc["gamma"]["selected"] == bundle.covariance.gamma
         assert doc["gamma"]["gamma_values"] == bundle.provenance["gamma_grid"]
+
+
+class TestLowRankPath:
+    """fit and cv on 6 x 6 sites and 10 rows at tau2 = 1: 8 training rows per
+    fold, and 10 in the refit, below 3p/8, so every chain takes the low-rank term."""
+
+    @pytest.fixture()
+    def grid_files(self, tmp_path):
+        axis = np.linspace(0.0, 1.0, 6)
+        loc = np.column_stack([c.ravel() for c in np.meshgrid(axis, axis)])
+        y = np.random.default_rng(47).standard_normal((10, 36))
+        data = _write_rows(tmp_path / "data.csv", y.tolist())
+        return data, _write_rows(tmp_path / "loc.csv", loc.tolist())
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_run_takes_low_rank_terms_and_repeats(
+        self, grid_files, tmp_path, capsys, monkeypatch, command
+    ):
+        kinds = []
+        group = spatpca.solver._fit_group
+
+        def spy(ys, tau1s, quads, *args):
+            quads = list(quads)
+            kinds.extend(type(quad) for quad in quads)
+            yield from group(ys, tau1s, quads, *args)
+
+        monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
+        data, loc = grid_files
+        outs = [tmp_path / f"{command}{i}.json" for i in range(2)]
+        for out in outs:
+            args = [command, "--data", data, "--locations", loc, "--k", "2", "--tau2", "1"]
+            assert main([*args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        # 5 folds x 11 tau1 values and the refit, per run
+        assert kinds == [LowRankTerm] * 2 * 56
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        if command == "fit":
+            assert load_model(outs[0]).basis.iterations > 0
+        else:
+            assert np.min(json.loads(outs[0].read_text())["tau"]["iterations"]) > 0
 
 
 class TestSimulateCommand:

@@ -127,8 +127,9 @@ class TestInitialPhi:
         assert np.abs(phi.T @ phi - np.eye(3)).max() < 1e-12
 
     def test_subset_eigensolve_matches_full_eigh(self, penalty_1d):
-        # n < p: the top-k subset eigensolve of the low-rank term against the
-        # leading columns of a full eigendecomposition
+        # n < p: the low-rank term's start, its closed form (a thin SVD at
+        # tau1 = 0, a top-k subset eigensolve otherwise), against the leading
+        # columns of a full eigendecomposition
         rng = np.random.default_rng(25)
         y = rng.standard_normal((15, 50))
         for tau1 in (0.0, 10.0, 1000.0):
@@ -543,19 +544,25 @@ class TestClosedForm:
 class TestLowRankTerm:
     """The n < p Woodbury term against the spectral term on the same data."""
 
-    def test_gram_is_shared_by_a_data_set_never_by_a_stack(self, penalty_1d):
+    def test_yty_is_shared_by_a_data_set_never_by_a_stack(self, penalty_1d):
+        # a term's start is its closed form's, bit for bit, and the closed
+        # forms of a data set's terms read one Y'Y; a stack holds no closed form
         rng = np.random.default_rng(37)
-        families = [precompute_quadratic(rng.standard_normal((10, 50)), penalty_1d, 1)
-                    for _ in range(2)]
-        terms = [family(t1) for family in families for t1 in (1.0, 50.0)]
-        assert type(terms[0]) is LowRankTerm
-        assert terms[0].gram is terms[1].gram  # formed once per data set
-        for term in terms:
-            alone = replace(term, gram=None)
+        ys = [rng.standard_normal((10, 50)) for _ in range(2)]
+        families = [precompute_quadratic(y, penalty_1d, 1) for y in ys]
+        tau1s = (0.0, 1.0, 50.0)
+        terms = [family(t1) for family in families for t1 in tau1s]
+        assert {type(term) for term in terms} == {LowRankTerm}
+        first, second = ({term.closed.yty for term in terms[i:i + 3]} for i in (0, 3))
+        assert len(first) == len(second) == 1 and first != second
+        assert terms[1].closed.yty() is terms[2].closed.yty()
+        assert np.array_equal(terms[1].closed.yty(), ys[0].T @ ys[0])
+        for term, (y, t1) in zip(terms, [(y, t1) for y in ys for t1 in tau1s]):
+            alone = precompute_quadratic(y, penalty_1d, 0)(t1)
             assert np.array_equal(initial_phi(term, 3), initial_phi(alone, 3))
-            assert term.beta_max == alone.beta_max
-        stack, _ = _stack_chains(iter(terms), len(terms), 50, 3)
-        assert stack.gram is None
+        stack, start = _stack_chains(iter(terms), len(terms), 50, 3)
+        assert stack.closed is None
+        assert np.array_equal(start, [initial_phi(term, 3) for term in terms])
         np.testing.assert_allclose(stack.beta_max, [t.beta_max for t in terms], rtol=1e-12)
 
     def test_fit_matches_spectral_term(self, penalty_1d, domain_1d):
@@ -662,11 +669,15 @@ class TestLowRankTerm:
         p = domain_2d.p
         penalty = build_penalty(domain_2d)
         full, subset = self._count_eigensolves(monkeypatch)
+        svds = self._count_svds(monkeypatch)
         y = np.random.default_rng(28).standard_normal((8, p))
         grid = TuningGrid(tau1_values=default_log_grid(3), tau2_values=[0.0, 1.0])
         select_and_fit(y, penalty, 2, grid, partition_folds(8, 4, seed=0), gamma=0.0)
         assert [shape for shape in full if shape == (p, p)] == [(p, p)]
-        assert subset == [((p, p), [p - 2, p - 1])] * 13
+        # the 9 chains at a tau1 above 0 start from a top-K subset eigensolve
+        # of B, the 4 at tau1 = 0 from a thin SVD of their training rows
+        assert subset == [((p, p), [p - 2, p - 1])] * 9
+        assert [svd for svd in svds if svd[1] is False] == [((6, p), False)] * 4
 
     def test_lone_fit_decomposes_omega_once_per_domain(self, domain_2d, monkeypatch):
         # 8 rows, 36 sites, tau2 = 1: the low-rank term, whose decomposition

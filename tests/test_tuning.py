@@ -19,7 +19,8 @@ from spatpca import (
     select_and_fit,
 )
 from spatpca.solver import (
-    ClosedFormTerm, LowRankTerm, QuadraticTerm, _fit_group, _stacked_bytes, precompute_quadratic
+    ClosedFormTerm, LowRankTerm, QuadraticTerm, _fit_group, _low_rank_pays, _stacked_bytes,
+    precompute_quadratic,
 )
 import spatpca.solver
 import spatpca.tuning
@@ -308,6 +309,8 @@ class TestCvTauGroups:
             (11, [1.0, 3.0, 10.0], [3, 12]),
             # tau2 = 0 alone: closed forms, unstacked
             (33, [0.0], [15]),
+            # low-rank terms with a leading 0: each chain starts from its closed form
+            (11, [0.0, 1.0, 3.0], [3, 12]),
         ],
     )
     def test_cell_is_the_last_fit_of_its_chain_prefix(
@@ -341,8 +344,10 @@ class TestCvTauGroups:
             assert (got.converged, got.iterations, got.config) == (
                 want.converged, want.iterations, want.config
             )
-            if j == 0 and t2s[0] == 0 and t2s.size > 1:
-                # the prefix [0] takes the ClosedFormTerm, the chain its ADMM term
+            low_rank = _low_rank_pays(len(y_tr), y_tr.shape[1], int(np.count_nonzero(t2s)))
+            if j == 0 and t2s[0] == 0 and t2s.size > 1 and not low_rank:
+                # the prefix [0] takes the ClosedFormTerm, the chain the spectral
+                # term, which starts from its own eigendecomposition
                 assert np.abs(got.phi - want.phi).max() < 1e-10
             else:
                 assert np.array_equal(got.phi, want.phi)
@@ -505,6 +510,25 @@ class TestSelectAndFit:
                 np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-12)
             assert got.l_hat == ref.l_hat
         assert not got.lambda_star.any() and got.sigma2 == pytest.approx(np.sum(y * y) / n / p)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"max_iterations": 0}, "max_iterations must be at least 1"),
+            ({"gamma": -1.0}, "gamma must be finite and nonnegative"),
+            ({"gamma": float("nan")}, "gamma must be finite and nonnegative"),
+        ],
+    )
+    def test_bad_setting_is_refused_before_cross_validation(
+        self, cv_setup, monkeypatch, bad, message
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cross-validation ran for a bad setting")
+
+        monkeypatch.setattr(spatpca.tuning, "cv_tau", forbidden)
+        y, pen = cv_setup
+        with pytest.raises(ValueError, match=message):
+            select_and_fit(y, pen, 2, self.GRID, partition_folds(y.shape[0], 3, seed=6), **bad)
 
     def test_pins_skip_cross_validation(self, cv_setup, monkeypatch):
         import spatpca.tuning as tuning
