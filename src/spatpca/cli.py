@@ -70,20 +70,26 @@ def _read_matrix(path, what: str, allow_missing: bool) -> np.ndarray:
                 raise ValueError(
                     f"{what}: row {r} has {len(row)} fields, expected {width}"
                 )
-            parsed = []
-            for c, cell in enumerate(row, start=1):
-                text = cell.strip()
-                if text.lower() in _NA_TOKENS:
-                    if allow_missing:
-                        parsed.append(np.nan)
-                        continue
-                    raise ValueError(f"{what}: missing value at row {r}, column {c}")
-                try:
-                    parsed.append(float(text))
-                except ValueError:
-                    raise ValueError(
-                        f"{what}: unparseable cell at row {r}, column {c}: {text!r}"
-                    ) from None
+            try:
+                parsed = list(map(float, row))  # strips blanks; reads " nan " too
+                whole = allow_missing or not any(map(math.isnan, parsed))
+            except ValueError:
+                whole = False
+            if not whole:  # "", "NA", a bad cell, or a NaN where none may be
+                parsed = []
+                for c, cell in enumerate(row, start=1):
+                    text = cell.strip()
+                    if text.lower() in _NA_TOKENS:
+                        if allow_missing:
+                            parsed.append(np.nan)
+                            continue
+                        raise ValueError(f"{what}: missing value at row {r}, column {c}")
+                    try:
+                        parsed.append(float(text))
+                    except ValueError:
+                        raise ValueError(
+                            f"{what}: unparseable cell at row {r}, column {c}: {text!r}"
+                        ) from None
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{what}: file {path} is empty")

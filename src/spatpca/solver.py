@@ -352,8 +352,9 @@ def _check_data(y, penalty: PenaltyOperator) -> np.ndarray:
 def _fix_signs(phi: np.ndarray) -> np.ndarray:
     # largest-magnitude entry of each column made nonnegative, ties at the lowest
     # index; a copy, one member or a stack
-    lead = np.take_along_axis(phi, np.argmax(np.abs(phi), axis=-2)[..., None, :], axis=-2)
-    return np.where(lead < 0, -phi, phi)
+    rows, cols = np.argmax(np.abs(phi), axis=-2), np.arange(phi.shape[-1])
+    lead = phi[rows, cols] if phi.ndim == 2 else phi[np.arange(len(phi))[:, None], rows, cols]
+    return np.where(lead[..., None, :] < 0, -phi, phi)
 
 
 def _polar(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -512,20 +513,23 @@ def _initial_rho(config: SolverConfig, lam_max_yty: np.ndarray) -> np.ndarray:
     return np.full(lam_max_yty.shape, float(config.rho0))
 
 
-def _finish(ys, configs, qs: np.ndarray, converged, iterations) -> list[EigenBasis]:
-    """The bases of the B finished members of a stack at once: member b's
-    columns qs[b] in descending order of sample variance on ys[b], signs fixed."""
+def _finish(ys, configs, qs: np.ndarray, converged, iterations):
+    """The stacked phis and the bases of the B finished members of a stack at
+    once: member b's columns qs[b] by descending sample variance on ys[b], signs fixed."""
     variances = np.empty((len(qs), qs.shape[-1]))
     for var, y, q in zip(variances, ys, qs):
         yq = y @ q
         np.einsum("ij,ij->j", yq, yq, out=var)
         var /= y.shape[0]
     order = np.argsort(-variances, axis=-1, kind="stable")
-    phis = _fix_signs(np.take_along_axis(qs, order[:, None, :], axis=-1))
-    variances = np.take_along_axis(variances, order, axis=-1)
+    members = np.arange(len(qs))[:, None]
+    # the columns gathered as rows of the K x p transposes, then laid out as qs
+    rows = np.swapaxes(qs, 1, 2)[members, order]
+    phis = _fix_signs(np.ascontiguousarray(np.swapaxes(rows, 1, 2)))
+    variances = variances[members, order]
     phis.setflags(write=False)
     variances.setflags(write=False)
-    return [
+    return phis, [
         EigenBasis(*fields)
         for fields in zip(phis, variances, configs, map(bool, converged), map(int, iterations))
     ]
@@ -634,9 +638,9 @@ def _fit_group(
         quad, start = _stack_chains(quads, count, ys[0].shape[1], k)
     if first:
         cfgs = [config_at(float(t1), 0.0) for t1 in tau1s]
-        bases = _finish(ys, cfgs, start, [True] * count, [0] * count)
+        phis, bases = _finish(ys, cfgs, start, [True] * count, [0] * count)
         yield from ((c, 0, basis) for c, basis in enumerate(bases))
-        start = np.array([basis.phi for basis in bases])
+        start = phis.copy()
     if first == t2s.size:
         return
     rho0 = _initial_rho(config, quad.lam_max_yty)
@@ -660,11 +664,13 @@ def _fit_group(
             continue
         cs, js = chain[done].tolist(), step[done].tolist()
         cfgs = [config_at(float(tau1s[c]), float(t2s[j])) for c, j in zip(cs, js)]
-        bases = _finish([ys[c] for c in cs], cfgs, blocks[1][done], converged[done], iters[done])
+        phis, bases = _finish(
+            [ys[c] for c in cs], cfgs, blocks[1][done], converged[done], iters[done]
+        )
         yield from zip(cs, js, bases)
         # each goes on as a fresh fit warm started from its basis: phi = q = r =
         # basis, zero multipliers, rho0
-        for block, value in zip(blocks, [np.array([b.phi for b in bases])] * 3 + [0.0] * 2):
+        for block, value in zip(blocks, [phis] * 3 + [0.0] * 2):
             block[done] = value
         rho[done], iters[done], step[done] = rho0[done], 0, step[done] + 1
         tau2[done] = t2s[np.minimum(step[done], t2s.size - 1)]

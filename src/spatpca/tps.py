@@ -7,8 +7,9 @@ of the spline interpolating it.  That energy is a quadratic form
 
 where ``omega`` is the upper-left p x p block of the inverse of the bordered
 kernel system [[g, e], [e', 0]].  :func:`build_penalty` computes it in
-null-space form from a QR factorization of the affine design ``e``, never
-assembles the bordered matrix, and keeps no p x p array but omega.  Code
+null-space form from the d + 1 Householder reflectors of the affine design
+``e`` in about p^3 flops, never assembles the bordered matrix or a complete
+Q, and keeps no p x p array but omega.  Code
 downstream works with ``omega`` directly and only touches spline coefficients
 when a component is evaluated off the observation sites; :func:`evaluate`
 builds that q x p kernel matrix from squared distances, in place, in blocks.
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dorgqr, dormqr, dpotrf, dpotri
 
 __all__ = [
     "ConditioningError",
@@ -223,11 +225,15 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
     system [[g, e], [e', 0]], computed in null-space form: with q2 an
     orthonormal basis of the complement of col(e), omega equals
     q2 (q2' g q2)^{-1} q2', which annihilates affine fields to machine
-    precision.  The result is symmetrized and checked for positive
-    semidefiniteness by a Cholesky of omega + tol*I, tol = 1e-10 max|omega|,
-    which succeeds when every eigenvalue exceeds -tol, up to roundoff; only
-    when it fails is omega decomposed, to clip its spectrum at zero.
-    Otherwise omega's eigenpairs are computed only on demand
+    precision.  With e = H [r1; 0], H the d + 1 Householder reflectors of e's
+    QR, the core q2' g q2 is the trailing block of H'gH, so omega is
+    H [[0, 0], [0, core^{-1}]] H': the reflectors are applied to g in place,
+    the core inverted by a Cholesky, and q2 never formed, about p^3 flops in
+    g's buffer and omega's.  The result is symmetrized and checked for
+    positive semidefiniteness by a Cholesky of omega + tol*I, tol = 1e-10
+    max|omega|, which succeeds when every eigenvalue exceeds -tol, up to
+    roundoff; only when it fails is omega decomposed, to clip its spectrum at
+    zero.  Otherwise omega's eigenpairs are computed only on demand
     (``PenaltyOperator.spectrum``).  The reduced factor (q1, r1) of the same
     QR and g q1 are kept for :func:`solve_coefficients`; g itself is not.
 
@@ -252,9 +258,10 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
         )
     np.fill_diagonal(sq, 0.0)
     g = _radial(sq, d, scratch)
-    e = np.hstack([np.ones((p, 1)), loc])
-    q_full, r_full = np.linalg.qr(e, mode="complete")
-    r1 = r_full[: d + 1].copy()
+    where = f"closest sites are {i} and {j} at distance {closest:.6g}"
+    m = d + 1
+    qr, tau = dgeqrf(np.hstack([np.ones((p, 1)), loc]))[:2]  # H's reflectors below r1
+    r1 = np.triu(qr[:m])
     # the coordinate columns' diagonal ratio is free of offset and units; below
     # 1e-8 the affine part of an interpolant keeps fewer than half its digits
     spread = np.abs(np.diag(r1)[1:])
@@ -263,34 +270,37 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
         raise ConditioningError(
             f"the sites lie {shape}; the affine part of the spline is not identifiable"
         )
-    q1, q2 = q_full[:, : d + 1].copy(), q_full[:, d + 1 :]
+    q1 = dorgqr(qr, tau)[0]
     gq1 = g @ q1
-    core = q2.T @ g @ q2
-    core = 0.5 * (core + core.T)
-    try:
-        omega = q2 @ cho_solve(cho_factor(core), q2.T)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise ConditioningError(
-            f"interpolation system is singular; closest sites are {i} and {j} "
-            f"at distance {closest:.6g}",
-            pair=(i, j),
-        ) from exc
+    # g is symmetric, so g.T is g in Fortran order for LAPACK to overwrite
+    # (dormqr's workspace of p is its minimum, ample for m < 64 reflectors):
+    # H'gH with the identity's leading rows and columns is block-diagonal,
+    # the core its trailing block, inverted in the upper triangle
+    a = g.T
+    dormqr("L", "T", qr, tau, a, p, overwrite_c=1)
+    dormqr("R", "N", qr, tau, a, p, overwrite_c=1)
+    a[:m], a[:, :m] = 0.0, 0.0
+    np.fill_diagonal(a[:m, :m], 1.0)
+    if dpotrf(a, overwrite_a=1)[1] or dpotri(a, overwrite_c=1)[1]:
+        raise ConditioningError(f"interpolation system is singular; {where}", pair=(i, j))
+    # X = [[0, 0], [0, core^{-1}]] is u + u', u its upper triangle (dpotrf
+    # zeroed the strict lower one) less half its diagonal: omega = H u H' + its transpose
+    a[:m, :m] = 0.0
+    a.flat[:: p + 1] *= 0.5
+    dormqr("L", "N", qr, tau, a, p, overwrite_c=1)
+    dormqr("R", "T", qr, tau, a, p, overwrite_c=1)
+    omega = np.add(a, g, out=scratch)
     if not np.all(np.isfinite(omega)):
         raise ConditioningError(
-            f"interpolation system is numerically singular; closest sites are "
-            f"{i} and {j} at distance {closest:.6g}",
-            pair=(i, j),
+            f"interpolation system is numerically singular; {where}", pair=(i, j)
         )
 
-    omega = 0.5 * (omega + omega.T)
     # the PSD check: tol is relative to omega's scale, which grows as the sites
     # draw together (about 1e8 for 200 sites in [0, 1]), so that its roundoff
-    # passes; omega + tol*I is formed and factored in one p x p buffer
-    shifted = omega.copy()
-    shifted.flat[:: p + 1] += 1e-10 * max(float(omega.max()), -float(omega.min()))
-    try:
-        cho_factor(shifted, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    # passes; omega + tol*I is formed and factored in g's buffer
+    g[...] = omega
+    g.flat[:: p + 1] += 1e-10 * max(float(omega.max()), -float(omega.min()))
+    if dpotrf(g.T, overwrite_a=1, clean=0)[1]:
         # real negative curvature; project back onto the cone
         w, u = np.linalg.eigh(omega)
         omega = (u * np.clip(w, 0.0, None)) @ u.T

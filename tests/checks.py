@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import cho_factor, cho_solve
 
 from spatpca import RhoTooSmallError, SolverConfig
 from spatpca.solver import (
@@ -276,6 +277,18 @@ def affine_design(locations) -> np.ndarray:
     return np.column_stack([np.ones(len(loc)), loc])
 
 
+def penalty_reference(domain) -> np.ndarray:
+    """omega = q2 (q2' g q2)^{-1} q2' by a complete QR of e = [q1 q2] [r1; 0],
+    three p x p products and a Cholesky solve with p - d - 1 right-hand sides:
+    the null-space formula written out, about 8 p^3 flops."""
+    loc = domain.locations
+    g = kernel_matrix_reference(loc, loc, domain.d)
+    q2 = np.linalg.qr(affine_design(loc), mode="complete")[0][:, domain.d + 1 :]
+    core = q2.T @ g @ q2
+    omega = q2 @ cho_solve(cho_factor(0.5 * (core + core.T)), q2.T)
+    return 0.5 * (omega + omega.T)
+
+
 def bordered_coefficients_reference(domain, values) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) of the interpolating spline from one dense solve of the bordered
     system [[G, E], [E', 0]] [a; b] = [v; 0], G and E built from the sites."""
@@ -358,7 +371,7 @@ def fit_reference(y, penalty, config, warm_start=None, quad=None):
             phi=state.phi, q=state.q, r=state.r, gamma1=state.gamma1, gamma2=state.gamma2,
             rho=min(state.rho * config.rho_growth, 1e12 * rho0),
         )
-    return _finish([y], [config], state.q[None], [converged], [iterations])[0]
+    return _finish([y], [config], state.q[None], [converged], [iterations])[1][0]
 
 
 def cv_tau_reference(y, penalty, k, grid, folds):
@@ -384,7 +397,7 @@ def cv_tau_reference(y, penalty, k, grid, folds):
             for j, t2 in enumerate(t2s):
                 cfg = SolverConfig(tau1=float(t1), tau2=float(t2), k=k)
                 if t2 == 0:
-                    basis = _finish([y_tr], [cfg], initial_phi(quad, k)[None], [True], [0])[0]
+                    basis = _finish([y_tr], [cfg], initial_phi(quad, k)[None], [True], [0])[1][0]
                 else:
                     basis = fit_reference(y_tr, penalty, cfg, warm_start=warm, quad=quad)
                 warm = basis.phi

@@ -7,7 +7,7 @@ import pytest
 import spatpca.solver
 import spatpca.tuning
 from spatpca import SolverConfig, build_penalty, covariance_at, fit
-from spatpca.cli import SCHEMA_VERSION, ingest, load_model, main, model_to_dict
+from spatpca.cli import SCHEMA_VERSION, _read_matrix, ingest, load_model, main, model_to_dict
 from spatpca.solver import LowRankTerm
 from spatpca.tps import evaluate
 
@@ -93,6 +93,42 @@ class TestIngest:
         want_y, want_domain, _ = ingest(data, loc)
         assert np.array_equal(y, want_y)
         assert np.array_equal(domain.locations, want_domain.locations)
+
+    @pytest.mark.parametrize(
+        "text, data, locations",
+        [
+            # each cell at row 2, column 2 of a file read as data (missing
+            # values allowed) and as locations (none allowed): the values
+            # read, NaN for missing, or the error's text
+            ("1.5,2.5\n3.5,\n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 2, column 2"),
+            ("1.5,2.5\n3.5,NA\n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 2, column 2"),
+            ("1.5,2.5\n3.5, nan \n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 2, column 2"),
+            ("1.5,2.5\n3.5,-nan\n", [[1.5, 2.5], [3.5, "nan"]], [[1.5, 2.5], [3.5, "nan"]]),
+            ('1.5,2.5\n3.5,"4.5"\n', [[1.5, 2.5], [3.5, 4.5]], [[1.5, 2.5], [3.5, 4.5]]),
+            ("1.5,2.5\n3.5, -4.5e1 \n", [[1.5, 2.5], [3.5, -45.0]], [[1.5, 2.5], [3.5, -45.0]]),
+            ("1.5,2.5\n3.5,inf\n", [[1.5, 2.5], [3.5, "inf"]], [[1.5, 2.5], [3.5, "inf"]]),
+            ("\ufeff1.5,2.5\n3.5,4.5\n", [[1.5, 2.5], [3.5, 4.5]], [[1.5, 2.5], [3.5, 4.5]]),
+            ("1.5,2.5\n3.5, abc \n", "unparseable cell at row 2, column 2: 'abc'",
+             "unparseable cell at row 2, column 2: 'abc'"),
+            ("1.5,2.5\nNA,abc\n", "unparseable cell at row 2, column 2: 'abc'",
+             "missing value at row 2, column 1"),
+            ("1.5,2.5\n\n3.5,NA\n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 3, column 2"),
+            ("1.5,2.5\n3.5\n", "row 2 has 1 fields, expected 2", "row 2 has 1 fields, expected 2"),
+        ],
+    )
+    def test_cells_read_as_data_and_as_locations(self, tmp_path, text, data, locations):
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        for what, allow_missing, want in (("data", True, data), ("locations", False, locations)):
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as err:
+                    _read_matrix(path, what, allow_missing)
+                assert str(err.value) == f"{what}: {want}"
+            else:
+                got = _read_matrix(path, what, allow_missing)
+                expected = np.array(want, dtype=float)
+                assert np.array_equal(np.isnan(got), np.isnan(expected))
+                assert np.array_equal(got[~np.isnan(got)], expected[~np.isnan(expected)])
 
     def test_deseasonalize_subtracts_phase_means(self, tmp_path):
         base = np.array([1.0, 3.0, 5.0, 7.0])

@@ -24,7 +24,14 @@ from checks import (
     kernel_matrix_reference,
     kernel_reference,
     natural_spline_energy,
+    penalty_reference,
 )
+
+
+def _unit_grid(count: int) -> np.ndarray:
+    """count^2 sites on a regular grid over the unit square."""
+    axis = np.linspace(0.0, 1.0, count)
+    return np.column_stack([c.ravel() for c in np.meshgrid(axis, axis)])
 
 
 class TestKernel:
@@ -152,6 +159,38 @@ class TestBuildPenalty:
         assert pen.omega.shape == (900, 900)
         assert kept < 1.1 * 8 * domain.p**2
 
+    @pytest.mark.parametrize("case", ["1-d", "grid", "uniform", "clusters", "3-d"])
+    def test_omega_matches_complete_qr_formula(self, case):
+        # the two formulas round differently, so they agree to about the
+        # core's condition number times eps.  The clusters are jittered 10 x 10
+        # grids of side 1 at the corners of a square of side 3 (core condition
+        # about 1e5); Gaussian clusters with sites 1e-3 apart reach 7e8, and
+        # differ by 2e-8 of max|omega|, either formula's residual that large
+        rng = np.random.default_rng(21)
+        clusters = 3.0 * _unit_grid(2)[:, None] + _unit_grid(10)
+        loc = {
+            "1-d": np.linspace(-5.0, 5.0, 50),
+            "grid": _unit_grid(20),
+            "uniform": rng.uniform(0.0, 1.0, size=(400, 2)),
+            "clusters": (clusters + rng.uniform(-0.02, 0.02, clusters.shape)).reshape(-1, 2),
+            "3-d": rng.uniform(-1.0, 1.0, size=(200, 3)),
+        }[case]
+        domain = SpatialDomain(loc)
+        omega, expected = build_penalty(domain).omega, penalty_reference(domain)
+        assert np.abs(omega - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_build_peak_memory_is_two_p_by_p_arrays(self):
+        # p = 900: g's buffer, overwritten in place, and omega's; the complete-QR
+        # formula peaked at 45 MB, about 7 x 8p^2 bytes
+        domain = SpatialDomain(_unit_grid(30))
+        tracemalloc.start()
+        try:
+            build_penalty(domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * domain.p**2
+
     def test_omega_symmetric_psd(self, penalty_1d):
         omega = penalty_1d.omega
         assert np.abs(omega - omega.T).max() == 0.0
@@ -178,11 +217,17 @@ class TestBuildPenalty:
         assert w[0] >= -1e-10 * w[-1]
 
     def test_indefinite_omega_is_clipped(self, small_domain, monkeypatch):
-        # a negated core makes omega negative semidefinite: the Cholesky check
-        # fails and the spectrum is clipped at zero
+        # a negated inverse of the core makes omega negative semidefinite: the
+        # Cholesky check fails and the spectrum is clipped at zero
         scale = np.abs(build_penalty(small_domain).omega).max()
-        solve = tps.cho_solve
-        monkeypatch.setattr(tps, "cho_solve", lambda *args: -solve(*args))
+        invert = tps.dpotri
+
+        def negated(*args, **kwargs):
+            inverse, info = invert(*args, **kwargs)
+            inverse *= -1.0
+            return inverse, info
+
+        monkeypatch.setattr(tps, "dpotri", negated)
         omega = build_penalty(small_domain).omega
         assert np.abs(omega - omega.T).max() == 0.0
         assert np.abs(omega).max() < 1e-10 * scale
