@@ -523,7 +523,8 @@ def _finish(ys, configs, qs: np.ndarray, converged, iterations):
         var /= y.shape[0]
     order = np.argsort(-variances, axis=-1, kind="stable")
     members = np.arange(len(qs))[:, None]
-    # the columns gathered as rows of the K x p transposes, then laid out as qs
+    # gathered as rows of the K x p transposes, then copied back to C order,
+    # on which the bits of later products depend
     rows = np.swapaxes(qs, 1, 2)[members, order]
     phis = _fix_signs(np.ascontiguousarray(np.swapaxes(rows, 1, 2)))
     variances = variances[members, order]

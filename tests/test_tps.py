@@ -164,7 +164,7 @@ class TestBuildPenalty:
         # the two formulas round differently, so they agree to about the
         # core's condition number times eps.  The clusters are jittered 10 x 10
         # grids of side 1 at the corners of a square of side 3 (core condition
-        # about 1e5); Gaussian clusters with sites 1e-3 apart reach 7e8, and
+        # 1.7e5); Gaussian clusters with sites 6e-4 apart reach 7e8, and
         # differ by 2e-8 of max|omega|, either formula's residual that large
         rng = np.random.default_rng(21)
         clusters = 3.0 * _unit_grid(2)[:, None] + _unit_grid(10)
