@@ -39,7 +39,7 @@ from .tuning import TuningGrid, partition_folds, restrict_grid, select_and_fit
 __all__ = ["IngestReport", "ingest", "save_model", "load_model", "main"]
 
 SCHEMA_VERSION = 1
-_NA_TOKENS = {"", "na", "nan"}
+_NA_TOKENS = {"", "na"}  # besides any cell that parses to NaN
 
 
 # ---------------------------------------------------------------- ingestion
@@ -79,17 +79,18 @@ def _read_matrix(path, what: str, allow_missing: bool) -> np.ndarray:
                 parsed = []
                 for c, cell in enumerate(row, start=1):
                     text = cell.strip()
-                    if text.lower() in _NA_TOKENS:
-                        if allow_missing:
-                            parsed.append(np.nan)
-                            continue
-                        raise ValueError(f"{what}: missing value at row {r}, column {c}")
                     try:
-                        parsed.append(float(text))
+                        value = float(text)
                     except ValueError:
-                        raise ValueError(
-                            f"{what}: unparseable cell at row {r}, column {c}: {text!r}"
-                        ) from None
+                        if text.lower() not in _NA_TOKENS:
+                            raise ValueError(
+                                f"{what}: unparseable cell at row {r}, column {c}: {text!r}"
+                            ) from None
+                        value = math.nan
+                    # any NaN ("nan", "-nan", "+NaN") is a missing value
+                    if math.isnan(value) and not allow_missing:
+                        raise ValueError(f"{what}: missing value at row {r}, column {c}")
+                    parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{what}: file {path} is empty")

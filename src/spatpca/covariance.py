@@ -212,7 +212,10 @@ def predict(model: CovarianceModel, penalty: PenaltyOperator, y, query) -> np.nd
     range of Lambda in basis coordinates).
 
     psi is the spline interpolant of the basis, solved from penalty in one
-    p x K solve per call.  Returns an n x q matrix, one row per observation.
+    p x K solve per call and evaluated at the q query points by
+    :func:`~spatpca.tps.evaluate`, which holds the q x K values and one row
+    block of the kernel, never a q x p matrix.  Returns an n x q matrix, one
+    row per observation.
     """
     y = _check_data(y, penalty)  # n x p and finite, as fit requires
     phi = model.basis.phi

@@ -12,7 +12,8 @@ null-space form from the d + 1 Householder reflectors of the affine design
 Q, and keeps no p x p array but omega.  Code
 downstream works with ``omega`` directly and only touches spline coefficients
 when a component is evaluated off the observation sites; :func:`evaluate`
-builds that q x p kernel matrix from squared distances, in place, in blocks.
+builds the kernel from squared distances in row blocks and multiplies each
+into its rows of the result, never holding a q x p matrix.
 """
 
 from __future__ import annotations
@@ -172,10 +173,14 @@ def kernel(r, d: int):
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-# bytes of a _kernel_matrix row block plus its scratch block: evaluate at
-# q = 3600, p = 400, K = 5 took 14.7-15.0 ms median from 512 KiB to 2 MiB, 16.1
-# at 256 KiB and 15.8 at 4 MiB; at q = 2001, p = 50, K = 2, 0.53-0.56 ms from
-# 256 KiB to 4 MiB (2-core Xeon with a 2 MiB L2 per core, one BLAS thread)
+# bytes of a kernel row block plus its scratch block, the one buffer evaluate
+# allocates beside its output (one buffer, so that freeing it leaves glibc's
+# heap untrimmed: two 512 KiB ones cost 224 page faults a call at q = 2001,
+# p = 50, K = 2).  With the product fused, evaluate at q = 3600, p = 400, K = 5
+# took 8.95 ms at 1 MiB, 9.27 at 512 KiB, 9.67 at 2 MiB and 12.0 at 4 MiB; at
+# p = 1600, 36.6 ms at 1 MiB, 39.0 at 512 KiB and 39.3 at 2 MiB; at q = 2001,
+# p = 50, K = 2, 0.37-0.38 ms from 512 KiB to 4 MiB (2-core Xeon with a 2 MiB
+# L2 per core, one BLAS thread)
 _BLOCK_BYTES = 1 << 20
 
 
@@ -203,18 +208,6 @@ def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarra
         np.subtract(a[:, k : k + 1], b[:, k], out=scratch)
         scratch *= scratch
         out += scratch
-    return out
-
-
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """g(||a_i - b_j||) built in row blocks; scratch is one block."""
-    out = np.empty((a.shape[0], b.shape[0]))
-    rows = max(1, _BLOCK_BYTES // (16 * b.shape[0]))
-    scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
-    for start in range(0, a.shape[0], rows):
-        block = out[start : start + rows]
-        part = scratch[: block.shape[0]]
-        _radial(_distances(a[start : start + rows], b, block, part), d, part)
     return out
 
 
@@ -257,7 +250,14 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
             pair=(i, j),
         )
     np.fill_diagonal(sq, 0.0)
-    g = _radial(sq, d, scratch)
+    # sq is exactly symmetric ((a - b)^2 == (b - a)^2 in IEEE), so g is built
+    # on the upper triangle's row blocks and mirrored below the diagonal
+    rows = max(1, _BLOCK_BYTES // (16 * p))
+    for start in range(0, p, rows):
+        stop = start + rows
+        _radial(sq[start:stop, start:], d, scratch[start:stop, start:])
+        sq[stop:, start:stop] = sq[start:stop, stop:].T
+    g = sq
     where = f"closest sites are {i} and {j} at distance {closest:.6g}"
     m = d + 1
     qr, tau = dgeqrf(np.hstack([np.ones((p, 1)), loc]))[:2]  # H's reflectors below r1
@@ -340,9 +340,11 @@ def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.nda
 
     phi(s) = sum_i a_i g(||s - s_i||) + b_0 + b_{1:}' s
 
-    The q x p kernel matrix, built in place in row blocks from squared
-    distances, multiplies ``a`` in one product: 8qp bytes plus about 1 MiB.
-    A value that overflows, far enough from the sites, raises ValueError.
+    The kernel is built from squared distances in row blocks of about 1 MiB,
+    each multiplied by ``a`` into its rows of the output while it is in
+    cache; no q x p matrix is held, so the memory is the 8qK-byte result and
+    one block with its scratch.  A value that overflows, far enough from the
+    sites, raises ValueError.
 
     Parameters
     ----------
@@ -361,9 +363,18 @@ def evaluate(coeffs: SplineCoefficients, domain: SpatialDomain, query) -> np.nda
         raise ValueError(f"query must be q x {domain.d}, got shape {np.shape(query)}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
+    loc, a = domain.locations, coeffs.a
+    out = np.empty(q.shape[:1] + a.shape[1:])
+    rows = max(1, _BLOCK_BYTES // (16 * domain.p))
+    block, scratch = np.empty((2, min(rows, q.shape[0]), domain.p))
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _kernel_matrix(q, domain.locations, domain.d)
-        out = g @ coeffs.a + coeffs.b[0] + q @ coeffs.b[1:]
+        for start in range(0, q.shape[0], rows):
+            part = q[start : start + rows]
+            g, tmp = block[: part.shape[0]], scratch[: part.shape[0]]
+            _radial(_distances(part, loc, g, tmp), domain.d, tmp)
+            np.matmul(g, a, out=out[start : start + rows])
+        out += coeffs.b[0]
+        out += q @ coeffs.b[1:]
     if not np.all(np.isfinite(out)):
         raise ValueError("the spline overflows: query points lie too far from the sites")
     return out

@@ -11,9 +11,12 @@ QR factors.  Slow and simple on purpose.
 
 evaluate_reference is tps.evaluate with its kernel matrix built whole, by
 array expressions from squared distances (radial_reference, in the order of
-tps._radial), so that the blocked, in-place build can be required to give
-the same bits; the kernel's accuracy is tested against the r-based formulas
-in extended precision instead.
+tps._radial), and multiplied in one product.  The kernel blocks that
+tps.evaluate builds in place are required to give its kernel's bits, and
+the blocked products its values: bit for bit at p = 60, within a stated
+tolerance at the holdout design's scale, since BLAS promises no bits across
+row splits.  The kernel's accuracy is tested against the r-based formulas in
+extended precision instead.
 
 The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a

@@ -103,7 +103,7 @@ class TestIngest:
             ("1.5,2.5\n3.5,\n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 2, column 2"),
             ("1.5,2.5\n3.5,NA\n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 2, column 2"),
             ("1.5,2.5\n3.5, nan \n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 2, column 2"),
-            ("1.5,2.5\n3.5,-nan\n", [[1.5, 2.5], [3.5, "nan"]], [[1.5, 2.5], [3.5, "nan"]]),
+            ("1.5,2.5\n3.5,-nan\n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 2, column 2"),
             ('1.5,2.5\n3.5,"4.5"\n', [[1.5, 2.5], [3.5, 4.5]], [[1.5, 2.5], [3.5, 4.5]]),
             ("1.5,2.5\n3.5, -4.5e1 \n", [[1.5, 2.5], [3.5, -45.0]], [[1.5, 2.5], [3.5, -45.0]]),
             ("1.5,2.5\n3.5,inf\n", [[1.5, 2.5], [3.5, "inf"]], [[1.5, 2.5], [3.5, "inf"]]),
@@ -114,6 +114,7 @@ class TestIngest:
              "missing value at row 2, column 1"),
             ("1.5,2.5\n\n3.5,NA\n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 3, column 2"),
             ("1.5,2.5\n3.5\n", "row 2 has 1 fields, expected 2", "row 2 has 1 fields, expected 2"),
+            ("1.5,2.5\n3.5,+NaN\n", [[1.5, 2.5], [3.5, "nan"]], "missing value at row 2, column 2"),
         ],
     )
     def test_cells_read_as_data_and_as_locations(self, tmp_path, text, data, locations):

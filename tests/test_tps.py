@@ -363,23 +363,31 @@ class TestInterpolation:
             evaluate(coeffs, penalty_2d.domain, np.array([[0.0, np.nan]]))
 
     def test_evaluate_rejects_an_overflowing_query(self, penalty_1d, penalty_2d):
-        # finite points far enough from the sites overflow the kernel
+        # finite points far enough from the sites overflow the kernel, whether
+        # in the first row block or the last of two, for one spline or three
         rng = np.random.default_rng(44)
         for pen, far in ((penalty_1d, [[1e308]]), (penalty_2d, [[0.0, 1e200]])):
-            coeffs = solve_coefficients(pen, rng.standard_normal(pen.domain.p))
-            with pytest.raises(ValueError, match="overflows"):
-                evaluate(coeffs, pen.domain, np.array([[0.5] * pen.domain.d, *far]))
+            dom = pen.domain
+            near = np.full((tps._BLOCK_BYTES // (16 * dom.p) + 1, dom.d), 0.5)
+            for shape in ((dom.p,), (dom.p, 3)):
+                coeffs = solve_coefficients(pen, rng.standard_normal(shape))
+                for query in (np.array([[0.5] * dom.d, *far]), np.vstack([near, far])):
+                    with pytest.raises(ValueError, match="overflows"):
+                        evaluate(coeffs, dom, query)
 
 
 class TestBlockedKernel:
-    # evaluate and build_penalty fill their kernel matrices in place, from
-    # squared distances, in row blocks for evaluate; both must give the
-    # whole-matrix formula's bits
+    # evaluate builds the kernel in row blocks and multiplies each into its
+    # rows of the result; build_penalty builds its kernel matrix on the upper
+    # triangle's row blocks and mirrors it.  Both build g from squared
+    # distances in place, and must give the whole-matrix formula's bits
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_evaluate_is_bit_identical_to_whole_matrix(self, d):
         rng = np.random.default_rng(10 + d)
         dom = SpatialDomain(rng.uniform(-3.0, 3.0, size=(60, d)))
         coeffs = SplineCoefficients(a=rng.standard_normal((60, 4)), b=rng.standard_normal((d + 1, 4)))
+        # identity radial weights and a zero affine part return the kernel itself
+        unit = SplineCoefficients(a=np.eye(dom.p), b=np.zeros((d + 1, dom.p)))
         height = tps._BLOCK_BYTES // (16 * dom.p)
         loc = dom.locations
         for q in (1, height + 7, 3 * height + 11):
@@ -388,10 +396,33 @@ class TestBlockedKernel:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 got = evaluate(coeffs, dom, query)
-                g = tps._kernel_matrix(query, loc, d)
+                g = evaluate(unit, dom, query)
             assert np.array_equal(got, evaluate_reference(coeffs, dom, query))
+            assert np.array_equal(g, kernel_matrix_reference(query, loc, d))
             sites = np.arange(min(q, dom.p))
             assert np.all(g[sites, sites] == 0.0)
+
+    @pytest.mark.parametrize("k", [5, None])
+    def test_evaluate_matches_whole_matrix_at_holdout_scale(self, k):
+        # q = 3600 queries, p = 400 sites in 22 row blocks: BLAS promises no
+        # bits across row splits, so the blocked products are held to 1e-14 of
+        # the sum of the terms' magnitudes, 20 times the 5e-16 measured
+        dom = SpatialDomain(_unit_grid(20) * 10.0 - 5.0)
+        query = _unit_grid(60) * 10.0 - 5.0
+        rng = np.random.default_rng(31)
+        shape = (400,) if k is None else (400, k)
+        coeffs = SplineCoefficients(a=rng.standard_normal(shape), b=rng.standard_normal((3,) + shape[1:]))
+        got = evaluate(coeffs, dom, query)
+        assert got.shape == query.shape[:1] + shape[1:]
+        kern = kernel_matrix_reference(query, dom.locations, 2)
+        terms = np.abs(kern) @ np.abs(coeffs.a) + np.abs(coeffs.b[0]) + np.abs(query) @ np.abs(coeffs.b[1:])
+        assert np.all(np.abs(got - evaluate_reference(coeffs, dom, query)) <= 1e-14 * terms)
+
+    def test_evaluate_of_no_points_is_empty(self, penalty_2d):
+        dom = penalty_2d.domain
+        v = np.random.default_rng(32).standard_normal((dom.p, 3))
+        assert evaluate(solve_coefficients(penalty_2d, v), dom, np.empty((0, 2))).shape == (0, 3)
+        assert evaluate(solve_coefficients(penalty_2d, v[:, 0]), dom, np.empty((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_penalty_kernel_is_bit_identical_to_whole_matrix(self, d):
@@ -402,9 +433,9 @@ class TestBlockedKernel:
         r = np.linalg.norm(loc[:7, None, :] - loc[None, :, :], axis=-1)
         assert np.array_equal(kernel(r, d), kernel_reference(r, d))
 
-    def test_evaluate_peak_memory_is_the_kernel_matrix_and_a_block(self):
-        # q = 3600 queries, p = 400 sites, K = 5: the whole-matrix formula held
-        # about 55 MB of temporaries beside its 11.5 MB kernel matrix
+    def test_evaluate_peak_memory_is_the_result_and_a_block(self):
+        # q = 3600 queries, p = 400 sites, K = 5: no q x p matrix (11.5 MB) is
+        # held, only the 144 kB result and one 1 MiB block with its scratch
         axis = np.linspace(-5.0, 5.0, 20)
         dom = SpatialDomain(np.column_stack([c.ravel() for c in np.meshgrid(axis, axis)]))
         fine = np.linspace(-5.0, 5.0, 60)
@@ -417,7 +448,7 @@ class TestBlockedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * query.shape[0] * dom.p
+        assert peak < 2 * 2**20
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
