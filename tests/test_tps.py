@@ -314,6 +314,10 @@ class TestInterpolation:
         coeffs = solve_coefficients(penalty_1d, np.ones(domain_1d.p))
         flat = evaluate(coeffs, domain_1d, np.array([0.0, 1.0, 2.5]))
         assert flat.shape == (3,)
+        # no query points give no rows, for one spline or K of them
+        batched = solve_coefficients(penalty_1d, np.ones((domain_1d.p, 3)))
+        assert evaluate(coeffs, domain_1d, np.empty((0, 1))).shape == (0,)
+        assert evaluate(batched, domain_1d, np.empty((0, 1))).shape == (0, 3)
 
     def test_solve_rejects_bad_values(self, penalty_1d):
         with pytest.raises(ValueError):
@@ -380,7 +384,8 @@ class TestBlockedKernel:
     # evaluate builds the kernel in row blocks and multiplies each into its
     # rows of the result; build_penalty builds its kernel matrix on the upper
     # triangle's row blocks and mirrors it.  Both build g from squared
-    # distances in place, and must give the whole-matrix formula's bits
+    # distances in place, and must give the whole-matrix formula's bits for
+    # g; evaluate's values must match the whole product's
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_evaluate_is_bit_identical_to_whole_matrix(self, d):
         rng = np.random.default_rng(10 + d)
@@ -404,7 +409,7 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("k", [5, None])
     def test_evaluate_matches_whole_matrix_at_holdout_scale(self, k):
-        # q = 3600 queries, p = 400 sites in 22 row blocks: BLAS promises no
+        # q = 3600 queries, p = 400 sites in 23 row blocks: BLAS promises no
         # bits across row splits, so the blocked products are held to 1e-14 of
         # the sum of the terms' magnitudes, 20 times the 5e-16 measured
         dom = SpatialDomain(_unit_grid(20) * 10.0 - 5.0)
@@ -417,12 +422,6 @@ class TestBlockedKernel:
         kern = kernel_matrix_reference(query, dom.locations, 2)
         terms = np.abs(kern) @ np.abs(coeffs.a) + np.abs(coeffs.b[0]) + np.abs(query) @ np.abs(coeffs.b[1:])
         assert np.all(np.abs(got - evaluate_reference(coeffs, dom, query)) <= 1e-14 * terms)
-
-    def test_evaluate_of_no_points_is_empty(self, penalty_2d):
-        dom = penalty_2d.domain
-        v = np.random.default_rng(32).standard_normal((dom.p, 3))
-        assert evaluate(solve_coefficients(penalty_2d, v), dom, np.empty((0, 2))).shape == (0, 3)
-        assert evaluate(solve_coefficients(penalty_2d, v[:, 0]), dom, np.empty((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_penalty_kernel_is_bit_identical_to_whole_matrix(self, d):
