@@ -9,6 +9,9 @@ solves, in closed form,
 where ||.||_* is the nuclear norm.  The solution shares eigenvectors with
 Phi' S Phi; its eigenvalues are soft-thresholded by sigma2 + gamma, and it
 needs only Phi' S Phi and tr(S) (estimate_from_moments, the rule's one home).
+SampleCovariance holds the data rows Y and gives those two as Z'Z/n and
+||Y||_F^2/n with Z = Y Phi, so no p x p matrix is formed; estimate_parameters
+is the covariance step of select_and_fit and of callers alike.
 (Lambda, sigma2) yields a PSD covariance surface and best linear predictions.
 """
 
@@ -36,41 +39,24 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SampleCovariance:
-    """S = Y'Y / n for centered data; symmetric PSD up to roundoff."""
+    """S = Y'Y / n for centered data, held as the n x p rows y, never as S."""
 
-    s: np.ndarray
-    n: int
+    y: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError("sample covariance must be square")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        tol = 1e-10 * max(1.0, float(np.abs(s).max()))
-        if np.abs(s - s.T).max() > tol:
-            raise ValueError("sample covariance must be symmetric")
-        s = 0.5 * (s + s.T)
-        try:
-            # s + tol I is positive definite iff every eigenvalue of s exceeds -tol
-            np.linalg.cholesky(s + tol * np.eye(s.shape[0]))
-        except np.linalg.LinAlgError:
-            raise ValueError("sample covariance must be positive semidefinite") from None
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "s", s)
+        y = np.array(self.y, dtype=float, order="C")
+        if y.ndim != 2 or y.shape[0] < 1:
+            raise ValueError("data must be an n x p matrix with at least one row")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("data must be finite")
+        y.setflags(write=False)
+        object.__setattr__(self, "y", y)
 
-    @classmethod
-    def from_data(cls, y) -> "SampleCovariance":
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 2:
-            raise ValueError("data must be an n x p matrix")
-        n = y.shape[0]
-        return cls(s=y.T @ y / n, n=n)
-
-    @property
-    def p(self) -> int:
-        return self.s.shape[0]
+    def moments(self, phi: np.ndarray) -> tuple[np.ndarray, float]:
+        """(Phi' S Phi, tr(S)) as (Z'Z/n, ||Y||_F^2/n) with Z = Y Phi."""
+        y, n = self.y, self.y.shape[0]
+        z = y @ phi
+        return z.T @ (z / n), float(np.sum(y * y)) / n
 
 
 @dataclass(frozen=True)
@@ -159,13 +145,13 @@ def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) ->
     * lambda*_k = max(d_k - sigma2 - gamma, 0), reassembled around the
       eigenvectors of Phi' S Phi.
 
-    The rule lives in estimate_from_moments, which needs only Phi' S Phi and
-    tr(S).  Requires K < p so the noise variance is identifiable.
+    The rule lives in estimate_from_moments, which takes Phi' S Phi and
+    tr(S) from s.moments.  Requires K < p so the noise variance is
+    identifiable.
     """
-    if s.p != basis.phi.shape[0]:
-        raise ValueError(f"sample covariance is {s.p} x {s.p}, basis has p = {basis.phi.shape[0]}")
-    m = basis.phi.T @ s.s @ basis.phi
-    return estimate_from_moments(m, float(np.trace(s.s)), basis, [gamma])[0]
+    if s.y.shape[1] != basis.phi.shape[0]:
+        raise ValueError(f"data have p = {s.y.shape[1]}, basis has p = {basis.phi.shape[0]}")
+    return estimate_from_moments(*s.moments(basis.phi), basis, [gamma])[0]
 
 
 def _basis_at(splines: SplineCoefficients, penalty: PenaltyOperator, point) -> np.ndarray:

@@ -250,14 +250,7 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
             pair=(i, j),
         )
     np.fill_diagonal(sq, 0.0)
-    # sq is exactly symmetric ((a - b)^2 == (b - a)^2 in IEEE), so g is built
-    # on the upper triangle's row blocks and mirrored below the diagonal
-    rows = max(1, _BLOCK_BYTES // (16 * p))
-    for start in range(0, p, rows):
-        stop = start + rows
-        _radial(sq[start:stop, start:], d, scratch[start:stop, start:])
-        sq[stop:, start:stop] = sq[start:stop, stop:].T
-    g = sq
+    g = _radial(sq, d, scratch)
     where = f"closest sites are {i} and {j} at distance {closest:.6g}"
     m = d + 1
     qr, tau = dgeqrf(np.hstack([np.ones((p, 1)), loc]))[:2]  # H's reflectors below r1

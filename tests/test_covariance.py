@@ -17,7 +17,14 @@ from spatpca import (
 )
 from spatpca.solver import EigenBasis
 
-from checks import shrinkage_objective, minimize_shrinkage_objective, random_orthonormal, random_psd, smooth_rank1_data
+from checks import (
+    covariance_reference,
+    minimize_shrinkage_objective,
+    random_orthonormal,
+    random_psd,
+    shrinkage_objective,
+    smooth_rank1_data,
+)
 
 
 def _plain_basis(phi):
@@ -36,71 +43,94 @@ class TestSampleCovariance:
     def test_from_data(self):
         rng = np.random.default_rng(0)
         y = rng.standard_normal((15, 4))
-        sc = SampleCovariance.from_data(y)
-        assert sc.n == 15 and sc.p == 4
-        assert np.allclose(sc.s, y.T @ y / 15)
+        sc = SampleCovariance(np.asfortranarray(y))
+        assert sc.y.shape == (15, 4) and sc.y.flags.c_contiguous
+        assert np.array_equal(sc.y, y) and not np.shares_memory(sc.y, y)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            SampleCovariance(np.ones((2, 3)), n=5)
-        with pytest.raises(ValueError):
-            SampleCovariance(np.array([[1.0, 2.0], [0.0, 1.0]]), n=5)
-        with pytest.raises(ValueError):
-            SampleCovariance(np.array([[1.0, 2.0], [2.0, 1.0]]), n=5)  # eig -1
-        with pytest.raises(ValueError):
-            SampleCovariance(np.eye(2), n=0)
-
-    def test_psd_check_boundary(self):
-        # the check tolerates eigenvalues down to -tol and no further
-        rng = np.random.default_rng(5)
-        u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-
-        def rotated(smallest):
-            s = (u * np.array([4.0, 3.0, 2.0, 1.0, 0.5, smallest])) @ u.T
-            return 0.5 * (s + s.T)
-
-        tol = 1e-10 * max(1.0, float(np.abs(rotated(0.0)).max()))
-        SampleCovariance(rotated(-0.5 * tol), n=10)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            SampleCovariance(rotated(-2.0 * tol), n=10)
+        with pytest.raises(ValueError, match="n x p"):
+            SampleCovariance(np.ones(3))
+        with pytest.raises(ValueError, match="n x p"):
+            SampleCovariance(np.ones((0, 3)))
+        for bad in (np.nan, np.inf):
+            y = np.ones((4, 3))
+            y[2, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                SampleCovariance(y)
 
     def test_matrix_is_read_only(self):
-        sc = SampleCovariance(np.eye(3), n=4)
+        sc = SampleCovariance(np.eye(3))
         with pytest.raises(ValueError):
-            sc.s[0, 0] = 2.0
+            sc.y[0, 0] = 2.0
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_moments_match_reference(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((n, 8))
+        phi = random_orthonormal(rng, 8, 2)
+        s = y.T @ y / n
+        m, tr = SampleCovariance(y).moments(phi)
+        np.testing.assert_allclose(m, phi.T @ s @ phi, rtol=1e-12)
+        np.testing.assert_allclose(tr, np.trace(s), rtol=1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_above_p=st.booleans(),
+        gamma=st.floats(0.0, 5.0, allow_nan=False),
+    )
+    def test_row_form_matches_reference(self, seed, n_above_p, gamma):
+        rng = np.random.default_rng(seed)
+        # k < n, so that Phi' S Phi has k distinct eigenvalues and vhat is unique
+        p = int(rng.integers(3, 12))
+        k = int(rng.integers(1, p - 1))
+        n = int(rng.integers(p + 1, 3 * p)) if n_above_p else int(rng.integers(k + 1, p))
+        y = rng.standard_normal((n, 1)) * rng.standard_normal(p) + rng.standard_normal((n, p))
+        basis = _plain_basis(random_orthonormal(rng, p, k))
+        got = estimate_parameters(SampleCovariance(y), basis, gamma)
+        ref = covariance_reference(y.T @ y / n, basis, gamma)
+        np.testing.assert_allclose(got.sigma2, ref.sigma2, rtol=1e-12)
+        # lambda* = d - sigma2 - gamma cancels, so it and Lambda are held to
+        # 1e-12 of the eigenvalue scale d_1 (lambda*_1 + sigma2 + gamma when
+        # kept), vhat's unit columns to 1e-12; measured 2e-15 and 7e-14
+        scale = ref.lambda_star[0] + ref.sigma2 + gamma
+        for name, tol in (("lambda_star", scale), ("lam", scale), ("vhat", 1.0)):
+            assert np.abs(getattr(got, name) - getattr(ref, name)).max() <= 1e-12 * tol
+        assert got.l_hat == ref.l_hat
 
 
 class TestEstimateParameters:
     """Hand-checked closed forms for S = diag(4, 1) and phi = e1."""
 
-    S = SampleCovariance(np.diag([4.0, 1.0]), n=10)
+    S = np.diag([4.0, 1.0])
     basis = _plain_basis([[1.0], [0.0]])
 
     def test_no_shrinkage(self):
-        m = estimate_parameters(self.S, self.basis, gamma=0.0)
+        m = covariance_reference(self.S, self.basis, gamma=0.0)
         assert m.sigma2 == pytest.approx(1.0)
         assert m.lambda_star[0] == pytest.approx(3.0)
         assert m.l_hat == 1
 
     def test_partial_shrinkage(self):
-        m = estimate_parameters(self.S, self.basis, gamma=0.5)
+        m = covariance_reference(self.S, self.basis, gamma=0.5)
         assert m.sigma2 == pytest.approx(1.5)
         assert m.lambda_star[0] == pytest.approx(2.0)
 
     def test_full_shrinkage_falls_back_to_mean_variance(self):
-        m = estimate_parameters(self.S, self.basis, gamma=4.0)
+        m = covariance_reference(self.S, self.basis, gamma=4.0)
         assert m.sigma2 == pytest.approx(2.5)  # tr(S) / p
         assert m.lambda_star[0] == 0.0
         assert m.l_hat == 0
         assert np.all(m.lam == 0.0)
 
     def test_errors(self):
+        rows = SampleCovariance(np.diag([2.0, 1.0]))
         with pytest.raises(ValueError):
-            estimate_parameters(self.S, self.basis, gamma=-0.1)
+            estimate_parameters(rows, self.basis, gamma=-0.1)
         with pytest.raises(ValueError):
-            estimate_parameters(self.S, _plain_basis(np.eye(2)), gamma=0.0)
+            estimate_parameters(rows, _plain_basis(np.eye(2)), gamma=0.0)
         with pytest.raises(ValueError):
-            estimate_parameters(SampleCovariance(np.eye(3), n=5), self.basis, 0.0)
+            estimate_parameters(SampleCovariance(np.ones((5, 3))), self.basis, 0.0)
 
     def test_matches_independent_minimizer(self):
         rng = np.random.default_rng(1)
@@ -110,7 +140,7 @@ class TestEstimateParameters:
             s = random_psd(rng, p)
             phi = random_orthonormal(rng, p, k)
             gamma = float(rng.uniform(0.0, 1.5))
-            model = estimate_parameters(SampleCovariance(s, n=20), _plain_basis(phi), gamma)
+            model = covariance_reference(s, _plain_basis(phi), gamma)
             closed = shrinkage_objective(s, phi, model.lam, model.sigma2, gamma)
             _, _, oracle = minimize_shrinkage_objective(s, phi, gamma)
             assert closed <= oracle + 1e-5
@@ -123,16 +153,14 @@ class TestEstimateParameters:
         k = int(rng.integers(1, p))
         s = random_psd(rng, p)
         phi = random_orthonormal(rng, p, k)
-        model = estimate_parameters(SampleCovariance(s, n=25), _plain_basis(phi), gamma)
+        model = covariance_reference(s, _plain_basis(phi), gamma)
         assert model.sigma2 >= 0.0
         assert np.all(np.diff(model.lambda_star) <= 1e-12)
         assert np.all(model.lambda_star >= 0.0)
         assert np.linalg.eigvalsh(model.lam)[0] >= -1e-10
         assert 0 <= model.l_hat <= k
         # shrinking harder never keeps more components
-        harder = estimate_parameters(
-            SampleCovariance(s, n=25), _plain_basis(phi), gamma + 1.0
-        )
+        harder = covariance_reference(s, _plain_basis(phi), gamma + 1.0)
         assert harder.l_hat <= model.l_hat
 
 
@@ -141,7 +169,7 @@ def fitted(domain_1d_module, penalty_1d_module):
     rng = np.random.default_rng(3)
     y, _ = smooth_rank1_data(rng, domain_1d_module.locations[:, 0], 80)
     basis = fit(y, penalty_1d_module, SolverConfig(tau1=1.0, k=2))
-    sc = SampleCovariance.from_data(y)
+    sc = SampleCovariance(y)
     model = estimate_parameters(sc, basis, gamma=0.2)
     return y, basis, sc, model
 

@@ -12,7 +12,6 @@ from spatpca import (
     cv_gamma,
     cv_tau,
     default_log_grid,
-    estimate_parameters,
     fit,
     partition_folds,
     restrict_grid,
@@ -27,7 +26,7 @@ import spatpca.tuning
 from spatpca.covariance import estimate_from_moments
 from spatpca.tuning import _first_minimum, gamma_grid
 
-from checks import cv_tau_reference, smooth_rank1_data
+from checks import covariance_reference, cv_tau_reference, smooth_rank1_data
 
 
 class TestGrids:
@@ -402,8 +401,8 @@ class TestCvGamma:
         rep = cv_gamma(y, basis, grid, folds)
         assert rep.kind == "gamma"
 
-        s_full = SampleCovariance.from_data(y)
-        dhat1 = float(np.linalg.eigvalsh(basis.phi.T @ s_full.s @ basis.phi)[-1])
+        s_full = y.T @ y / y.shape[0]
+        dhat1 = float(np.linalg.eigvalsh(basis.phi.T @ s_full @ basis.phi)[-1])
         # cv_gamma takes dhat1 from a different product, so it may differ in the last ulp
         np.testing.assert_allclose(rep.gamma_values, gamma_grid(dhat1, 4), rtol=1e-14)
         gammas = rep.gamma_values
@@ -412,10 +411,10 @@ class TestCvGamma:
         p = y.shape[1]
         for m in range(1, 4):
             mask = folds.assignment == m
-            s_tr = SampleCovariance.from_data(y[~mask])
-            s_va = SampleCovariance.from_data(y[mask]).s
+            y_tr, y_va = y[~mask], y[mask]
+            s_tr, s_va = y_tr.T @ y_tr / y_tr.shape[0], y_va.T @ y_va / y_va.shape[0]
             for gi, g in enumerate(gammas):
-                model = estimate_parameters(s_tr, basis, float(g))
+                model = covariance_reference(s_tr, basis, float(g))
                 resid = s_va - basis.phi @ model.lam @ basis.phi.T - model.sigma2 * np.eye(p)
                 expected[gi] += np.sum(resid * resid)
         expected /= 3.0
@@ -473,18 +472,20 @@ class TestSelectAndFit:
         assert tuned.model.sigma2 == model.sigma2
         assert np.array_equal(tuned.model.lam, model.lam)
 
-    def test_builds_no_sample_covariance(self, cv_setup, monkeypatch):
+    def test_builds_one_sample_covariance_of_the_rows(self, cv_setup, monkeypatch):
         built = []
         post_init = SampleCovariance.__post_init__
 
         def spy(self):
-            built.append(self.s.shape)
             post_init(self)
+            built.append(self.y)
 
         monkeypatch.setattr(SampleCovariance, "__post_init__", spy)
         y, pen = cv_setup
         select_and_fit(y, pen, 2, self.GRID, partition_folds(y.shape[0], 3, seed=6))
-        assert built == []
+        # the covariance step reads the (n, p) rows; CV builds none
+        assert len(built) == 1 and built[0].shape == y.shape
+        assert np.array_equal(built[0], y)
 
     @pytest.mark.parametrize("design", ["n_above_p", "n_below_p"])
     def test_model_matches_estimate_parameters(self, design, cv_setup, penalty_2d):
@@ -503,7 +504,7 @@ class TestSelectAndFit:
         # gamma by CV, inside the spectrum, and above its leading eigenvalue d_1
         for gamma in (None, 0.5, 1e3):
             tuned = select_and_fit(y, pen, 2, self.GRID, folds, gamma=gamma)
-            ref = estimate_parameters(SampleCovariance.from_data(y), tuned.basis, tuned.model.gamma)
+            ref = covariance_reference(y.T @ y / n, tuned.basis, tuned.model.gamma)
             got = tuned.model
             np.testing.assert_allclose(got.sigma2, ref.sigma2, rtol=1e-12)
             for name in ("lambda_star", "vhat", "lam"):
