@@ -356,6 +356,8 @@ def _parse_grid_spec(text: str, d: int) -> np.ndarray:
             lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError:
             raise ValueError(f"{where}: lo and hi must be numbers, count an integer") from None
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"{where}: lo, hi and hi - lo must be finite")
         if count < 2 or not lo < hi:
             raise ValueError(f"{where}: need lo < hi and count >= 2")
         axes.append(np.linspace(lo, hi, count))
@@ -389,6 +391,8 @@ def cmd_eval(args) -> int:
             ref = np.array([float(v) for v in args.ref.split(",")])
         except ValueError:
             raise ValueError(f"--ref {args.ref!r}: coordinates must be numbers") from None
+        if not np.all(np.isfinite(ref)):
+            raise ValueError(f"--ref {args.ref!r}: coordinates must be finite")
         if ref.shape != (d,):
             raise ValueError(f"--ref needs {d} comma-separated coordinates")
         psi_ref = evaluate(bundle.splines, bundle.domain, ref[None, :])[0]

@@ -155,7 +155,8 @@ def kernel(r, d: int):
     with g(0) = 0 by continuity.  The d = 3 coefficient is negative because
     Gamma(-1/2) < 0; that is the correct bending-energy generator, not a sign
     slip.  For d = 1 the formula reduces to r^3 / 12.  g is computed from r^2
-    (``_radial``, as in build_penalty and evaluate), so r^2 must not overflow.
+    (``_radial``, as in build_penalty and evaluate); a distance whose r^2 or
+    g(r) overflows raises ValueError.
 
     Parameters
     ----------
@@ -167,20 +168,24 @@ def kernel(r, d: int):
     if d not in (1, 2, 3):
         raise ValueError(f"kernel defined for d in {{1, 2, 3}}, got {d}")
     arr = np.array(r, dtype=float, ndmin=1)
-    if np.any(arr < 0):
-        raise ValueError("distances must be nonnegative")
-    out = _radial(arr * arr, d, np.empty_like(arr))
+    if not np.all(arr >= 0):
+        raise ValueError("distances must be nonnegative numbers")
+    with np.errstate(over="ignore"):
+        out = _radial(arr * arr, d, np.empty_like(arr))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("g(r) overflows: the distances are too large")
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
 # bytes of a kernel row block plus its scratch block, the one buffer evaluate
 # allocates beside its output (one buffer, so that freeing it leaves glibc's
 # heap untrimmed: two 512 KiB ones cost 224 page faults a call at q = 2001,
-# p = 50, K = 2).  With the product fused, evaluate at q = 3600, p = 400, K = 5
-# took 8.95 ms at 1 MiB, 9.27 at 512 KiB, 9.67 at 2 MiB and 12.0 at 4 MiB; at
-# p = 1600, 36.6 ms at 1 MiB, 39.0 at 512 KiB and 39.3 at 2 MiB; at q = 2001,
-# p = 50, K = 2, 0.37-0.38 ms from 512 KiB to 4 MiB (2-core Xeon with a 2 MiB
-# L2 per core, one BLAS thread)
+# p = 50, K = 2).  With the differences taken by BLAS products, evaluate at
+# q = 3600, p = 400, K = 5 took 6.0 ms at 1 MiB, 6.3 at 512 KiB and 6.8 at
+# 2 MiB; at p = 1600, 24.0 ms at 1 MiB, 26.2 at 512 KiB and 25.4 at 2 MiB; at
+# q = 2001, p = 50, K = 2, 0.28-0.30 ms at all three.  Medians of ten
+# alternating process pairs: 1 MiB won 8 to 10 of each ten, but 5 against
+# 2 MiB at q = 2001 (2-core Xeon with a 2 MiB L2 per core, one BLAS thread)
 _BLOCK_BYTES = 1 << 20
 
 
@@ -201,13 +206,22 @@ def _radial(s: np.ndarray, d: int, scratch: np.ndarray) -> np.ndarray:
 
 def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Fill out with ||a_i - b_j||^2, clobbering scratch; the squares are summed
-    in axis order, as np.sum over a difference tensor sums them, for its bits."""
-    np.subtract(a[:, :1], b[:, 0], out=out)
-    out *= out
-    for k in range(1, a.shape[1]):
-        np.subtract(a[:, k : k + 1], b[:, k], out=scratch)
-        scratch *= scratch
-        out += scratch
+    in axis order, as np.sum over a difference tensor sums them, for its bits.
+
+    Each axis's differences are one BLAS product [a_k, 1] @ [1; -b_k], written
+    at copy speed where numpy's broadcast subtraction is several times slower.
+    Each entry a_ik * 1 + 1 * (-b_jk) sums two exact products, rounded once, so
+    it is a_ik - b_jk to the bit; only a zero's sign can differ, and the square
+    drops it."""
+    left = np.ones((a.shape[0], 2))
+    right = np.ones((2, b.shape[0]))
+    for k in range(a.shape[1]):
+        left[:, 0] = a[:, k]
+        np.negative(b[:, k], out=right[1])
+        diff = np.matmul(left, right, out=scratch if k else out)
+        diff *= diff
+        if k:
+            out += scratch
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 import spatpca.solver
 import spatpca.tuning
 from spatpca import SolverConfig, build_penalty, covariance_at, fit
-from spatpca.cli import SCHEMA_VERSION, _read_matrix, ingest, load_model, main, model_to_dict
+from spatpca.cli import (
+    SCHEMA_VERSION,
+    _parse_grid_spec,
+    _read_matrix,
+    ingest,
+    load_model,
+    main,
+    model_to_dict,
+)
 from spatpca.solver import LowRankTerm
 from spatpca.tps import evaluate
 
@@ -363,6 +372,28 @@ class TestEvalCommand:
                    "--ref", "0,x", "--out", str(tmp_path / "e.csv")])
         assert rc == 1
         assert "--ref '0,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["-inf:5:4", "0:inf:4", "nan:5:4", "-1e308:1e308:3"])
+    def test_non_finite_grid_axis_is_named(self, fitted_model, tmp_path, capsys, spec):
+        # a bound that is not finite, or a span that overflows, is refused
+        # before np.linspace warns; on a 2-d grid the second axis is named
+        out = tmp_path / "e.csv"
+        rc = main(["eval", "--model", str(fitted_model), f"--grid={spec}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--grid axis 1 spec '{spec}': lo, hi and hi - lo must be finite" in err
+        assert not out.exists()
+        with pytest.raises(ValueError, match=re.escape(f"--grid axis 2 spec '{spec}'")):
+            _parse_grid_spec(f"0:1:3,{spec}", 2)
+
+    @pytest.mark.parametrize("ref", ["nan", "inf", "-inf"])
+    def test_non_finite_ref_is_named(self, fitted_model, tmp_path, capsys, ref):
+        out = tmp_path / "e.csv"
+        rc = main(["eval", "--model", str(fitted_model), "--grid=-1:1:3",
+                   f"--ref={ref}", "--out", str(out)])
+        assert rc == 1
+        assert f"--ref '{ref}': coordinates must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_grid_fails(self, fitted_model, tmp_path, capsys):
         # finite grid points far from the sites overflow the kernel: no NaN cells

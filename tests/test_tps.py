@@ -64,6 +64,20 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(1.0, 4)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overflow_and_bad_distances_raise(self, d):
+        # r^2 overflows at r = 1e200, and in 1-d g = r^3 / 12 already at 1e120;
+        # either raises ValueError, with no RuntimeWarning on the way
+        far = (1e200, np.array([1.0, 1e200])) + ((1e120,) if d == 1 else ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for r in far:
+                with pytest.raises(ValueError, match="overflows"):
+                    kernel(r, d)
+            for r in (-1.0, np.nan, np.array([1.0, np.nan])):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    kernel(r, d)
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is float64"
     )
@@ -434,6 +448,46 @@ class TestBlockedKernel:
         assert np.array_equal(gq1, kernel_matrix_reference(loc, loc, d) @ q1)
         r = np.linalg.norm(loc[:7, None, :] - loc[None, :, :], axis=-1)
         assert np.array_equal(kernel(r, d), kernel_reference(r, d))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), d=st.sampled_from([1, 2, 3]), single=st.booleans())
+    def test_kernel_bits_hold_across_magnitudes(self, seed, d, single):
+        # each axis's differences are a BLAS product of [a_k, 1] and [1; -b_k],
+        # which must round to a_k - b_k exactly: coordinates from 1e-150 to
+        # 1e100 in magnitude, signed zeros and repeated sites, one query row
+        # (a --ref point) or a count that is no multiple of the block height
+        rng = np.random.default_rng(seed)
+
+        def coords(n):
+            x = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-150.0, 100.0, (n, d))
+            x[rng.random((n, d)) < 0.1] = 0.0
+            x[rng.random((n, d)) < 0.1] = -0.0
+            return x
+
+        p = int(rng.integers(d + 2, 40))
+        loc = coords(p)
+        loc[rng.integers(p, size=3)] = loc[rng.integers(p, size=3)]
+        dom = SpatialDomain(loc)
+        height = tps._BLOCK_BYTES // (16 * p)
+        q = 1 if single else int(rng.integers(1, 3) * height + rng.integers(1, height))
+        query = coords(q)
+        query[rng.integers(q, size=min(q, 5))] = loc[rng.integers(p, size=min(q, 5))]
+        unit = SplineCoefficients(a=np.eye(p), b=np.zeros((d + 1, p)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = evaluate(unit, dom, query)
+        assert np.array_equal(g, kernel_matrix_reference(query, loc, d))
+
+        # a domain build_penalty accepts: sites spread at one scale from 1e-90
+        # to 1e90 (in 1-d, r^3 underflows further down) about an offset of up
+        # to 1e10 times the spread, or about none with one -0.0 on each axis
+        scale = 10.0 ** rng.uniform(-90.0, 90.0)
+        offset = rng.choice([0.0, 1.0]) * rng.choice([-1.0, 1.0], d) * scale * 10.0 ** rng.uniform(0.0, 10.0, d)
+        loc = offset + scale * rng.uniform(-1.0, 1.0, (int(rng.integers(d + 2, 40)), d))
+        if not offset.any():
+            loc[rng.integers(len(loc), size=d), np.arange(d)] = -0.0
+        q1, _, gq1 = build_penalty(SpatialDomain(loc)).affine
+        assert np.array_equal(gq1, kernel_matrix_reference(loc, loc, d) @ q1)
 
     def test_evaluate_peak_memory_is_the_result_and_a_block(self):
         # q = 3600 queries, p = 400 sites, K = 5: no q x p matrix (11.5 MB) is
