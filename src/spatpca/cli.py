@@ -391,10 +391,8 @@ def cmd_eval(args) -> int:
             ref = np.array([float(v) for v in args.ref.split(",")])
         except ValueError:
             raise ValueError(f"--ref {args.ref!r}: coordinates must be numbers") from None
-        if not np.all(np.isfinite(ref)):
-            raise ValueError(f"--ref {args.ref!r}: coordinates must be finite")
-        if ref.shape != (d,):
-            raise ValueError(f"--ref needs {d} comma-separated coordinates")
+        if ref.shape != (d,) or not np.all(np.isfinite(ref)):
+            raise ValueError(f"--ref {args.ref!r}: needs {d} comma-separated finite coordinates")
         psi_ref = evaluate(bundle.splines, bundle.domain, ref[None, :])[0]
         header.append("cov_ref")
         blocks.append(_symmetric_cov(psi, bundle.covariance.lam, psi_ref))

@@ -9,11 +9,12 @@ where ``omega`` is the upper-left p x p block of the inverse of the bordered
 kernel system [[g, e], [e', 0]].  :func:`build_penalty` computes it in
 null-space form from the d + 1 Householder reflectors of the affine design
 ``e`` in about p^3 flops, never assembles the bordered matrix or a complete
-Q, and keeps no p x p array but omega.  Code
-downstream works with ``omega`` directly and only touches spline coefficients
-when a component is evaluated off the observation sites; :func:`evaluate`
-builds the kernel from squared distances in row blocks and multiplies each
-into its rows of the result, never holding a q x p matrix.
+Q, and keeps no p x p array but omega.  Code downstream works with ``omega``
+directly and only touches spline coefficients when a component is evaluated
+off the observation sites; :func:`evaluate` builds the kernel in row blocks
+and multiplies each into its rows of the result, never holding a q x p
+matrix.  Both kernel builds start from squared distances whose coordinate
+differences are exact BLAS products (``_distances``).
 """
 
 from __future__ import annotations
@@ -155,8 +156,7 @@ def kernel(r, d: int):
     with g(0) = 0 by continuity.  The d = 3 coefficient is negative because
     Gamma(-1/2) < 0; that is the correct bending-energy generator, not a sign
     slip.  For d = 1 the formula reduces to r^3 / 12.  g is computed from r^2
-    (``_radial``, as in build_penalty and evaluate); a distance whose r^2 or
-    g(r) overflows raises ValueError.
+    (``_radial``, as in build_penalty and evaluate); ValueError if it overflows.
 
     Parameters
     ----------
@@ -180,12 +180,11 @@ def kernel(r, d: int):
 # bytes of a kernel row block plus its scratch block, the one buffer evaluate
 # allocates beside its output (one buffer, so that freeing it leaves glibc's
 # heap untrimmed: two 512 KiB ones cost 224 page faults a call at q = 2001,
-# p = 50, K = 2).  With the differences taken by BLAS products, evaluate at
-# q = 3600, p = 400, K = 5 took 6.0 ms at 1 MiB, 6.3 at 512 KiB and 6.8 at
-# 2 MiB; at p = 1600, 24.0 ms at 1 MiB, 26.2 at 512 KiB and 25.4 at 2 MiB; at
-# q = 2001, p = 50, K = 2, 0.28-0.30 ms at all three.  Medians of ten
-# alternating process pairs: 1 MiB won 8 to 10 of each ten, but 5 against
-# 2 MiB at q = 2001 (2-core Xeon with a 2 MiB L2 per core, one BLAS thread)
+# p = 50, K = 2).  evaluate at q = 3600, p = 400, K = 5 took 6.0 ms at 1 MiB,
+# 6.3 at 512 KiB and 6.8 at 2 MiB; at p = 1600, 24.0, 26.2 and 25.4 ms; at
+# q = 2001, p = 50, K = 2, 0.28-0.30 ms (medians of ten alternating process
+# pairs, 1 MiB winning 8-10 of each ten but 5 against 2 MiB at q = 2001; 2-core
+# Xeon with a 2 MiB L2 per core, one BLAS thread)
 _BLOCK_BYTES = 1 << 20
 
 
@@ -205,16 +204,12 @@ def _radial(s: np.ndarray, d: int, scratch: np.ndarray) -> np.ndarray:
 
 
 def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Fill out with ||a_i - b_j||^2, clobbering scratch; the squares are summed
-    in axis order, as np.sum over a difference tensor sums them, for its bits.
-
-    Each axis's differences are one BLAS product [a_k, 1] @ [1; -b_k], written
-    at copy speed where numpy's broadcast subtraction is several times slower.
-    Each entry a_ik * 1 + 1 * (-b_jk) sums two exact products, rounded once, so
-    it is a_ik - b_jk to the bit; only a zero's sign can differ, and the square
-    drops it."""
-    left = np.ones((a.shape[0], 2))
-    right = np.ones((2, b.shape[0]))
+    """Fill out with ||a_i - b_j||^2, clobbering scratch.  Axis k's differences
+    are the BLAS product [a_k, 1] @ [1; -b_k], four times as fast as numpy's
+    broadcast subtraction: two exact products rounded once, so a_ik - b_jk to
+    the bit but a zero's sign, which the square drops.  The squares are summed
+    in axis order, as np.sum over a difference tensor sums them, for its bits."""
+    left, right = np.ones((a.shape[0], 2)), np.ones((2, b.shape[0]))
     for k in range(a.shape[1]):
         left[:, 0] = a[:, k]
         np.negative(b[:, k], out=right[1])

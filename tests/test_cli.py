@@ -392,7 +392,7 @@ class TestEvalCommand:
         rc = main(["eval", "--model", str(fitted_model), "--grid=-1:1:3",
                    f"--ref={ref}", "--out", str(out)])
         assert rc == 1
-        assert f"--ref '{ref}': coordinates must be finite" in capsys.readouterr().err
+        assert f"--ref '{ref}': needs 1 comma-separated finite coordinates" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_grid_fails(self, fitted_model, tmp_path, capsys):
