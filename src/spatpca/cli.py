@@ -32,7 +32,7 @@ from .simulate import (
     spec_from_dict,
     summary_json_text,
 )
-from .solver import EigenBasis, RhoTooSmallError, SolverConfig
+from .solver import EigenBasis, SolverConfig
 from .tps import SpatialDomain, SplineCoefficients, build_penalty, evaluate, solve_coefficients
 from .tuning import TuningGrid, partition_folds, restrict_grid, select_and_fit
 
@@ -233,8 +233,8 @@ def load_model(path) -> ModelBundle:
     p, d = domain.p, domain.d
     phi = array("basis.phi", p, None)
     k = phi.shape[1]
-    # typed as the defaults, rho0 also a number; other keys (an old "variant") are ignored
-    kinds = {int: int, float: (int, float), str: (int, float, str)}
+    # typed as the defaults; other keys (an old "variant" or "rho0") are ignored
+    kinds = {int: int, float: (int, float)}
     config = SolverConfig(**{f.name: _field(doc, f"basis.{f.name}", kinds[type(f.default)])
                              for f in fields(SolverConfig)})
     if config.k != k:
@@ -376,6 +376,15 @@ def cmd_eval(args) -> int:
         pts = _parse_grid_spec(args.grid, d)
     else:
         raise ValueError("eval needs either --query or --grid")
+    if args.ref is not None:  # checked before any evaluation
+        if bundle.covariance is None:
+            raise ValueError("--ref needs a model file with a covariance estimate")
+        try:
+            ref = np.array([float(v) for v in args.ref.split(",")])
+        except ValueError:
+            raise ValueError(f"--ref {args.ref!r}: coordinates must be numbers") from None
+        if ref.shape != (d,) or not np.all(np.isfinite(ref)):
+            raise ValueError(f"--ref {args.ref!r}: needs {d} comma-separated finite coordinates")
 
     k = bundle.basis.phi.shape[1]
     psi = evaluate(bundle.splines, bundle.domain, pts)
@@ -385,14 +394,6 @@ def cmd_eval(args) -> int:
         header += [f"phi_rot_{j + 1}" for j in range(k)]
         blocks.append(psi @ bundle.covariance.vhat)
     if args.ref is not None:
-        if bundle.covariance is None:
-            raise ValueError("--ref needs a model file with a covariance estimate")
-        try:
-            ref = np.array([float(v) for v in args.ref.split(",")])
-        except ValueError:
-            raise ValueError(f"--ref {args.ref!r}: coordinates must be numbers") from None
-        if ref.shape != (d,) or not np.all(np.isfinite(ref)):
-            raise ValueError(f"--ref {args.ref!r}: needs {d} comma-separated finite coordinates")
         psi_ref = evaluate(bundle.splines, bundle.domain, ref[None, :])[0]
         header.append("cov_ref")
         blocks.append(_symmetric_cov(psi, bundle.covariance.lam, psi_ref))
@@ -548,9 +549,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except RhoTooSmallError as exc:
-        print(f"spatpca: numerical error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"spatpca: error: {exc}", file=sys.stderr)
         return 1

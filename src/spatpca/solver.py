@@ -32,7 +32,7 @@ is made per member, and no member's bits depend on another's.
 fit_chains takes data sets and (data set, tau1) chains and alone builds,
 groups and stacks their terms: groups of one term layout (low-rank chains
 of one row count, spectral chains of any), as many as fit in _GROUP_BYTES
-of stacked terms.  Every chain starts from its own initial_phi at rho0.
+of stacked terms.  Each chain starts from its initial_phi and _initial_rho.
 _fit_group steps a group of B chains as B x p x K arrays against a stack
 of B terms; admm_step takes that leading batch axis with a rho and a tau2
 per member.  Each member gets exactly the arithmetic of a lone chain, so
@@ -91,34 +91,26 @@ class RhoTooSmallError(ValueError):
 class SolverConfig:
     """Penalty weights and iteration controls.
 
-    rho0 = "auto" starts the penalty parameter at 10 times the largest
-    eigenvalue of Y'Y, which guarantees the positive definiteness the updates
-    require.  rho is multiplied by rho_growth each iteration and capped at
-    1e12 * rho0.  Every number must be finite.
+    An ADMM fit starts the penalty parameter rho at 10 ||Y||_2^2, or higher
+    where the floor of positive definiteness demands (_initial_rho), then
+    multiplies it by rho_growth each iteration, capped at 1e12 times its
+    start.  Every number must be finite.
     """
 
     tau1: float = 0.0
     tau2: float = 0.0
     k: int = 1
-    rho0: float | str = "auto"
     rho_growth: float = 1.5
     tolerance: float = 1e-6
     max_iterations: int = 1000
 
     def __post_init__(self):
-        rho0 = () if isinstance(self.rho0, str) else (self.rho0,)
-        numbers = (self.tau1, self.tau2, self.rho_growth, self.tolerance, *rho0)
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError("tau1, tau2, rho0, rho_growth and tolerance must be finite")
+        if not all(map(math.isfinite, (self.tau1, self.tau2, self.rho_growth, self.tolerance))):
+            raise ValueError("tau1, tau2, rho_growth and tolerance must be finite")
         if self.tau1 < 0 or self.tau2 < 0:
             raise ValueError("penalty weights must be nonnegative")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if isinstance(self.rho0, str):
-            if self.rho0 != "auto":
-                raise ValueError('rho0 must be "auto" or a positive number')
-        elif self.rho0 <= 0:
-            raise ValueError('rho0 must be "auto" or a positive number')
         if self.rho_growth <= 1.0:
             raise ValueError("rho_growth must exceed 1")
         if self.tolerance <= 0:
@@ -173,11 +165,11 @@ class QuadraticTerm:
 
     (tau1*omega + rho*I - Y'Y)^{-1} x = vectors diag(1/(rho - values)) vectors' x,
     valid whenever rho exceeds values[-1].  lam_max_yty is the largest
-    eigenvalue of Y'Y, ||Y||_2^2, used by the rho0 = "auto" rule.  This is
+    eigenvalue of Y'Y, ||Y||_2^2, read by the rule for rho's start.  This is
     the term of data that do not have far fewer rows than sites; see
-    LowRankTerm for the rest.  Both offer
-    beta_max, leading(k) and shifted_solve(rho, rhs), which raises
-    RhoTooSmallError below the floor.
+    LowRankTerm for the rest.  Both offer beta_max, floor_bound (a bound on
+    it with no eigensolve, here itself), leading(k) and shifted_solve(rho,
+    rhs), which raises RhoTooSmallError below the floor.
 
     A stack of B factorizations has a leading batch axis: vectors B x p x p,
     values B x p, lam_max_yty and beta_max length B, and shifted_solve takes
@@ -196,6 +188,8 @@ class QuadraticTerm:
     def beta_max(self) -> float | np.ndarray:
         """Largest eigenvalue of Y'Y - tau1*omega, one per member of a stack."""
         return self.values[..., -1][()]
+
+    floor_bound = beta_max
 
     def leading(self, k: int) -> np.ndarray:
         """The top k eigenvectors of B, in descending order (one term, no stack)."""
@@ -255,6 +249,11 @@ class LowRankTerm:
             for yu, tau1 in zip(self.yu.reshape(-1, *self.yu.shape[-2:]), np.ravel(self.tau1))
         ]
         return np.reshape(tops, np.shape(self.tau1))[()]
+
+    @property
+    def floor_bound(self) -> float | np.ndarray:
+        """Weyl's bound on beta_max, ||Y||_2^2 + tau1*max(0, -d_min), per member."""
+        return self.lam_max_yty + np.asarray(self.tau1) * max(0.0, -self.values[0])
 
     def leading(self, k: int) -> np.ndarray:
         """The top k eigenvectors of B, in descending order (one term, no stack)."""
@@ -507,10 +506,13 @@ def admm_step(state: AdmmState, quad: Term, tau2, out: AdmmState | None = None) 
     return AdmmState(out.phi, out.q, out.r, out.gamma1, out.gamma2, rho=state.rho)
 
 
-def _initial_rho(config: SolverConfig, lam_max_yty: np.ndarray) -> np.ndarray:
-    if config.rho0 == "auto":
-        return np.where(lam_max_yty > 0, 10.0 * lam_max_yty, 1.0)
-    return np.full(lam_max_yty.shape, float(config.rho0))
+def _initial_rho(quad: QuadraticTerm | LowRankTerm) -> np.ndarray:
+    """rho's start per member: 10 ||Y||_2^2 (1 for Y = 0) if above the term's
+    floor_bound, else 10 floor_bound (on small-scale data B's roundoff,
+    about eps tau1 ||omega||, can exceed 10 ||Y||_2^2)."""
+    lam, bound = quad.lam_max_yty, quad.floor_bound
+    start = np.where(lam > 0, 10.0 * lam, 1.0)
+    return np.where(start > bound, start, 10.0 * bound)
 
 
 def _finish(ys, configs, qs: np.ndarray, converged, iterations):
@@ -578,13 +580,14 @@ def fit_chains(
     tr(Phi' B Phi), B = Y'Y - tau1*omega, so by Ky Fan's theorem the
     chain's initial_phi minimizes it exactly: that fit takes no ADMM step
     and comes with converged=True, iterations=0.  Every other fit runs the
-    ADMM from the previous basis, the first from initial_phi, at rho0 with
-    zero multipliers, until its own stop test or config.max_iterations,
-    bit-identical to the chain alone.  A chain is thus fixed by its rows,
-    tau1 and tau2_values, and its fit at tau2_values[j] is the last of the
-    chain along tau2_values[:j + 1] whenever both take the same kind of
-    term (precompute_quadratic's pick depends on the count above 0), and
-    at j = 0 on a low-rank chain, whose start is its closed form's.
+    ADMM from the previous basis, the first from initial_phi, at
+    _initial_rho with zero multipliers, until its own stop test or
+    config.max_iterations, bit-identical to the chain alone.  A chain is
+    thus fixed by its rows, tau1 and tau2_values, and its fit at
+    tau2_values[j] is the last of the chain along tau2_values[:j + 1]
+    whenever both take the same kind of term (precompute_quadratic's pick
+    depends on the count above 0), and at j = 0 on a low-rank chain, whose
+    start is its closed form's.
 
     Each data set's terms come from one precompute_quadratic call, made at
     its first chain.  Chains stack by term layout: low-rank ones by row
@@ -626,9 +629,10 @@ def _fit_group(
 ) -> Iterator[tuple[int, int, EigenBasis]]:
     """fit_chains on given terms, one per chain: chain b fits the rows ys[b]
     (read, never copied) with quads[b], of one kind and layout, at tau1s[b],
-    stepped as one stack through admm_step, updated in place.  Members
-    finishing in one step are finished together; those past their last
-    tau2 retire, the last active members moving into their slots.
+    stepped as one stack through admm_step, updated in place; a member's
+    tau2, t2s[step], and rho cap, 1e12 times its start, are read where used.
+    Members finishing in one step are finished together; those past their
+    last tau2 retire, the last active members moving into their slots.
     """
     count, k = len(ys), config.k
     config_at = cache(lambda t1, t2: replace(config, tau1=t1, tau2=t2))  # shared by bases
@@ -644,11 +648,9 @@ def _fit_group(
         start = phis.copy()
     if first == t2s.size:
         return
-    rho0 = _initial_rho(config, quad.lam_max_yty)
-    rho_cap = 1e12 * rho0
+    rho0 = _initial_rho(quad)
     chain = np.arange(count)
     step, iters = np.full(count, first), np.zeros(count, dtype=int)
-    tau2 = np.full(count, t2s[first])
     blocks = [start, start.copy(), start.copy(), np.zeros_like(start), np.zeros_like(start)]
     prev_phi, rho = np.empty_like(start), rho0.copy()
     active = count
@@ -656,10 +658,10 @@ def _fit_group(
         # the new phi goes into the spare buffer, the other blocks are updated in place
         state = AdmmState(*blocks, rho=rho)
         blocks[0], prev_phi = prev_phi, blocks[0]
-        state = admm_step(state, quad, tau2, AdmmState(*blocks, rho=rho))
+        state = admm_step(state, quad, t2s[step], AdmmState(*blocks, rho=rho))
         iters += 1
         converged = _stop_measure(state, prev_phi) <= config.tolerance
-        rho = np.minimum(rho * config.rho_growth, rho_cap)
+        rho = np.minimum(rho * config.rho_growth, 1e12 * rho0)
         done = np.flatnonzero(converged | (iters >= config.max_iterations))
         if not done.size:
             continue
@@ -674,7 +676,6 @@ def _fit_group(
         for block, value in zip(blocks, [phis] * 3 + [0.0] * 2):
             block[done] = value
         rho[done], iters[done], step[done] = rho0[done], 0, step[done] + 1
-        tau2[done] = t2s[np.minimum(step[done], t2s.size - 1)]
         retired = done[step[done] == t2s.size]
         if retired.size:
             # the active members stay in the leading slots: the last ones move into the gaps
@@ -682,11 +683,11 @@ def _fit_group(
             holes = retired[retired < active]
             movers = np.setdiff1d(np.arange(active, active + retired.size), retired)
             factors = [getattr(quad, name) for name in quad.BATCHED]
-            members = [rho0, rho_cap, rho, chain, step, iters, tau2]
+            members = [rho0, rho, chain, step, iters]
             for arr in blocks + factors + members if holes.size else ():
                 arr[holes] = arr[movers]  # a lone chain's term is read in place, never written
             quad = replace(quad, **{name: a[:active] for name, a in zip(quad.BATCHED, factors)})
-            rho0, rho_cap, rho, chain, step, iters, tau2 = (a[:active] for a in members)
+            rho0, rho, chain, step, iters = (a[:active] for a in members)
             blocks, prev_phi = [block[:active] for block in blocks], prev_phi[:active]
 
 

@@ -201,7 +201,7 @@ class LassoInnerFit:
     iterations: int
 
 
-def fit_lasso_inner(y, penalty, config) -> LassoInnerFit:
+def fit_lasso_inner(y, penalty, config, rho0=None) -> LassoInnerFit:
     """Two-block splitting for the regularized eigenbasis; Phi update by lasso.
 
     With B = Y'Y - tau1*omega, X = (rho*I/2 - B)^{1/2} and z_k the k-th column
@@ -213,8 +213,9 @@ def fit_lasso_inner(y, penalty, config) -> LassoInnerFit:
     of Phi + Gamma/rho and Gamma accumulates rho*(Phi - Q).  Reads tau1, tau2,
     k and the rho schedule from config and stops on the scaled maximum of the
     iterate change and the consensus gap, as the package's fit does.  Starts
-    from the leading eigenvectors of B; rho0 = "auto" is 10 lambda_max(Y'Y).
-    Raises RhoTooSmallError when rho/2 does not exceed lambda_max(B).
+    from the leading eigenvectors of B at rho0, by default 10 lambda_max(Y'Y)
+    (1 for Y = 0).  Raises RhoTooSmallError when rho/2 does not exceed
+    lambda_max(B).
     """
     y = np.asarray(y, dtype=float)
     p = y.shape[1]
@@ -222,11 +223,9 @@ def fit_lasso_inner(y, penalty, config) -> LassoInnerFit:
     yty = y.T @ y
     b = yty - config.tau1 * penalty.omega
     values, vec = np.linalg.eigh(0.5 * (b + b.T))
-    if config.rho0 == "auto":
+    if rho0 is None:
         lam_max = float(np.linalg.eigvalsh(yty)[-1])
         rho0 = 10.0 * lam_max if lam_max > 0 else 1.0
-    else:
-        rho0 = float(config.rho0)
     q = vec[:, ::-1][:, :k].copy()
     for c in range(k):
         if q[int(np.argmax(np.abs(q[:, c]))), c] < 0:
@@ -351,15 +350,15 @@ def fit_reference(y, penalty, config, warm_start=None, quad=None):
     blocks and a scalar rho: the loop solver.fit ran before chains were
     stacked.  Returns the same EigenBasis as fit at tau2 > 0, and runs the
     ADMM at tau2 = 0 too, where fit takes the closed form, on the term fit
-    takes at a tau2 above 0."""
+    takes at a tau2 above 0.  rho starts at 10 ||Y||_2^2 (1 for Y = 0), or
+    at 10 times the term's floor_bound where that start does not exceed it."""
     y = np.asarray(y, dtype=float)
     p = y.shape[1]
     if quad is None:
         quad = precompute_quadratic(y, penalty, 1)(config.tau1)
-    if config.rho0 == "auto":
-        rho0 = 10.0 * quad.lam_max_yty if quad.lam_max_yty > 0 else 1.0
-    else:
-        rho0 = float(config.rho0)
+    rho0 = 10.0 * quad.lam_max_yty if quad.lam_max_yty > 0 else 1.0
+    if rho0 <= quad.floor_bound:
+        rho0 = 10.0 * quad.floor_bound
     if warm_start is None:
         q0 = initial_phi(quad, config.k)
     else:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spatpca.cli
 import spatpca.solver
 import spatpca.tuning
 from spatpca import SolverConfig, build_penalty, covariance_at, fit
@@ -264,6 +265,21 @@ class TestFitCommand:
         assert main([]) == 1
         capsys.readouterr()
 
+    def test_small_scale_data_fit(self, tmp_path, capsys):
+        # 60 rows of N(0, 1) 1e-7 on 50 sites: in the tau1 CV, B's roundoff
+        # puts the rho floor above 10 ||Y||_2^2
+        x = np.linspace(-5.0, 5.0, 50)
+        y = np.random.default_rng(1).standard_normal((60, 50)) * 1e-7
+        data = _write_rows(tmp_path / "data.csv", y.tolist())
+        loc = _write_rows(tmp_path / "loc.csv", [[v] for v in x])
+        out = tmp_path / "model.json"
+        assert main(["fit", "--data", data, "--locations", loc, "--k", "2", "--tau2", "1e-9",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        basis = load_model(out).basis
+        assert basis.converged and basis.iterations > 0
+        assert np.abs(basis.phi.T @ basis.phi - np.eye(2)).max() < 1e-12
+
     def test_variant_flag_is_a_usage_error(self, dataset, tmp_path, capsys):
         data, loc, _, _ = dataset
         out = tmp_path / "model.json"
@@ -421,6 +437,55 @@ class TestEvalCommand:
         assert rc == 1
         assert "covariance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ref, covariance", [("0,x", True), ("nan", True), ("0,0", True), ("0.0", False)]
+    )
+    def test_bad_ref_exits_before_any_evaluation(
+        self, fitted_model, tmp_path, capsys, monkeypatch, ref, covariance
+    ):
+        model = fitted_model
+        if not covariance:
+            doc = json.loads(fitted_model.read_text())
+            doc["covariance"] = None
+            model = tmp_path / "stripped.json"
+            model.write_text(json.dumps(doc))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(spatpca.cli, "evaluate", counted)
+        out = tmp_path / "e.csv"
+        rc = main(["eval", "--model", str(model), "--grid=-2:2:9", f"--ref={ref}",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "--ref" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("rho0", ["auto", 5000.0])
+    def test_model_with_rho0_key_loads(self, fitted_model, tmp_path, capsys, rho0):
+        # model files of schema 1 used to record the solver's rho0 after k
+        doc = json.loads(fitted_model.read_text())
+        assert "rho0" not in doc["basis"]
+        basis = {}
+        for key, value in doc["basis"].items():
+            basis[key] = value
+            if key == "k":
+                basis["rho0"] = rho0
+        doc["basis"] = basis
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc, indent=2) + "\n")
+        assert np.array_equal(load_model(old).basis.phi, load_model(fitted_model).basis.phi)
+        outputs = []
+        for model in (old, fitted_model):
+            out = tmp_path / f"eval-{model.stem}.csv"
+            assert main(["eval", "--model", str(model), "--grid=-2:2:9",
+                         "--ref", "0.0", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
     def test_model_with_variant_key_loads(self, fitted_model, tmp_path, capsys):
         # model files of schema 1 used to record the solver variant after k
         doc = json.loads(fitted_model.read_text())
@@ -469,7 +534,8 @@ class TestEvalCommand:
         assert f"lacks field '{field}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, value", [("tau1", float("nan")), ("tau2", float("inf")), ("rho0", float("inf"))]
+        "field, value",
+        [("tau1", float("nan")), ("tau2", float("inf")), ("rho_growth", float("inf"))],
     )
     def test_non_finite_solver_setting_exits_1(self, fitted_model, tmp_path, capsys, field, value):
         doc = json.loads(fitted_model.read_text())

@@ -38,6 +38,7 @@ from spatpca.solver import (
     precompute_quadratic,
     soft_threshold,
     _fit_group,
+    _initial_rho,
     _polar,
     _stack_chains,
     _stacked_bytes,
@@ -353,12 +354,6 @@ class TestFit:
         assert not basis.converged
         assert basis.iterations == 1
 
-    def test_fixed_rho0_too_small_raises(self, small_penalty):
-        rng = np.random.default_rng(17)
-        y = rng.standard_normal((30, 12))
-        with pytest.raises(RhoTooSmallError):
-            fit(y, small_penalty, SolverConfig(tau2=0.5, k=1, rho0=1e-6))
-
     def test_data_validation(self, small_penalty):
         bad = np.ones((10, 12))
         bad[0, 0] = np.nan
@@ -383,15 +378,13 @@ class TestFit:
         with pytest.raises(ValueError):
             SolverConfig(k=0)
         with pytest.raises(ValueError):
-            SolverConfig(rho0=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(rho_growth=1.0)
         with pytest.raises(ValueError):
             SolverConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
 
-    @pytest.mark.parametrize("name", ["tau1", "tau2", "rho0", "rho_growth", "tolerance"])
+    @pytest.mark.parametrize("name", ["tau1", "tau2", "rho_growth", "tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite(self, name, value):
         # unchecked, a non-finite setting ends in a LAPACK error or in
@@ -419,7 +412,7 @@ class TestClosedForm:
     """tau2 = 0: the K leading eigenvectors of Y'Y - tau1*omega, with no ADMM step."""
 
     def test_fit_is_leading_eigenvectors_of_b(self, penalty_1d):
-        # every term, and a rho0 far below the floor: no step runs
+        # every term: no step runs
         rng = np.random.default_rng(35)
         for n in (60, 15):
             y = rng.standard_normal((n, 50))
@@ -431,7 +424,7 @@ class TestClosedForm:
                          precompute_quadratic(y, penalty_1d, 0)(tau1)]
                 for k in (1, 3):
                     want = v[:, ::-1][:, :k]
-                    cfg = SolverConfig(tau1=tau1, k=k, rho0=1e-9)
+                    cfg = SolverConfig(tau1=tau1, k=k)
                     for quad in terms:
                         if quad is None:
                             basis = fit(y, penalty_1d, cfg)
@@ -445,8 +438,7 @@ class TestClosedForm:
                         assert np.abs(basis.phi - want[:, match] * signs).max() < 1e-10
                         if isinstance(quad, (LowRankTerm, QuadraticTerm)):
                             # the first fit of a chain on to a tau2 above 0
-                            path = replace(cfg, rho0="auto")
-                            first = chain_on_term(y, path, quad, [0.0, 1.0])[0]
+                            first = chain_on_term(y, cfg, quad, [0.0, 1.0])[0]
                             assert np.array_equal(first.phi, basis.phi)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -762,7 +754,7 @@ class TestFitChains:
         for cfg in (
             SolverConfig(tau1=1.0, tau2=0.5, k=2),
             SolverConfig(tau1=10.0, tau2=3.0, k=1, max_iterations=7),
-            SolverConfig(tau2=0.2, k=3, rho0=5000.0, rho_growth=1.2),
+            SolverConfig(tau2=0.2, k=3, rho_growth=1.2),
         ):
             got, want = fit(y, small_penalty, cfg), fit_reference(y, small_penalty, cfg)
             assert np.array_equal(got.phi, want.phi)
@@ -856,6 +848,48 @@ class TestFitChains:
         assert err.value.min_rho == quads[1].beta_max
 
 
+@pytest.fixture(scope="module")
+def penalty_20x20():
+    axis = np.linspace(-5.0, 5.0, 20)
+    return build_penalty(SpatialDomain(np.array([(a, b) for a in axis for b in axis])))
+
+
+class TestRhoStart:
+    """rho starts at 10 ||Y||_2^2, or at 10 times the term's floor_bound where
+    B's roundoff puts the floor above that."""
+
+    @pytest.mark.parametrize(
+        "sites, n, scale", [("1d", 60, 1e-7), ("2d", 60, 1e-8), ("2d", 12, 1e-8)]
+    )
+    def test_small_scale_data_fit(self, penalty_1d, penalty_20x20, sites, n, scale):
+        # on these designs B's roundoff puts the rho floor above 10 ||Y||_2^2
+        penalty = penalty_1d if sites == "1d" else penalty_20x20
+        y = np.random.default_rng(1).standard_normal((n, penalty.domain.p)) * scale
+        cfg = SolverConfig(tau1=1000.0, tau2=1e-9, k=2)
+        terms = [spectral_term(y, penalty, cfg.tau1)]
+        if sites == "2d":
+            terms.append(low_rank_term(y, penalty, cfg.tau1))
+        for quad in terms:
+            assert 10.0 * quad.lam_max_yty <= quad.floor_bound
+        for basis in [fit(y, penalty, cfg)] + [fit_on_term(y, cfg, quad) for quad in terms]:
+            assert basis.converged
+            assert np.abs(basis.phi.T @ basis.phi - np.eye(2)).max() < 1e-12
+
+    def test_start_is_ten_lam_max_above_the_bound(self, penalty_1d):
+        rng = np.random.default_rng(41)
+        for n, build in ((60, spectral_term), (15, low_rank_term)):
+            y = rng.standard_normal((n, 50))
+            quads = [build(y, penalty_1d, t1) for t1 in (0.0, 10.0, 1000.0)]
+            stack, _ = _stack_chains(iter(quads), len(quads), 50, 1)
+            assert np.array_equal(_initial_rho(stack), [10.0 * q.lam_max_yty for q in quads])
+            # Weyl's inequality bounds the top eigenvalue of B from above
+            for quad in quads:
+                assert quad.beta_max <= quad.floor_bound
+            zero = build(np.zeros((n, 50)), penalty_1d, 10.0)
+            stack, _ = _stack_chains(iter([zero]), 1, 50, 1)
+            assert np.array_equal(_initial_rho(stack), [1.0])
+
+
 class TestLassoVariant:
     """fit against the two-block lasso-inner oracle, and the oracle's lasso."""
 
@@ -907,7 +941,7 @@ class TestLassoVariant:
         y = rng.standard_normal((30, 12))
         quad = spectral_term(y, small_penalty, 0.0)
         with pytest.raises(RhoTooSmallError) as err:
-            fit_lasso_inner(y, small_penalty, SolverConfig(k=1, rho0=1.5 * quad.beta_max))
+            fit_lasso_inner(y, small_penalty, SolverConfig(k=1), rho0=1.5 * quad.beta_max)
         assert err.value.min_rho == pytest.approx(2.0 * quad.beta_max)
 
 
