@@ -882,9 +882,11 @@ class TestRhoStart:
             quads = [build(y, penalty_1d, t1) for t1 in (0.0, 10.0, 1000.0)]
             stack, _ = _stack_chains(iter(quads), len(quads), 50, 1)
             assert np.array_equal(_initial_rho(stack), [10.0 * q.lam_max_yty for q in quads])
-            # Weyl's inequality bounds the top eigenvalue of B from above
+            # Weyl's inequality bounds the top eigenvalue of B from above, up to
+            # the roundoff of two eigensolves: at tau1 = 0 the bound is ||Y||_2^2
+            # and beta_max is the same eigenvalue taken from (YU)'(YU)
             for quad in quads:
-                assert quad.beta_max <= quad.floor_bound
+                assert quad.beta_max <= quad.floor_bound * (1.0 + 64 * np.finfo(float).eps)
             zero = build(np.zeros((n, 50)), penalty_1d, 10.0)
             stack, _ = _stack_chains(iter([zero]), 1, 50, 1)
             assert np.array_equal(_initial_rho(stack), [1.0])
