@@ -444,6 +444,8 @@ def cmd_simulate(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"experiment spec is not valid JSON: {exc}") from exc
     raw_list = raw if isinstance(raw, list) else [raw]
+    if not raw_list:
+        raise ValueError("experiment spec list is empty")
     specs = [spec_from_dict(item, default_label=f"exp{i}") for i, item in enumerate(raw_list)]
     os.makedirs(args.out, exist_ok=True)
     records = []
@@ -510,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = commands.add_parser("eval", help="evaluate a fitted model at new locations")
     p_eval.add_argument("--model", required=True, help="model JSON from fit")
-    p_eval.add_argument("--query", default=None, help="CSV of query points, one per row")
-    p_eval.add_argument(
+    points = p_eval.add_mutually_exclusive_group()
+    points.add_argument("--query", default=None, help="CSV of query points, one per row")
+    points.add_argument(
         "--grid", default=None, help="lo:hi:count per axis, comma-separated across axes"
     )
     p_eval.add_argument(

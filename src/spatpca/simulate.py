@@ -89,6 +89,9 @@ class ExperimentSpec:
             raise ValueError("n must be at least 4")
         if self.points_per_dim < 4:
             raise ValueError("points_per_dim must be at least 4")
+        for name in ("interval", "eigenvalues"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ValueError(f"'{name}' must be finite")
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError("interval must be an increasing pair")

@@ -12,16 +12,14 @@ import time
 import numpy as np
 
 from spatpca import (
-    SampleCovariance,
     SolverConfig,
     SpatialDomain,
     TuningGrid,
     build_penalty,
-    cv_gamma,
-    cv_tau,
-    estimate_parameters,
     fit,
     partition_folds,
+    restrict_grid,
+    select_and_fit,
     solve_coefficients,
     evaluate,
 )
@@ -302,15 +300,11 @@ def test_acceptance_8_held_out_covariance_on_large_grid():
         gamma_value_count=11,
         gamma_lower_fraction=1e-3,
     )
+    pca_grid = restrict_grid(cv_grid, tau1=0.0, tau2=0.0)
 
-    def held_out_sse(y_tr, s_va, folds, tau_pinned):
-        if tau_pinned is not None:
-            t1, t2 = tau_pinned
-        else:
-            t1, t2 = cv_tau(y_tr, pen, 5, cv_grid, folds).selected
-        basis = fit(y_tr, pen, SolverConfig(tau1=t1, tau2=t2, k=5))
-        gamma = cv_gamma(y_tr, basis, cv_grid, folds).selected
-        model = estimate_parameters(SampleCovariance(y_tr), basis, gamma)
+    def held_out_sse(y_tr, s_va, folds, grid):
+        tuned = select_and_fit(y_tr, pen, 5, grid, folds)
+        basis, model = tuned.basis, tuned.model
         sigma_hat = basis.phi @ model.lam @ basis.phi.T + model.sigma2 * np.eye(p)
         return float(np.sum((sigma_hat - s_va) ** 2))
 
@@ -320,8 +314,8 @@ def test_acceptance_8_held_out_covariance_on_large_grid():
         y_tr, y_va = y[:60], y[60:]
         s_va = y_va.T @ y_va / 60
         folds = partition_folds(60, 5, rep)
-        sse_spat = held_out_sse(y_tr, s_va, folds, None)
-        sse_pca = held_out_sse(y_tr, s_va, folds, (0.0, 0.0))
+        sse_spat = held_out_sse(y_tr, s_va, folds, cv_grid)
+        sse_pca = held_out_sse(y_tr, s_va, folds, pca_grid)
         wins += sse_spat < sse_pca
     dt = time.time() - t0
     assert wins >= 7, f"regularized fit beat plain PCA in only {wins}/10 replicates"

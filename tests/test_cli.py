@@ -370,6 +370,15 @@ class TestEvalCommand:
         assert rc == 1
         assert "--query or --grid" in capsys.readouterr().err
 
+    def test_query_and_grid_refused_together(self, fitted_model, tmp_path, capsys):
+        q = _write(tmp_path / "q.csv", "-1.5\n0.25\n")
+        out = tmp_path / "e.csv"
+        rc = main(["eval", "--model", str(fitted_model), "--query", q, "--grid=-2:2:5",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "not allowed with argument --query" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_spec(self, fitted_model, tmp_path, capsys):
         rc = main(["eval", "--model", str(fitted_model), "--grid", "0:1",
                    "--out", str(tmp_path / "e.csv")])
@@ -797,3 +806,13 @@ class TestSimulateCommand:
         spec = _write(tmp_path / "spec.json", "{nope")
         assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "out")]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("[]", "spec list is empty"), ('{"eigenvalues": [Infinity, 0.0]}', "'eigenvalues'")],
+    )
+    def test_refused_spec_exits_1_before_writing(self, tmp_path, capsys, text, named):
+        spec = _write(tmp_path / "spec.json", text)
+        assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "out")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -1,10 +1,12 @@
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spatpca.cli import main
 from spatpca.simulate import (
     METHODS,
     ExperimentSpec,
@@ -49,6 +51,10 @@ class TestSpecValidation:
             {"n": 3},
             {"points_per_dim": 3},
             {"interval": (2.0, -2.0)},
+            {"interval": (-math.inf, 2.0)},
+            {"interval": (0.0, math.nan)},
+            {"eigenvalues": (math.inf, 0.0)},
+            {"eigenvalues": (math.nan, 0.0)},
             {"eigenvalues": (1.0, 2.0)},
             {"eigenvalues": (3.0, -1.0)},
             {"k_fit": ()},
@@ -299,6 +305,9 @@ class TestSpecFromDict:
             ({"interval": [True, 2]}, "interval"),
             ({"eigenvalues": [9.0, False]}, "eigenvalues"),
             ({"tau1_values": [0.0, True]}, "tau1_values"),
+            ({"eigenvalues": [math.inf, 0.0]}, "eigenvalues"),
+            ({"eigenvalues": [math.nan, 0.0]}, "eigenvalues"),
+            ({"interval": [-5.0, math.inf]}, "interval"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, raw, field):
@@ -320,3 +329,23 @@ class TestSpecFromDict:
         spec = spec_from_dict({"methods": ["spatpca", "pca"]})
         assert spec.methods == ("spatpca", "pca")
         assert set(spec.methods) <= set(METHODS)
+
+
+EXPERIMENTS = sorted((Path(__file__).resolve().parent.parent / "experiments").glob("*.json"))
+# per-file trims on top of one replicate, so each committed design runs in seconds
+TRIMS = {"sweep_1d.json": {"methods": ["pca"]}, "holdout_2d.json": {"n": 20, "k_fit": [2]}}
+
+
+@pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.name)
+def test_committed_experiment_runs(path, tmp_path, capsys):
+    raw = json.loads(path.read_text())
+    trimmed = [{**item, "replicates": 1, **TRIMS.get(path.name, {})}
+               for item in (raw if isinstance(raw, list) else [raw])]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(trimmed))
+    specs = [spec_from_dict(item) for item in trimmed]
+    expected = sum(s.replicates * len(s.k_fit) * len(s.methods) for s in specs)
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    assert f"{expected} records (0 failed cells)" in capsys.readouterr().out
+    lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
+    assert len(lines) == 1 + expected
