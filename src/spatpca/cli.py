@@ -6,8 +6,9 @@ Cells that are empty or read NA/NaN are treated as missing, and any site
 column containing a missing value is dropped (and reported) before fitting.
 Fitted models are stored as schema-versioned JSON that round-trips exactly.
 
-Exit codes: 0 success, 1 usage or parse errors, 2 numerical warnings (the
-solver hit its iteration cap; outputs are still written), 3 internal errors.
+Exit codes: 0 success, 1 usage or parse errors, 2 warnings with outputs
+still written (the solver hit its iteration cap, or a simulate cell failed),
+3 internal errors.
 """
 
 from __future__ import annotations
@@ -36,25 +37,13 @@ from .solver import EigenBasis, SolverConfig
 from .tps import SpatialDomain, SplineCoefficients, build_penalty, evaluate, solve_coefficients
 from .tuning import TuningGrid, partition_folds, restrict_grid, select_and_fit
 
-__all__ = ["IngestReport", "ingest", "save_model", "load_model", "main"]
+__all__ = ["ingest", "save_model", "load_model", "main"]
 
 SCHEMA_VERSION = 1
 _NA_TOKENS = {"", "na"}  # besides any cell that parses to NaN
 
 
 # ---------------------------------------------------------------- ingestion
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    """What was read and what was dropped before fitting."""
-
-    n_rows: int
-    total_sites: int
-    kept_sites: tuple[int, ...]
-    dropped_sites: tuple[int, ...]
-    centered: bool
-    deseasonalize: int | None
 
 
 def _read_matrix(path, what: str, allow_missing: bool) -> np.ndarray:
@@ -100,9 +89,10 @@ def _read_matrix(path, what: str, allow_missing: bool) -> np.ndarray:
 def ingest(data_path, locations_path, center: bool = False, deseasonalize: int | None = None):
     """Read the data and locations CSVs; drop incomplete sites; apply transforms.
 
-    Returns (y, domain, report).  Deseasonalization subtracts per-column
-    per-phase means with phase = row index mod period, then centering
-    subtracts the remaining column means.
+    Returns (y, domain, dropped_sites), the last the indices of the site
+    columns dropped.  Deseasonalization subtracts per-column per-phase means
+    with phase = row index mod period, then centering subtracts the
+    remaining column means.
     """
     data = _read_matrix(data_path, "data", allow_missing=True)
     loc = _read_matrix(locations_path, "locations", allow_missing=False)
@@ -112,9 +102,7 @@ def ingest(data_path, locations_path, center: bool = False, deseasonalize: int |
             f"{loc.shape[0]} sites"
         )
     missing = np.isnan(data).any(axis=0)
-    kept = tuple(int(i) for i in np.flatnonzero(~missing))
-    dropped = tuple(int(i) for i in np.flatnonzero(missing))
-    if not kept:
+    if missing.all():
         raise ValueError("every site column contains missing values")
     y = data[:, ~missing].copy()
     domain = SpatialDomain(loc[~missing, :])
@@ -129,16 +117,7 @@ def ingest(data_path, locations_path, center: bool = False, deseasonalize: int |
                 y[idx] -= y[idx].mean(axis=0)
     if center:
         y -= y.mean(axis=0)
-
-    report = IngestReport(
-        n_rows=y.shape[0],
-        total_sites=data.shape[1],
-        kept_sites=kept,
-        dropped_sites=dropped,
-        centered=center,
-        deseasonalize=deseasonalize,
-    )
-    return y, domain, report
+    return y, domain, tuple(int(i) for i in np.flatnonzero(missing))
 
 
 # ------------------------------------------------------------- model file
@@ -152,7 +131,7 @@ class ModelBundle:
     domain: SpatialDomain
     basis: EigenBasis
     splines: SplineCoefficients
-    covariance: CovarianceModel | None
+    covariance: CovarianceModel
     provenance: dict
 
 
@@ -253,19 +232,18 @@ def load_model(path) -> ModelBundle:
     basis = EigenBasis(phi=phi, sample_variances=array("basis.sample_variances", k),
                        config=config, converged=_field(doc, "basis.converged", bool),
                        iterations=_field(doc, "basis.iterations", int))
-    covariance = None
-    if doc.get("covariance") is not None:
-        sigma2 = _field(doc, "covariance.sigma2", (int, float))
-        if not 0.0 <= sigma2 < math.inf:
-            raise ValueError(
-                f"model file field 'covariance.sigma2' must be finite and at least 0, got {sigma2!r}"
-            )
-        covariance = CovarianceModel(
-            sigma2=sigma2, lam=array("covariance.lambda", k, k),
-            vhat=array("covariance.vhat", k, k), lambda_star=array("covariance.lambda_star", k),
-            l_hat=_field(doc, "covariance.l_hat", int),
-            gamma=_field(doc, "covariance.gamma", (int, float)), basis=basis,
+    _field(doc, "covariance", dict)
+    sigma2 = _field(doc, "covariance.sigma2", (int, float))
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(
+            f"model file field 'covariance.sigma2' must be finite and at least 0, got {sigma2!r}"
         )
+    covariance = CovarianceModel(
+        sigma2=sigma2, lam=array("covariance.lambda", k, k),
+        vhat=array("covariance.vhat", k, k), lambda_star=array("covariance.lambda_star", k),
+        l_hat=_field(doc, "covariance.l_hat", int),
+        gamma=_field(doc, "covariance.gamma", (int, float)), basis=basis,
+    )
     return ModelBundle(domain, basis, splines, covariance, doc.get("provenance", {}))
 
 
@@ -281,15 +259,15 @@ def _sha256(path) -> str:
 
 
 def _tuned_fit(args, gamma):
-    """Ingest, then select_and_fit under the CLI's pins: (penalty, report, tuned)."""
-    y, domain, report = ingest(args.data, args.locations, args.center, args.deseasonalize)
+    """Ingest, then select_and_fit under the CLI's pins: (penalty, dropped_sites, tuned)."""
+    y, domain, dropped = ingest(args.data, args.locations, args.center, args.deseasonalize)
     penalty = build_penalty(domain)
     folds = partition_folds(y.shape[0], args.folds, args.seed)
     grid = restrict_grid(TuningGrid(), tau1=args.tau1, tau2=args.tau2)
     tuned = select_and_fit(
         y, penalty, args.k, grid, folds, gamma=gamma, max_iterations=args.max_iterations
     )
-    return penalty, report, tuned
+    return penalty, dropped, tuned
 
 
 def _cap_status(basis: EigenBasis) -> int:
@@ -301,7 +279,7 @@ def _cap_status(basis: EigenBasis) -> int:
 
 
 def cmd_fit(args) -> int:
-    penalty, report, tuned = _tuned_fit(args, args.gamma)
+    penalty, dropped, tuned = _tuned_fit(args, args.gamma)
     basis, model = tuned.basis, tuned.model
     tau_report, gamma_report = tuned.tau_report, tuned.gamma_report
 
@@ -314,7 +292,7 @@ def cmd_fit(args) -> int:
         "folds": args.folds,
         "center": args.center,
         "deseasonalize": args.deseasonalize,
-        "dropped_sites": list(report.dropped_sites),
+        "dropped_sites": list(dropped),
         "tau_grid": None
         if tau_report is None
         else {
@@ -328,7 +306,7 @@ def cmd_fit(args) -> int:
     splines = solve_coefficients(penalty, basis.phi)
     save_model(args.out, ModelBundle(penalty.domain, basis, splines, model, provenance))
 
-    print(f"sites: {len(report.kept_sites)} kept, {len(report.dropped_sites)} dropped")
+    print(f"sites: {penalty.domain.p} kept, {len(dropped)} dropped")
     how_tau = "fixed" if tau_report is None else f"{args.folds}-fold CV"
     how_gamma = "fixed" if gamma_report is None else f"{args.folds}-fold CV"
     print(f"tau1={basis.config.tau1!r} tau2={basis.config.tau2!r} ({how_tau})")
@@ -377,8 +355,6 @@ def cmd_eval(args) -> int:
     else:
         raise ValueError("eval needs either --query or --grid")
     if args.ref is not None:  # checked before any evaluation
-        if bundle.covariance is None:
-            raise ValueError("--ref needs a model file with a covariance estimate")
         try:
             ref = np.array([float(v) for v in args.ref.split(",")])
         except ValueError:
@@ -388,11 +364,10 @@ def cmd_eval(args) -> int:
 
     k = bundle.basis.phi.shape[1]
     psi = evaluate(bundle.splines, bundle.domain, pts)
-    header = [f"x{j + 1}" for j in range(d)] + [f"phi_{j + 1}" for j in range(k)]
-    blocks = [pts, psi]
-    if bundle.covariance is not None:
-        header += [f"phi_rot_{j + 1}" for j in range(k)]
-        blocks.append(psi @ bundle.covariance.vhat)
+    header = [f"x{j + 1}" for j in range(d)] + [
+        f"{name}_{j + 1}" for name in ("phi", "phi_rot") for j in range(k)
+    ]
+    blocks = [pts, psi, psi @ bundle.covariance.vhat]
     if args.ref is not None:
         psi_ref = evaluate(bundle.splines, bundle.domain, ref[None, :])[0]
         header.append("cov_ref")
@@ -407,7 +382,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scree(args) -> int:
-    y, _, report = ingest(args.data, args.locations, args.center, args.deseasonalize)
+    y, _, dropped = ingest(args.data, args.locations, args.center, args.deseasonalize)
     sv = np.linalg.svd(y, compute_uv=False)  # S = Y'Y/n: rank <= n, zeros to p
     values = np.concatenate([sv * sv / y.shape[0], np.zeros(y.shape[1] - sv.size)])
     total = float(values.sum())
@@ -416,7 +391,7 @@ def cmd_scree(args) -> int:
     for i, (v, c) in enumerate(zip(values, cumulative), start=1):
         lines.append(f"{i},{float(v)!r},{float(c)!r}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
-    print(f"sites: {len(report.kept_sites)} kept, {len(report.dropped_sites)} dropped")
+    print(f"sites: {y.shape[1]} kept, {len(dropped)} dropped")
     print(f"wrote {values.size} eigenvalues to {args.out}")
     return 0
 
@@ -458,6 +433,9 @@ def cmd_simulate(args) -> int:
     failures = sum(1 for r in records if r.error)
     print(f"{len(records)} records ({failures} failed cells)")
     print(f"wrote {records_path} and {summary_path}")
+    if failures:
+        print(f"warning: {failures} of {len(records)} cells failed", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -60,7 +60,7 @@ class ExperimentSpec:
         points_per_dim: grid resolution per axis (p = points_per_dim ** d).
         interval: common coordinate range of the grid.
         eigenvalues: variances (lambda1, lambda2) of the two true components.
-        k_fit: basis sizes to fit, each run separately.
+        k_fit: basis sizes to fit, each run separately and each below p.
         replicates: independent datasets per method.
         seed: master seed; every replicate derives its own substreams.
         methods: subset of METHODS to run.
@@ -100,6 +100,8 @@ class ExperimentSpec:
             raise ValueError("eigenvalues must satisfy lambda1 >= lambda2 >= 0")
         if not self.k_fit or any(k < 1 for k in self.k_fit):
             raise ValueError("k_fit must be a nonempty list of positive integers")
+        if max(self.k_fit) >= self.p:
+            raise ValueError(f"'k_fit' entries must be below p = {self.p}, got {max(self.k_fit)}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         if self.seed < 0:

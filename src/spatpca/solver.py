@@ -19,7 +19,9 @@ solve is a Woodbury update through one n x n Cholesky, and its starting
 basis is the closed form's: it saves a full eigensolve per chain but costs
 more per ADMM step.  A ClosedFormTerm, for chains along tau2 = 0 alone and
 a LowRankTerm's start, has no shifted solve and decomposes only B's top K,
-in site coordinates.
+in site coordinates.  An ADMM term's floor_bound, an upper bound on B's
+largest eigenvalue, is the one floor it offers: rho's start clears it, and
+a RhoTooSmallError reports it.
 precompute_quadratic is the one constructor, called once per data set,
 and picks the form from the number of tau2 values above 0 and the shape
 alone (_low_rank_pays), never from what ran before.
@@ -155,8 +157,8 @@ class EigenBasis:
 
 def _below_floor(quad, rho, i) -> RhoTooSmallError:
     """The error for member i of a stack (0 for a lone term), whose rho is at
-    or below its floor."""
-    return RhoTooSmallError(float(np.ravel(rho)[i]), float(np.ravel(quad.beta_max)[i]))
+    or below its floor: it reports the term's floor_bound."""
+    return RhoTooSmallError(float(np.ravel(rho)[i]), float(np.ravel(quad.floor_bound)[i]))
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,10 @@ class QuadraticTerm:
     valid whenever rho exceeds values[-1].  lam_max_yty is the largest
     eigenvalue of Y'Y, ||Y||_2^2, read by the rule for rho's start.  This is
     the term of data that do not have far fewer rows than sites; see
-    LowRankTerm for the rest.  Both offer beta_max, floor_bound (a bound on
-    it with no eigensolve, here itself), leading(k) and shifted_solve(rho,
-    rhs), which raises RhoTooSmallError below the floor.
+    LowRankTerm for the rest.  Both offer leading(k), shifted_solve(rho,
+    rhs), which raises RhoTooSmallError below the floor, and floor_bound, an
+    upper bound on B's largest eigenvalue with no eigensolve and the one
+    floor a term offers for error reports: here beta_max itself.
 
     A stack of B factorizations has a leading batch axis: vectors B x p x p,
     values B x p, lam_max_yty and beta_max length B, and shifted_solve takes
@@ -217,10 +220,10 @@ class LowRankTerm:
 
     which costs one n x n Cholesky per solve and no factorization per tau1.
     By the Schur complement that Cholesky fails exactly when rho does not
-    exceed beta_max (or A itself is not positive definite), so it is the rho
-    floor check.  leading(k) is closed's, the ClosedFormTerm of the same
-    rows and tau1; beta_max, read only to report a rho below the floor, is
-    a top-1 eigensolve of U'BU = (YU)'(YU) - tau1*diag(d) per member.
+    exceed B's largest eigenvalue (or A itself is not positive definite), so
+    it is the rho floor check; the error it raises reports floor_bound,
+    Weyl's bound on that eigenvalue and the one floor this term offers.
+    leading(k) is closed's, the ClosedFormTerm of the same rows and tau1.
 
     A stack has a leading batch axis on yu (B x n x p, one n for the whole
     stack), tau1 and lam_max_yty; vectors and values are the domain's and
@@ -238,21 +241,9 @@ class LowRankTerm:
     UNSTACKED: ClassVar[tuple[str, ...]] = ("closed",)
 
     @property
-    def beta_max(self) -> float | np.ndarray:
-        """Largest eigenvalue of Y'Y - tau1*omega, one per member of a stack."""
-        p = self.vectors.shape[-1]
-        tops = [
-            scipy.linalg.eigh(
-                yu.T @ yu - np.diag(tau1 * self.values), eigvals_only=True,
-                subset_by_index=[p - 1, p - 1], overwrite_a=True, check_finite=False,
-            )[0]
-            for yu, tau1 in zip(self.yu.reshape(-1, *self.yu.shape[-2:]), np.ravel(self.tau1))
-        ]
-        return np.reshape(tops, np.shape(self.tau1))[()]
-
-    @property
     def floor_bound(self) -> float | np.ndarray:
-        """Weyl's bound on beta_max, ||Y||_2^2 + tau1*max(0, -d_min), per member."""
+        """Weyl's bound on the largest eigenvalue of Y'Y - tau1*omega,
+        ||Y||_2^2 + tau1*max(0, -d_min), one per member of a stack."""
         return self.lam_max_yty + np.asarray(self.tau1) * max(0.0, -self.values[0])
 
     def leading(self, k: int) -> np.ndarray:
@@ -480,7 +471,8 @@ def admm_step(state: AdmmState, quad: Term, tau2, out: AdmmState | None = None) 
     pairing them the other way makes the dual error double per iteration.
 
     Raises RhoTooSmallError when rho does not exceed the largest eigenvalue
-    of Y'Y - tau1*omega (carried as .min_rho), for the first such member.
+    of Y'Y - tau1*omega, for the first such member, carrying the term's
+    floor_bound as .min_rho.
     With out, the new blocks are written into its arrays, which may be
     state's own, with the same bits; out's rho is not read.
     """

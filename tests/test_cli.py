@@ -50,9 +50,8 @@ class TestIngest:
             "1.0,,3.0,4.0,0.5\n5.0,NA,7.0,nan,0.5\n9.0,10.0,11.0,NaN,0.5\n",
         )
         loc = _write_rows(tmp_path / "l.csv", [[0.0], [1.0], [2.0], [3.0], [4.0]])
-        y, domain, report = ingest(data, loc)
-        assert report.dropped_sites == (1, 3)
-        assert report.kept_sites == (0, 2, 4)
+        y, domain, dropped = ingest(data, loc)
+        assert dropped == (1, 3)
         assert y.shape == (3, 3)
         assert domain.p == 3
 
@@ -146,17 +145,17 @@ class TestIngest:
         cols = np.column_stack([base + j for j in range(3)])
         data = _write_rows(tmp_path / "d.csv", cols.tolist())
         loc = _write_rows(tmp_path / "l.csv", [[0.0], [1.0], [2.0]])
-        y, _, report = ingest(data, loc, deseasonalize=2)
+        y, domain, dropped = ingest(data, loc, deseasonalize=2)
         expected = np.tile([[-2.0], [-2.0], [2.0], [2.0]], (1, 3))
         assert np.array_equal(y, expected)
-        assert report.deseasonalize == 2
+        assert dropped == () and domain.p == 3
 
     def test_center_subtracts_column_means(self, tmp_path):
         data = _write_rows(tmp_path / "d.csv", [[1.0, 10.0, 0.0], [3.0, 14.0, 8.0]])
         loc = _write_rows(tmp_path / "l.csv", [[0.0], [1.0], [2.0]])
-        y, _, report = ingest(data, loc, center=True)
+        y, domain, dropped = ingest(data, loc, center=True)
         assert np.array_equal(y, [[-1.0, -2.0, -4.0], [1.0, 2.0, 4.0]])
-        assert report.centered
+        assert dropped == () and domain.p == 3
 
     def test_bad_period(self, tmp_path):
         data = _write_rows(tmp_path / "d.csv", [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
@@ -436,28 +435,12 @@ class TestEvalCommand:
         assert rc == 1
         capsys.readouterr()
 
-    def test_ref_requires_covariance(self, fitted_model, tmp_path, capsys):
-        doc = json.loads(fitted_model.read_text())
-        doc["covariance"] = None
-        stripped = tmp_path / "stripped.json"
-        stripped.write_text(json.dumps(doc))
-        rc = main(["eval", "--model", str(stripped), "--grid=-1:1:3",
-                   "--ref", "0.0", "--out", str(tmp_path / "e.csv")])
-        assert rc == 1
-        assert "covariance" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "ref, covariance", [("0,x", True), ("nan", True), ("0,0", True), ("0.0", False)]
-    )
+    # the ids end in "-True" as when a model file could lack its covariance
+    # estimate and a case named whether it had one
+    @pytest.mark.parametrize("ref", ["0,x", "nan", "0,0"], ids=lambda ref: f"{ref}-True")
     def test_bad_ref_exits_before_any_evaluation(
-        self, fitted_model, tmp_path, capsys, monkeypatch, ref, covariance
+        self, fitted_model, tmp_path, capsys, monkeypatch, ref
     ):
-        model = fitted_model
-        if not covariance:
-            doc = json.loads(fitted_model.read_text())
-            doc["covariance"] = None
-            model = tmp_path / "stripped.json"
-            model.write_text(json.dumps(doc))
         calls = []
 
         def counted(*args):
@@ -466,7 +449,7 @@ class TestEvalCommand:
 
         monkeypatch.setattr(spatpca.cli, "evaluate", counted)
         out = tmp_path / "e.csv"
-        rc = main(["eval", "--model", str(model), "--grid=-2:2:9", f"--ref={ref}",
+        rc = main(["eval", "--model", str(fitted_model), "--grid=-2:2:9", f"--ref={ref}",
                    "--out", str(out)])
         assert rc == 1
         assert "--ref" in capsys.readouterr().err
@@ -612,6 +595,14 @@ def _infinite_sigma2(doc):
     doc["covariance"]["sigma2"] = float("inf")
 
 
+def _null_covariance(doc):
+    doc["covariance"] = None
+
+
+def _no_covariance(doc):
+    del doc["covariance"]
+
+
 class TestModelCrossChecks:
     # every shape is checked against the domain's p and d and phi's K, and
     # every number must be finite: a corrupt model file exits 1 naming the
@@ -636,6 +627,8 @@ class TestModelCrossChecks:
         (_nan_lambda_star, "covariance.lambda_star"),
         (_negative_sigma2, "covariance.sigma2"),
         (_infinite_sigma2, "covariance.sigma2"),
+        (_null_covariance, "covariance"),
+        (_no_covariance, "covariance"),
     ])
     def test_corrupt_model_exits_1_naming_the_field(
         self, two_component_model, tmp_path, capsys, corrupt, field
@@ -809,10 +802,24 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "text, named",
-        [("[]", "spec list is empty"), ('{"eigenvalues": [Infinity, 0.0]}', "'eigenvalues'")],
+        [("[]", "spec list is empty"), ('{"eigenvalues": [Infinity, 0.0]}', "'eigenvalues'"),
+         ('{"k_fit": [50]}', "'k_fit'")],
     )
     def test_refused_spec_exits_1_before_writing(self, tmp_path, capsys, text, named):
         spec = _write(tmp_path / "spec.json", text)
         assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "out")]) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_failed_cells_exit_2_with_outputs_written(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        # every basis fit of a cell runs inside tuning.select_and_fit
+        monkeypatch.setattr(spatpca.tuning, "fit", boom)
+        spec = _write(tmp_path / "spec.json", json.dumps(self.SPEC))
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", spec, "--out", str(out)]) == 2
+        assert "1 of 1 cells failed" in capsys.readouterr().err
+        assert (out / "summary.json").exists()
+        assert "synthetic failure" in (out / "records.csv").read_text()

@@ -65,6 +65,7 @@ class TestSpecValidation:
             {"methods": ()},
             {"folds": 1},
             {"folds": 200},
+            {"k_fit": (50,)},
         ],
     )
     def test_rejects_bad_field(self, kwargs):

@@ -555,7 +555,11 @@ class TestLowRankTerm:
         stack, start = _stack_chains(iter(terms), len(terms), 50, 3)
         assert stack.closed is None
         assert np.array_equal(start, [initial_phi(term, 3) for term in terms])
-        np.testing.assert_allclose(stack.beta_max, [t.beta_max for t in terms], rtol=1e-12)
+        # each member's floor is its own term's, and bounds the top eigenvalue
+        # of B, the spectral term's exact beta_max on the same rows and tau1
+        assert np.array_equal(stack.floor_bound, [t.floor_bound for t in terms])
+        exact = [spectral_term(y, penalty_1d, t1).beta_max for y in ys for t1 in tau1s]
+        assert np.all(exact <= stack.floor_bound * (1.0 + 64 * np.finfo(float).eps))
 
     def test_fit_matches_spectral_term(self, penalty_1d, domain_1d):
         rng = np.random.default_rng(26)
@@ -572,12 +576,15 @@ class TestLowRankTerm:
             assert np.abs(got.phi - want.phi).max() < 1e-10
 
     def test_rho_floor_matches_spectral_term(self, penalty_1d):
+        # both terms refuse a rho at or below B's top eigenvalue, the spectral
+        # term's exact beta_max; the spectral term reports that eigenvalue, the
+        # low-rank term its floor_bound, Weyl's bound on it
         rng = np.random.default_rng(27)
         y = rng.standard_normal((15, 50))
         for tau1 in (0.0, 3.0):
             low = low_rank_term(y, penalty_1d, tau1)
             full = spectral_term(y, penalty_1d, tau1)
-            assert low.beta_max == pytest.approx(full.beta_max, rel=1e-12)
+            assert full.beta_max <= low.floor_bound * (1.0 + 64 * np.finfo(float).eps)
             phi0 = initial_phi(full, 2)
             for factor, raises in ((0.5, True), (0.999, True), (1.001, False)):
                 state = AdmmState(
@@ -592,7 +599,7 @@ class TestLowRankTerm:
                         errors.append(err.min_rho)
                 assert len(errors) == (2 if raises else 0)
                 if raises:
-                    assert errors[0] == pytest.approx(errors[1], rel=1e-12)
+                    assert errors == [low.floor_bound, full.beta_max]
 
     def test_term_follows_the_measured_crossover(self, penalty_1d, monkeypatch):
         # p = 50: Woodbury while n sqrt(T2) < 3p/8, spectral from there on, and
@@ -879,14 +886,17 @@ class TestRhoStart:
         rng = np.random.default_rng(41)
         for n, build in ((60, spectral_term), (15, low_rank_term)):
             y = rng.standard_normal((n, 50))
-            quads = [build(y, penalty_1d, t1) for t1 in (0.0, 10.0, 1000.0)]
+            tau1s = (0.0, 10.0, 1000.0)
+            quads = [build(y, penalty_1d, t1) for t1 in tau1s]
             stack, _ = _stack_chains(iter(quads), len(quads), 50, 1)
             assert np.array_equal(_initial_rho(stack), [10.0 * q.lam_max_yty for q in quads])
-            # Weyl's inequality bounds the top eigenvalue of B from above, up to
-            # the roundoff of two eigensolves: at tau1 = 0 the bound is ||Y||_2^2
-            # and beta_max is the same eigenvalue taken from (YU)'(YU)
-            for quad in quads:
-                assert quad.beta_max <= quad.floor_bound * (1.0 + 64 * np.finfo(float).eps)
+            # Weyl's inequality bounds the top eigenvalue of B, the spectral
+            # term's exact beta_max on the same rows and tau1, from above, up to
+            # the roundoff of two eigensolves: at tau1 = 0 the bound is ||Y||_2^2,
+            # the same eigenvalue taken from an SVD of Y
+            for quad, t1 in zip(quads, tau1s):
+                exact = spectral_term(y, penalty_1d, t1).beta_max
+                assert exact <= quad.floor_bound * (1.0 + 64 * np.finfo(float).eps)
             zero = build(np.zeros((n, 50)), penalty_1d, 10.0)
             stack, _ = _stack_chains(iter([zero]), 1, 50, 1)
             assert np.array_equal(_initial_rho(stack), [1.0])
