@@ -200,7 +200,9 @@ def _array(value: list, name: str, *shape) -> np.ndarray:
 
 def load_model(path) -> ModelBundle:
     """Read a model file, checking every field's type and every array's shape
-    against the domain's p and d and phi's K; ValueError naming the field."""
+    against the domain's p and d and phi's K, and every value the estimator
+    bounds: phi and vhat orthonormal to 1e-8, sigma2, gamma, lambda_star and
+    the iteration count nonnegative, l_hat in [0, K]; ValueError naming the field."""
     with open(path) as fh:
         doc = json.load(fh)
     version = _field(doc, "schema_version", int)
@@ -208,9 +210,21 @@ def load_model(path) -> ModelBundle:
         raise ValueError(f"unsupported model schema version: {version!r}")
     def array(path, *shape):
         return _array(_field(doc, path, list), path, *shape)
+    def number(path, kind, bound=math.inf):  # in [0, bound), as the estimator writes it
+        value = _field(doc, path, kind)
+        if not 0 <= value < bound:
+            raise ValueError(f"model file field {path!r} is {value!r}, outside [0, {bound})")
+        return value
+    def orthonormal(path, *shape):  # as predict's K x K formula assumes
+        q = array(path, *shape)
+        err = float(np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0))
+        if err > 1e-8:
+            raise ValueError(f"model file field {path!r} is not orthonormal: "
+                             f"its Gram matrix is {err:.3g} from I")
+        return q
     domain = SpatialDomain(array("domain.locations", None, None))
     p, d = domain.p, domain.d
-    phi = array("basis.phi", p, None)
+    phi = orthonormal("basis.phi", p, None)
     k = phi.shape[1]
     # typed as the defaults; other keys (an old "variant" or "rho0") are ignored
     kinds = {int: int, float: (int, float)}
@@ -231,18 +245,17 @@ def load_model(path) -> ModelBundle:
                                  b=np.asarray([column(i, "b", d + 1) for i in range(k)]).T)
     basis = EigenBasis(phi=phi, sample_variances=array("basis.sample_variances", k),
                        config=config, converged=_field(doc, "basis.converged", bool),
-                       iterations=_field(doc, "basis.iterations", int))
+                       iterations=number("basis.iterations", int))
     _field(doc, "covariance", dict)
-    sigma2 = _field(doc, "covariance.sigma2", (int, float))
-    if not 0.0 <= sigma2 < math.inf:
-        raise ValueError(
-            f"model file field 'covariance.sigma2' must be finite and at least 0, got {sigma2!r}"
-        )
+    lambda_star = array("covariance.lambda_star", k)
+    if (lambda_star < 0).any():
+        raise ValueError("model file field 'covariance.lambda_star' holds a negative value")
+    # number's range for gamma must stay covariance._check_gamma's
     covariance = CovarianceModel(
-        sigma2=sigma2, lam=array("covariance.lambda", k, k),
-        vhat=array("covariance.vhat", k, k), lambda_star=array("covariance.lambda_star", k),
-        l_hat=_field(doc, "covariance.l_hat", int),
-        gamma=_field(doc, "covariance.gamma", (int, float)), basis=basis,
+        sigma2=number("covariance.sigma2", (int, float)), lam=array("covariance.lambda", k, k),
+        vhat=orthonormal("covariance.vhat", k, k), lambda_star=lambda_star,
+        l_hat=number("covariance.l_hat", int, k + 1),
+        gamma=number("covariance.gamma", (int, float)), basis=basis,
     )
     return ModelBundle(domain, basis, splines, covariance, doc.get("provenance", {}))
 

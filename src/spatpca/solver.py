@@ -56,11 +56,6 @@ import numpy as np
 
 from .tps import PenaltyOperator
 
-# after .tps, which imports scipy.linalg first: imported ahead of it here,
-# `import spatpca` took about 10% longer (garbage-collection timing)
-import scipy.linalg
-from scipy.linalg import lapack
-
 __all__ = [
     "RhoTooSmallError",
     "SolverConfig",
@@ -251,6 +246,7 @@ class LowRankTerm:
         return self.closed.leading(k)
 
     def shifted_solve(self, rho, rhs: np.ndarray) -> np.ndarray:
+        from scipy.linalg import lapack
         rho = np.asarray(rho)
         a = np.asarray(self.tau1)[..., None] * self.values + rho[..., None]
         low = a[..., 0] <= 0.0  # values ascend, so a[..., 0] is A's smallest eigenvalue
@@ -290,6 +286,7 @@ class ClosedFormTerm:
 
     def leading(self, k: int) -> np.ndarray:
         """The top k eigenvectors of B, in descending order."""
+        import scipy.linalg
         if self.tau1 == 0 and k <= len(self.y):
             return np.linalg.svd(self.y, full_matrices=False)[2][:k].T
         p = self.omega.shape[0]

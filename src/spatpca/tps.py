@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf, dorgqr, dormqr, dpotrf, dpotri
 
 __all__ = [
     "ConditioningError",
@@ -245,6 +243,7 @@ def build_penalty(domain: SpatialDomain) -> PenaltyOperator:
         If two sites coincide, the sites are collinear (d = 2) or coplanar
         (d = 3), or the interpolation system is singular.
     """
+    from scipy.linalg.lapack import dgeqrf, dorgqr, dormqr, dpotrf, dpotri
     loc = domain.locations
     p, d = loc.shape
     scratch = np.empty((p, p))
@@ -327,6 +326,7 @@ def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
         raise ValueError(f"values must have p = {p} rows, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
+    from scipy.linalg import solve_triangular
     q1, r1, gq1 = penalty.affine
     c = q1.T @ v
     a = penalty.omega @ (v - q1 @ c)

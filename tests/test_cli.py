@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -595,6 +597,43 @@ def _infinite_sigma2(doc):
     doc["covariance"]["sigma2"] = float("inf")
 
 
+def _nan_gamma(doc):
+    doc["covariance"]["gamma"] = float("nan")
+
+
+def _negative_gamma(doc):
+    doc["covariance"]["gamma"] = -1.0
+
+
+def _infinite_gamma(doc):
+    doc["covariance"]["gamma"] = float("inf")
+
+
+def _negative_l_hat(doc):
+    doc["covariance"]["l_hat"] = -3
+
+
+def _l_hat_above_k(doc):
+    doc["covariance"]["l_hat"] = 99
+
+
+def _negative_iterations(doc):
+    doc["basis"]["iterations"] = -5
+
+
+def _negative_lambda_star(doc):
+    # every weight of predict would be zeroed: all-zero predictions
+    doc["covariance"]["lambda_star"] = [-1.0, -2.0]
+
+
+def _doubled_vhat(doc):
+    doc["covariance"]["vhat"] = [[2.0, 0.0], [0.0, 2.0]]
+
+
+def _doubled_phi(doc):
+    doc["basis"]["phi"] = [[2.0 * v for v in row] for row in doc["basis"]["phi"]]
+
+
 def _null_covariance(doc):
     doc["covariance"] = None
 
@@ -604,9 +643,9 @@ def _no_covariance(doc):
 
 
 class TestModelCrossChecks:
-    # every shape is checked against the domain's p and d and phi's K, and
-    # every number must be finite: a corrupt model file exits 1 naming the
-    # field and writes nothing
+    # every shape is checked against the domain's p and d and phi's K, every
+    # number must be finite and in the estimator's range, and phi and vhat
+    # orthonormal: a corrupt model file exits 1 naming the field and writes nothing
     @pytest.fixture()
     def two_component_model(self, dataset, tmp_path):
         data, loc, _, _ = dataset
@@ -629,6 +668,15 @@ class TestModelCrossChecks:
         (_infinite_sigma2, "covariance.sigma2"),
         (_null_covariance, "covariance"),
         (_no_covariance, "covariance"),
+        (_nan_gamma, "covariance.gamma"),
+        (_negative_gamma, "covariance.gamma"),
+        (_infinite_gamma, "covariance.gamma"),
+        (_negative_l_hat, "covariance.l_hat"),
+        (_l_hat_above_k, "covariance.l_hat"),
+        (_negative_iterations, "basis.iterations"),
+        (_negative_lambda_star, "covariance.lambda_star"),
+        (_doubled_vhat, "covariance.vhat"),
+        (_doubled_phi, "basis.phi"),
     ])
     def test_corrupt_model_exits_1_naming_the_field(
         self, two_component_model, tmp_path, capsys, corrupt, field
@@ -652,6 +700,37 @@ class TestModelCrossChecks:
                      "--ref", "0.0", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_text().splitlines()[0] == "x1,phi_1,phi_2,phi_rot_1,phi_rot_2,cov_ref"
+
+
+# run in a fresh interpreter (argv: src directory, data, locations, model,
+# output directory): whether scipy is loaded after the import and after each
+# command, then after a build_penalty
+_SCIPY_PROBE = """
+import sys
+src, data, loc, model, out = sys.argv[1:]
+sys.path.insert(0, src)
+from spatpca.cli import main
+loaded = ["scipy" in sys.modules]
+for argv in (["--help"], ["scree", "--data", data, "--locations", loc, "--out", out + "/s.csv"],
+             ["eval", "--model", model, "--grid=-1:1:3", "--ref", "0.0", "--out", out + "/e.csv"]):
+    assert main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+from spatpca import SpatialDomain, build_penalty
+build_penalty(SpatialDomain([0.0, 1.0, 3.0]))
+loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_penalty_building_loads_scipy(dataset, fitted_model, tmp_path):
+    # eval and scree use numpy alone: scipy is imported where a penalty is
+    # built or a basis fitted, not on `import spatpca.cli`
+    data, loc, _, _ = dataset
+    src = str(Path(spatpca.cli.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src, data, loc,
+                          str(fitted_model), str(tmp_path)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[False, False, False, False, True]"
 
 
 class TestScreeCommand:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -234,14 +235,14 @@ class TestBuildPenalty:
         # a negated inverse of the core makes omega negative semidefinite: the
         # Cholesky check fails and the spectrum is clipped at zero
         scale = np.abs(build_penalty(small_domain).omega).max()
-        invert = tps.dpotri
+        invert = scipy.linalg.lapack.dpotri
 
         def negated(*args, **kwargs):
             inverse, info = invert(*args, **kwargs)
             inverse *= -1.0
             return inverse, info
 
-        monkeypatch.setattr(tps, "dpotri", negated)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", negated)
         omega = build_penalty(small_domain).omega
         assert np.abs(omega - omega.T).max() == 0.0
         assert np.abs(omega).max() < 1e-10 * scale
