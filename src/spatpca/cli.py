@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._files import atomic_write_text
-from .covariance import CovarianceModel, _symmetric_cov
+from .covariance import CovarianceModel, _component_covariance, _symmetric_cov
 from .simulate import (
     records_csv_text,
     run_experiment,
@@ -34,7 +34,7 @@ from .simulate import (
     summary_json_text,
 )
 from .solver import EigenBasis, SolverConfig
-from .tps import SpatialDomain, SplineCoefficients, build_penalty, evaluate, solve_coefficients
+from .tps import SpatialDomain, SplineCoefficients, build_penalty, evaluate
 from .tuning import TuningGrid, partition_folds, restrict_grid, select_and_fit
 
 __all__ = ["ingest", "save_model", "load_model", "main"]
@@ -125,12 +125,10 @@ def ingest(data_path, locations_path, center: bool = False, deseasonalize: int |
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Contents of a model file.  splines holds the stored interpolants of the
-    basis columns (a p x K, b (d + 1) x K): evaluation needs no penalty."""
+    """Contents of a model file; evaluating basis.splines needs no penalty."""
 
     domain: SpatialDomain
     basis: EigenBasis
-    splines: SplineCoefficients
     covariance: CovarianceModel
     provenance: dict
 
@@ -147,7 +145,7 @@ def model_to_dict(bundle: ModelBundle) -> dict:
             "sample_variances": basis.sample_variances.tolist(),
             "splines": [
                 {"a": a, "b": b}
-                for a, b in zip(bundle.splines.a.T.tolist(), bundle.splines.b.T.tolist())
+                for a, b in zip(basis.splines.a.T.tolist(), basis.splines.b.T.tolist())
             ],
             "converged": basis.converged,
             "iterations": basis.iterations,
@@ -201,8 +199,10 @@ def _array(value: list, name: str, *shape) -> np.ndarray:
 def load_model(path) -> ModelBundle:
     """Read a model file, checking every field's type and every array's shape
     against the domain's p and d and phi's K, and every value the estimator
-    bounds: phi and vhat orthonormal to 1e-8, sigma2, gamma, lambda_star and
-    the iteration count nonnegative, l_hat in [0, K]; ValueError naming the field."""
+    bounds: phi and vhat orthonormal to 1e-8, sigma2, gamma, lambda_star,
+    sample_variances and the iteration count nonnegative, l_hat in [0, K],
+    lambda within 1e-12 max(1, max lambda_star) of the Lambda vhat and
+    lambda_star give, which is kept; ValueError naming the field."""
     with open(path) as fh:
         doc = json.load(fh)
     version = _field(doc, "schema_version", int)
@@ -215,6 +215,11 @@ def load_model(path) -> ModelBundle:
         if not 0 <= value < bound:
             raise ValueError(f"model file field {path!r} is {value!r}, outside [0, {bound})")
         return value
+    def nonnegative(path, *shape):
+        values = array(path, *shape)
+        if (values < 0).any():
+            raise ValueError(f"model file field {path!r} holds a negative value")
+        return values
     def orthonormal(path, *shape):  # as predict's K x K formula assumes
         q = array(path, *shape)
         err = float(np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0))
@@ -232,7 +237,8 @@ def load_model(path) -> ModelBundle:
                              for f in fields(SolverConfig)})
     if config.k != k:
         raise ValueError(f"model file field 'basis.k' is {config.k}, but phi has {k} columns")
-    # one {"a", "b"} entry per column on file, one p x K object in memory
+    # one {"a", "b"} entry per column on file, one p x K object in memory, in
+    # solve_coefficients' layouts (a C, b F order), on which evaluate's bits depend
     columns = _field(doc, "basis.splines", list)
     if len(columns) != k:
         raise ValueError(
@@ -241,23 +247,24 @@ def load_model(path) -> ModelBundle:
     def column(i, key, n):
         name = f"basis.splines[{i}].{key}"
         return _array(_field(columns[i], key, list, name), name, n)
-    splines = SplineCoefficients(a=np.asarray([column(i, "a", p) for i in range(k)]).T,
+    splines = SplineCoefficients(a=np.column_stack([column(i, "a", p) for i in range(k)]),
                                  b=np.asarray([column(i, "b", d + 1) for i in range(k)]).T)
-    basis = EigenBasis(phi=phi, sample_variances=array("basis.sample_variances", k),
+    basis = EigenBasis(phi=phi, sample_variances=nonnegative("basis.sample_variances", k),
                        config=config, converged=_field(doc, "basis.converged", bool),
-                       iterations=number("basis.iterations", int))
+                       iterations=number("basis.iterations", int), splines=splines)
     _field(doc, "covariance", dict)
-    lambda_star = array("covariance.lambda_star", k)
-    if (lambda_star < 0).any():
-        raise ValueError("model file field 'covariance.lambda_star' holds a negative value")
+    lambda_star = nonnegative("covariance.lambda_star", k)
+    vhat = orthonormal("covariance.vhat", k, k)
+    lam = _component_covariance(vhat, lambda_star)
+    if np.abs(array("covariance.lambda", k, k) - lam).max() > 1e-12 * max(1.0, lambda_star.max()):
+        raise ValueError("model file field 'covariance.lambda' is not vhat diag(lambda_star) vhat'")
     # number's range for gamma must stay covariance._check_gamma's
     covariance = CovarianceModel(
-        sigma2=number("covariance.sigma2", (int, float)), lam=array("covariance.lambda", k, k),
-        vhat=orthonormal("covariance.vhat", k, k), lambda_star=lambda_star,
-        l_hat=number("covariance.l_hat", int, k + 1),
+        sigma2=number("covariance.sigma2", (int, float)), lam=lam, vhat=vhat,
+        lambda_star=lambda_star, l_hat=number("covariance.l_hat", int, k + 1),
         gamma=number("covariance.gamma", (int, float)), basis=basis,
     )
-    return ModelBundle(domain, basis, splines, covariance, doc.get("provenance", {}))
+    return ModelBundle(domain, basis, covariance, doc.get("provenance", {}))
 
 
 def _sha256(path) -> str:
@@ -316,8 +323,7 @@ def cmd_fit(args) -> int:
         if gamma_report is None
         else gamma_report.gamma_values.tolist(),
     }
-    splines = solve_coefficients(penalty, basis.phi)
-    save_model(args.out, ModelBundle(penalty.domain, basis, splines, model, provenance))
+    save_model(args.out, ModelBundle(penalty.domain, basis, model, provenance))
 
     print(f"sites: {penalty.domain.p} kept, {len(dropped)} dropped")
     how_tau = "fixed" if tau_report is None else f"{args.folds}-fold CV"
@@ -376,13 +382,13 @@ def cmd_eval(args) -> int:
             raise ValueError(f"--ref {args.ref!r}: needs {d} comma-separated finite coordinates")
 
     k = bundle.basis.phi.shape[1]
-    psi = evaluate(bundle.splines, bundle.domain, pts)
+    psi = evaluate(bundle.basis.splines, bundle.domain, pts)
     header = [f"x{j + 1}" for j in range(d)] + [
         f"{name}_{j + 1}" for name in ("phi", "phi_rot") for j in range(k)
     ]
     blocks = [pts, psi, psi @ bundle.covariance.vhat]
     if args.ref is not None:
-        psi_ref = evaluate(bundle.splines, bundle.domain, ref[None, :])[0]
+        psi_ref = evaluate(bundle.basis.splines, bundle.domain, ref[None, :])[0]
         header.append("cov_ref")
         blocks.append(_symmetric_cov(psi, bundle.covariance.lam, psi_ref))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import EigenBasis, _check_data, _fix_signs
-from .tps import PenaltyOperator, SplineCoefficients, evaluate, solve_coefficients
+from .tps import PenaltyOperator, SpatialDomain, evaluate
 
 __all__ = [
     "SampleCovariance",
@@ -112,6 +112,14 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError("gamma must be finite and nonnegative")
 
 
+def _component_covariance(vhat: np.ndarray, lambda_star: np.ndarray) -> np.ndarray:
+    """Lambda = Vhat diag(lambda*) Vhat', exactly symmetric and read-only."""
+    lam = (vhat * lambda_star) @ vhat.T
+    lam = 0.5 * (lam + lam.T)
+    lam.setflags(write=False)
+    return lam
+
+
 def estimate_from_moments(m, tr: float, basis: EigenBasis, gammas) -> list[CovarianceModel]:
     """The rule of estimate_parameters at each of gammas from M = Phi' S Phi (K x K,
     symmetrized here, one eigendecomposition) and tr(S), e.g. Z'Z/n and ||Y||_F^2/n."""
@@ -125,9 +133,7 @@ def estimate_from_moments(m, tr: float, basis: EigenBasis, gammas) -> list[Covar
     models = []
     for gamma in gammas:
         sigma2, l_hat, lambda_star = _shrink(d, tr, p, gamma)
-        lam = (v * lambda_star) @ v.T
-        lam = 0.5 * (lam + lam.T)
-        lam.setflags(write=False)
+        lam = _component_covariance(v, lambda_star)
         lambda_star.setflags(write=False)
         models.append(CovarianceModel(sigma2=float(sigma2), lam=lam, vhat=v, l_hat=l_hat,
                                       lambda_star=lambda_star, gamma=float(gamma), basis=basis))
@@ -154,12 +160,10 @@ def estimate_parameters(s: SampleCovariance, basis: EigenBasis, gamma: float) ->
     return estimate_from_moments(*s.moments(basis.phi), basis, [gamma])[0]
 
 
-def _basis_at(splines: SplineCoefficients, penalty: PenaltyOperator, point) -> np.ndarray:
-    d = penalty.domain.d
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    if pt.shape != (d,):
-        raise ValueError(f"point must have {d} coordinates, got shape {pt.shape}")
-    return evaluate(splines, penalty.domain, pt[None, :])[0]
+def _psi(model: CovarianceModel, domain: SpatialDomain, query) -> np.ndarray:
+    if model.basis.splines is None:  # a fit_chains basis; fit solves them
+        raise ValueError("the basis carries no interpolants, as fit's and load_model's do")
+    return evaluate(model.basis.splines, domain, query)
 
 
 def _symmetric_cov(psi: np.ndarray, lam: np.ndarray, psi_ref: np.ndarray):
@@ -171,12 +175,15 @@ def _symmetric_cov(psi: np.ndarray, lam: np.ndarray, psi_ref: np.ndarray):
 def covariance_at(model: CovarianceModel, penalty: PenaltyOperator, s_point, s_star) -> float:
     """Estimated covariance between the process at two locations.
 
-    C(s, s*) = psi(s)' Lambda psi(s*) with psi the spline interpolant of the
-    basis, solved from penalty on each call.  Computed in symmetrized form,
-    so swapping arguments returns the identical float.
+    C(s, s*) = psi(s)' Lambda psi(s*) with psi the basis's interpolants,
+    model.basis.splines; of penalty only the domain is read.  Computed in
+    symmetrized form, so swapping arguments returns the identical float.
     """
-    splines = solve_coefficients(penalty, model.basis.phi)
-    ps, pt = (_basis_at(splines, penalty, x) for x in (s_point, s_star))
+    d = penalty.domain.d
+    pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (s_point, s_star)]
+    if any(x.shape != (d,) for x in pts):
+        raise ValueError(f"points must have {d} coordinates, got shapes {[x.shape for x in pts]}")
+    ps, pt = (_psi(model, penalty.domain, x[None, :])[0] for x in pts)
     return float(_symmetric_cov(ps, model.lam, pt))
 
 
@@ -197,15 +204,14 @@ def predict(model: CovarianceModel, penalty: PenaltyOperator, y, query) -> np.nd
     sigma2 == 0 is the Moore-Penrose pseudoinverse (projection of y_i onto the
     range of Lambda in basis coordinates).
 
-    psi is the spline interpolant of the basis, solved from penalty in one
-    p x K solve per call and evaluated at the q query points by
-    :func:`~spatpca.tps.evaluate`, which holds the q x K values and one row
-    block of the kernel, never a q x p matrix.  Returns an n x q matrix, one
-    row per observation.
+    psi is model.basis.splines evaluated at the q query points by
+    :func:`~spatpca.tps.evaluate` (the q x K values and one kernel row block,
+    never a q x p matrix); of penalty only the domain is read.  Returns an
+    n x q matrix, one row per observation.
     """
     y = _check_data(y, penalty)  # n x p and finite, as fit requires
     phi = model.basis.phi
-    psi = evaluate(solve_coefficients(penalty, phi), penalty.domain, query)
+    psi = _psi(model, penalty.domain, query)
     lam_star = model.lambda_star
     keep = lam_star > 1e-12 * max(1.0, float(lam_star.max(initial=0.0)))
     w = np.zeros_like(lam_star)

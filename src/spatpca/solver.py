@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .tps import PenaltyOperator
+from .tps import PenaltyOperator, SplineCoefficients, solve_coefficients
 
 __all__ = [
     "RhoTooSmallError",
@@ -138,9 +138,9 @@ class EigenBasis:
     """Fitted basis: orthonormal columns ordered by explained sample variance.
 
     sample_variances[k] = phi_k' S phi_k with S = Y'Y/n, nonincreasing.
-    The basis lives on the p sites only; tps.solve_coefficients(penalty, phi)
-    gives its interpolants where off-node values are needed.  iterations
-    counts ADMM iterations: 0 for a tau2 = 0 fit, solved in closed form.
+    splines, the columns' interpolants off the sites, is solved once by fit;
+    a cv_tau chain's basis has None.  iterations counts ADMM iterations: 0
+    for a tau2 = 0 fit, solved in closed form.
     """
 
     phi: np.ndarray
@@ -148,6 +148,7 @@ class EigenBasis:
     config: SolverConfig
     converged: bool
     iterations: int
+    splines: SplineCoefficients | None = None
 
 
 def _below_floor(quad, rho, i) -> RhoTooSmallError:
@@ -429,19 +430,12 @@ def precompute_quadratic(
     return spectral
 
 
-# cap on the stacked terms of one group of fit_chains (_stacked_bytes per
-# chain): 205 spectral chains at p = 50, 3 at p = 400, 27 low-rank ones at
-# p = 400 with 48 training rows.  At 1 MiB cv1d's 55 chains ran as 51 + 4,
-# the 4 paying a whole stack's per-step overhead; as one stack, cv_tau took
-# 0.46 s for 0.53 s (median of 16 alternating runs, one BLAS thread)
+# cap on the stacked terms of one group of fit_chains: 205 spectral chains
+# at p = 50, 3 at p = 400, 27 low-rank ones at p = 400 with 48 training
+# rows.  At 1 MiB cv1d's 55 chains ran as 51 + 4, the 4 paying a whole
+# stack's per-step overhead; as one stack, cv_tau took 0.46 s for 0.53 s
+# (median of 16 alternating runs, one BLAS thread)
 _GROUP_BYTES = 4 << 20
-
-
-def _stacked_bytes(n: int, p: int, tau2_count: int) -> int:
-    """Bytes one chain's term from precompute_quadratic(., ., tau2_count > 0)
-    adds to a stack: its p x p factorization, or for a LowRankTerm its n x p
-    rows Y U (the domain's U is shared)."""
-    return 8 * (n * p + 2 if _low_rank_pays(n, p, tau2_count) else p * p + p + 1)
 
 
 def initial_phi(quad: Term, k: int) -> np.ndarray:
@@ -583,8 +577,8 @@ def fit_chains(
     count, as their Y U rows are stacked, spectral ones all together; then
     by data set, so one data set's terms are alive at a time.  The C chains
     of one layout run in ceil(C / cap) groups of sizes within one, cap =
-    _GROUP_BYTES // _stacked_bytes; along tau2 = 0 alone they run as one,
-    and unstacked.
+    _GROUP_BYTES // (the bytes one chain's term adds to a stack); along
+    tau2 = 0 alone they run as one, and unstacked.
     """
     data = [_check_data(y, penalty) for y in data]
     k, p = config.k, penalty.domain.p
@@ -600,10 +594,11 @@ def fit_chains(
     rows = [len(data[d]) for d, _ in chains]
     layout = [n if admm_fits and _low_rank_pays(n, p, admm_fits) else 0 for n in rows]
     order = sorted(range(len(chains)), key=lambda c: (layout[c], chains[c][0]))
-    for _, same in groupby(order, key=layout.__getitem__):
+    for n, same in groupby(order, key=layout.__getitem__):
         same = list(same)
-        n = rows[same[0]]
-        cap = max(1, _GROUP_BYTES // _stacked_bytes(n, p, admm_fits)) if admm_fits else len(same)
+        # a chain's stacked term: p x p factors, or low-rank n x p rows Y U
+        term_bytes = 8 * (n * p + 2 if n else p * p + p + 1)
+        cap = max(1, _GROUP_BYTES // term_bytes) if admm_fits else len(same)
         for part in np.array_split(same, -(-len(same) // cap)):
             group = [chains[c] for c in part]
             quads = (family(d)(t1) for d, t1 in group)
@@ -684,12 +679,11 @@ def fit(y, penalty: PenaltyOperator, config: SolverConfig) -> EigenBasis:
     """Estimate the regularized eigenbasis at the p sites: the one-chain fit_chains.
 
     The term is precompute_quadratic's for one chain along config.tau2, so
-    a lone fit follows the same rule as a cv_tau chain.  No spline is solved
-    here: a caller that needs the basis off the sites solves its
-    interpolants once, tps.solve_coefficients(penalty, basis.phi).  At
-    tau2 = 0 the basis is the closed form (see fit_chains); otherwise the
-    ADMM starts from initial_phi.  Non-convergence within max_iterations is
-    reported through the returned converged flag, never as an exception.
+    a lone fit follows the same rule as a cv_tau chain; the basis carries its
+    interpolants, solved here once.  At tau2 = 0 it is the closed form (see
+    fit_chains); otherwise the ADMM starts from initial_phi.  Non-convergence
+    within max_iterations is reported through the returned converged flag,
+    never as an exception.
     """
     ((_, _, basis),) = fit_chains([y], [(0, config.tau1)], penalty, config, [config.tau2])
-    return basis
+    return replace(basis, splines=solve_coefficients(penalty, basis.phi))

@@ -334,6 +334,8 @@ def solve_coefficients(penalty: PenaltyOperator, values) -> SplineCoefficients:
     b = solve_triangular(r1, c - gq1.T @ a, check_finite=False)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ConditioningError("interpolation solve produced non-finite coefficients")
+    a.setflags(write=False)
+    b.setflags(write=False)
     return SplineCoefficients(a=a, b=b)
 
 

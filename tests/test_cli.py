@@ -10,15 +10,26 @@ import pytest
 import spatpca.cli
 import spatpca.solver
 import spatpca.tuning
-from spatpca import SolverConfig, build_penalty, covariance_at, fit
+from spatpca import (
+    SampleCovariance,
+    SolverConfig,
+    SpatialDomain,
+    build_penalty,
+    covariance_at,
+    estimate_parameters,
+    fit,
+    predict,
+)
 from spatpca.cli import (
     SCHEMA_VERSION,
+    ModelBundle,
     _parse_grid_spec,
     _read_matrix,
     ingest,
     load_model,
     main,
     model_to_dict,
+    save_model,
 )
 from spatpca.solver import LowRankTerm
 from spatpca.tps import evaluate
@@ -202,6 +213,28 @@ class TestFitCommand:
         redone = model_to_dict(bundle)
         assert json.dumps(redone, indent=2) + "\n" == json.dumps(doc, indent=2) + "\n"
 
+    def test_loaded_model_evaluates_as_the_fitted_one(self, tmp_path):
+        # the file holds fit's interpolants and load_model restores their
+        # layouts, and Lambda is rebuilt as the estimator built it: evaluate,
+        # predict and covariance_at give the fitted model's bits
+        axis = np.linspace(-3.0, 3.0, 8)
+        domain = SpatialDomain(np.column_stack(
+            [m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")]))
+        pen = build_penalty(domain)
+        rng = np.random.default_rng(21)
+        y = rng.standard_normal((30, domain.p))
+        basis = fit(y, pen, SolverConfig(tau1=1.0, tau2=0.0, k=3))
+        model = estimate_parameters(SampleCovariance(y), basis, 0.1)
+        save_model(tmp_path / "model.json", ModelBundle(domain, basis, model, {}))
+        loaded = load_model(tmp_path / "model.json").covariance
+        assert np.array_equal(loaded.lam, model.lam)
+        query = rng.uniform(-4.0, 4.0, (50, 2))
+        assert np.array_equal(evaluate(loaded.basis.splines, domain, query),
+                              evaluate(basis.splines, domain, query))
+        assert np.array_equal(predict(loaded, pen, y, query), predict(model, pen, y, query))
+        s, t = [0.5, -1.0], [2.0, 1.5]
+        assert covariance_at(loaded, pen, s, t) == covariance_at(model, pen, s, t)
+
     def test_fit_rerun_is_byte_identical(self, dataset, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         assert main(self._fit_args(dataset, out1)) == 0
@@ -321,13 +354,21 @@ class TestEvalCommand:
         bundle = load_model(fitted_model)
         pen = build_penalty(bundle.domain)
         pts = np.linspace(-2.0, 2.0, 9)
-        psi = evaluate(bundle.splines, bundle.domain, pts[:, None])[:, 0]
+        psi = evaluate(bundle.basis.splines, bundle.domain, pts[:, None])[:, 0]
         for i, row in enumerate(rows[1:]):
             assert float(row[0]) == pts[i]
-            assert float(row[1]) == pytest.approx(psi[i], abs=1e-12)
-            got_cov = float(row[3])
+            assert float(row[1]) == psi[i]
+            # covariance_at evaluates one point: a one-row kernel product, which
+            # BLAS rounds otherwise than a row of the grid's 9-row product
             want = covariance_at(bundle.covariance, pen, [pts[i]], [0.0])
-            assert got_cov == pytest.approx(want, abs=1e-12)
+            assert float(row[3]) == pytest.approx(want, abs=1e-12)
+        # a one-point query takes covariance_at's path, to the bit
+        q = _write(tmp_path / "q.csv", "0.7\n")
+        assert main(["eval", "--model", str(fitted_model), "--query", q,
+                     "--ref", "0.0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        got = float(out.read_text().splitlines()[1].split(",")[3])
+        assert got == covariance_at(bundle.covariance, pen, [0.7], [0.0])
 
     def test_cells_parse_back_exactly(self, dataset, tmp_path, capsys):
         data, loc, _, _ = dataset
@@ -346,8 +387,8 @@ class TestEvalCommand:
 
         bundle = load_model(model_path)
         pts = np.linspace(-2.0, 2.0, 13)[:, None]
-        psi = evaluate(bundle.splines, bundle.domain, pts)
-        psi_ref = evaluate(bundle.splines, bundle.domain, np.array([[0.5]]))[0]
+        psi = evaluate(bundle.basis.splines, bundle.domain, pts)
+        psi_ref = evaluate(bundle.basis.splines, bundle.domain, np.array([[0.5]]))[0]
         lam = bundle.covariance.lam
         cov = 0.5 * (psi @ (lam @ psi_ref) + (psi @ lam.T) @ psi_ref)
         want = np.column_stack([pts, psi, psi @ bundle.covariance.vhat, cov])
@@ -634,6 +675,20 @@ def _doubled_phi(doc):
     doc["basis"]["phi"] = [[2.0 * v for v in row] for row in doc["basis"]["phi"]]
 
 
+def _negative_lambda(doc):
+    # not vhat diag(lambda_star) vhat': eval would write negative variances
+    doc["covariance"]["lambda"] = [[-1.0, 0.0], [0.0, -1.0]]
+
+
+def _nudged_lambda(doc):
+    lam = doc["covariance"]["lambda"]
+    lam[0][1] += 1e-9 * max(1.0, *doc["covariance"]["lambda_star"])
+
+
+def _negative_sample_variances(doc):
+    doc["basis"]["sample_variances"] = [-1.0, -1.0]
+
+
 def _null_covariance(doc):
     doc["covariance"] = None
 
@@ -644,8 +699,9 @@ def _no_covariance(doc):
 
 class TestModelCrossChecks:
     # every shape is checked against the domain's p and d and phi's K, every
-    # number must be finite and in the estimator's range, and phi and vhat
-    # orthonormal: a corrupt model file exits 1 naming the field and writes nothing
+    # number must be finite and in the estimator's range, phi and vhat
+    # orthonormal, and lambda the one vhat and lambda_star give: a corrupt
+    # model file exits 1 naming the field and writes nothing
     @pytest.fixture()
     def two_component_model(self, dataset, tmp_path):
         data, loc, _, _ = dataset
@@ -677,6 +733,9 @@ class TestModelCrossChecks:
         (_negative_lambda_star, "covariance.lambda_star"),
         (_doubled_vhat, "covariance.vhat"),
         (_doubled_phi, "basis.phi"),
+        (_negative_lambda, "covariance.lambda"),
+        (_nudged_lambda, "covariance.lambda"),
+        (_negative_sample_variances, "basis.sample_variances"),
     ])
     def test_corrupt_model_exits_1_naming_the_field(
         self, two_component_model, tmp_path, capsys, corrupt, field
@@ -694,7 +753,7 @@ class TestModelCrossChecks:
 
     def test_intact_model_loads(self, two_component_model, tmp_path, capsys):
         bundle = load_model(two_component_model)
-        assert bundle.basis.phi.shape[1] == 2 and bundle.splines.a.shape[1] == 2
+        assert bundle.basis.phi.shape[1] == 2 and bundle.basis.splines.a.shape[1] == 2
         out = tmp_path / "e.csv"
         assert main(["eval", "--model", str(two_component_model), "--grid=-1:1:3",
                      "--ref", "0.0", "--out", str(out)]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,3 +279,24 @@ class TestPredict:
             data[1, 3] = bad
             with pytest.raises(ValueError, match="finite"):
                 predict(model, penalty_1d_module, data, [0.0, 0.5])
+
+
+class TestStoredInterpolants:
+    # predict and covariance_at evaluate the interpolants fit solved: of the
+    # penalty only the domain is read, and a basis without them is refused
+    def test_omega_is_not_read(self, fitted, penalty_1d_module):
+        y, _, _, model = fitted
+        blind = replace(penalty_1d_module, omega=np.full_like(penalty_1d_module.omega, np.nan))
+        query = np.linspace(-6.0, 6.0, 41)
+        assert np.array_equal(predict(model, blind, y, query),
+                              predict(model, penalty_1d_module, y, query))
+        assert covariance_at(model, blind, 1.3, -2.1) == covariance_at(
+            model, penalty_1d_module, 1.3, -2.1)
+
+    def test_basis_without_interpolants_is_refused(self, fitted, penalty_1d_module):
+        y, basis, _, model = fitted
+        bare = replace(model, basis=replace(basis, splines=None))
+        with pytest.raises(ValueError, match="no interpolants"):
+            predict(bare, penalty_1d_module, y, [0.0])
+        with pytest.raises(ValueError, match="no interpolants"):
+            covariance_at(bare, penalty_1d_module, 0.0, 1.0)

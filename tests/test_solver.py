@@ -19,10 +19,12 @@ from spatpca import (
     SpatialDomain,
     TuningGrid,
     build_penalty,
+    covariance_at,
     default_log_grid,
     evaluate,
     fit,
     partition_folds,
+    predict,
     restrict_grid,
     select_and_fit,
     solve_coefficients,
@@ -41,7 +43,6 @@ from spatpca.solver import (
     _initial_rho,
     _polar,
     _stack_chains,
-    _stacked_bytes,
 )
 
 from checks import (
@@ -259,12 +260,27 @@ class TestFit:
         for c in range(k):
             lead = int(np.argmax(np.abs(basis.phi[:, c])))
             assert basis.phi[lead, c] >= 0
-        splines = solve_coefficients(penalty_1d, basis.phi)
+        splines = basis.splines
         assert splines.a.shape == (domain_1d.p, k) and splines.b.shape == (2, k)
         at_nodes = evaluate(splines, domain_1d, domain_1d.locations)
         assert np.abs(at_nodes - basis.phi).max() < 1e-8
         with pytest.raises(ValueError):
             basis.phi[0, 0] = 1.0
+
+    @pytest.mark.parametrize("tau2", [0.0, 0.5])
+    def test_basis_carries_its_interpolants(self, small_penalty, tau2):
+        # fit solves them once, as solve_coefficients does; a cv_tau chain's
+        # basis, never evaluated off the sites, carries none
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal((30, small_penalty.domain.p))
+        cfg = SolverConfig(tau1=1.0, tau2=tau2, k=3)
+        basis = fit(y, small_penalty, cfg)
+        want = solve_coefficients(small_penalty, basis.phi)
+        for got, ref in ((basis.splines.a, want.a), (basis.splines.b, want.b)):
+            assert np.array_equal(got, ref) and got.strides == ref.strides
+            assert not got.flags.writeable
+        chains = fit_chains([y, y[:20]], [(0, 1.0), (1, 2.0)], small_penalty, cfg, [0.0, 0.5])
+        assert all(b.splines is None for _, _, b in chains)
 
     def test_sample_variances_match_definition(self, small_penalty):
         rng = np.random.default_rng(13)
@@ -274,9 +290,9 @@ class TestFit:
         expected = np.array([basis.phi[:, c] @ s @ basis.phi[:, c] for c in range(2)])
         assert np.allclose(basis.sample_variances, expected, rtol=1e-12)
 
-    def test_splines_solved_only_to_write_the_model(
-        self, small_penalty, tmp_path, monkeypatch, capsys
-    ):
+    def test_splines_solved_once_per_fit(self, small_penalty, tmp_path, monkeypatch, capsys):
+        # by fit alone: a cv_tau chain solves none, and predict, covariance_at
+        # and eval evaluate the basis's own
         calls = []
         original = spatpca.tps.solve_coefficients
 
@@ -291,9 +307,13 @@ class TestFit:
         p = small_penalty.domain.p
         y = rng.standard_normal((30, p))
         fit(y, small_penalty, SolverConfig(tau1=1.0, tau2=0.5, k=3))
+        assert calls == [(p, 3)]
         grid = TuningGrid(tau1_values=[0.0, 1.0], tau2_values=[0.0, 0.5], gamma_value_count=3)
-        select_and_fit(y, small_penalty, 2, grid, partition_folds(30, 3, seed=0))
-        assert calls == []
+        tuned = select_and_fit(y, small_penalty, 2, grid, partition_folds(30, 3, seed=0))
+        predict(tuned.model, small_penalty, y, np.linspace(-6.0, 6.0, 7))
+        covariance_at(tuned.model, small_penalty, 0.3, -1.2)
+        assert calls == [(p, 3), (p, 2)]
+        calls.clear()
 
         data, loc = tmp_path / "data.csv", tmp_path / "loc.csv"
         data.write_text("\n".join(",".join(map(repr, row)) for row in y.tolist()) + "\n")
@@ -303,6 +323,10 @@ class TestFit:
             "fit", "--data", str(data), "--locations", str(loc), "--k", "3",
             "--tau1", "1.0", "--tau2", "0.5", "--gamma", "0.1",
             "--out", str(tmp_path / "model.json"),
+        ]) == 0
+        assert spatpca.cli.main([
+            "eval", "--model", str(tmp_path / "model.json"), "--grid=-6:6:7", "--ref", "0.0",
+            "--out", str(tmp_path / "eval.csv"),
         ]) == 0
         capsys.readouterr()
         assert calls == [(p, 3)]
@@ -623,9 +647,6 @@ class TestLowRankTerm:
         ):
             y = rng.standard_normal((n, 50))
             assert type(precompute_quadratic(y, penalty_1d, tau2_count)(1.0)) is kind
-            if kind is not ClosedFormTerm:
-                rows = n * 50 + 2 if kind is LowRankTerm else 50 * 50 + 51
-                assert _stacked_bytes(n, 50, tau2_count) == 8 * rows
             if tau2_count <= 1:
                 fit(y, penalty_1d, SolverConfig(tau1=1.0, tau2=float(tau2_count), k=2))
                 assert lone == [kind]

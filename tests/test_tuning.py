@@ -18,7 +18,7 @@ from spatpca import (
     select_and_fit,
 )
 from spatpca.solver import (
-    ClosedFormTerm, LowRankTerm, QuadraticTerm, _fit_group, _low_rank_pays, _stacked_bytes,
+    ClosedFormTerm, LowRankTerm, QuadraticTerm, _fit_group, _low_rank_pays,
     precompute_quadratic,
 )
 import spatpca.solver
@@ -224,8 +224,9 @@ class TestCvTauGroups:
             seen.append(len(ys))
             yield from _fit_group(ys, *args)
 
-        # 24 training rows per fold, more than p = 14: spectral terms
-        monkeypatch.setattr(spatpca.solver, "_GROUP_BYTES", size * _stacked_bytes(24, p, 6))
+        # 24 training rows per fold, more than p = 14: spectral terms, each
+        # adding its p x p factorization and p + 1 numbers to a stack
+        monkeypatch.setattr(spatpca.solver, "_GROUP_BYTES", size * 8 * (p * p + p + 1))
         monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
         rep = cv_tau(y, pen, 2, grid, folds)
         assert seen == sizes
@@ -253,7 +254,8 @@ class TestCvTauGroups:
             yield from _fit_group(ys, *args)
 
         assert type(precompute_quadratic(y[:9], pen, 3)(1.0)) is LowRankTerm
-        monkeypatch.setattr(spatpca.solver, "_GROUP_BYTES", 4 * _stacked_bytes(9, p, 3))
+        # a low-rank term adds its rows Y U and two numbers to a stack
+        monkeypatch.setattr(spatpca.solver, "_GROUP_BYTES", 4 * 8 * (9 * p + 2))
         monkeypatch.setattr(spatpca.solver, "_fit_group", spy)
         rep = cv_tau(y, pen, 2, grid, folds)
         assert seen == [[8] * 3, [9] * 3, [9] * 3]
