@@ -179,11 +179,8 @@ def covariance_at(model: CovarianceModel, penalty: PenaltyOperator, s_point, s_s
     model.basis.splines; of penalty only the domain is read.  Computed in
     symmetrized form, so swapping arguments returns the identical float.
     """
-    d = penalty.domain.d
-    pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (s_point, s_star)]
-    if any(x.shape != (d,) for x in pts):
-        raise ValueError(f"points must have {d} coordinates, got shapes {[x.shape for x in pts]}")
-    ps, pt = (_psi(model, penalty.domain, x[None, :])[0] for x in pts)
+    # each point a one-row query, whose d coordinates evaluate checks
+    ps, pt = (_psi(model, penalty.domain, np.atleast_1d(x)[None, :])[0] for x in (s_point, s_star))
     return float(_symmetric_cov(ps, model.lam, pt))
 
 
